@@ -18,7 +18,6 @@ axis, both within [0, 112].
 from __future__ import annotations
 
 import csv
-import io
 import logging
 from dataclasses import dataclass
 from pathlib import Path
@@ -199,33 +198,49 @@ def subdivide_once(mesh: FaceMesh) -> FaceMesh:
     return FaceMesh(np.array(vertices), children, np.array(landmarks))
 
 
-def _covered_pixel_values(attn_map: np.ndarray, pts: np.ndarray) -> tuple[float, int]:
-    """Mean map value over pixels whose centers fall inside a triangle."""
+# Candidate pixels rasterised per pass; bounds memory for large triangles.
+_PIXEL_BLOCK = 1 << 16
+
+
+def _covered_pixel_sums(
+    attn_map: np.ndarray, pts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per triangle, the sum and the count of map values at covered pixel centers.
+
+    ``pts`` is (T, 3, 2). A triangle's candidates are the pixels of its
+    bounding box, clipped to the map, in row-major order; a center is
+    covered when the three edge functions agree in sign (zero counts as
+    either). All triangles are rasterised together, in passes of at most
+    ``_PIXEL_BLOCK`` candidates (a larger single triangle takes a pass
+    of its own).
+    """
     size = attn_map.shape[0]
-    min_xy = pts.min(axis=0)
-    max_xy = pts.max(axis=0)
-    c0 = max(0, int(np.floor(min_xy[0] - 0.5)))
-    c1 = min(size - 1, int(np.ceil(max_xy[0] - 0.5)))
-    r0 = max(0, int(np.floor(min_xy[1] - 0.5)))
-    r1 = min(size - 1, int(np.ceil(max_xy[1] - 0.5)))
-    if c1 < c0 or r1 < r0:
-        return 0.0, 0
-    cols = np.arange(c0, c1 + 1)
-    rows = np.arange(r0, r1 + 1)
-    cx, cy = np.meshgrid(cols + 0.5, rows + 0.5)
+    lo = np.floor(pts.min(axis=1) - 0.5).astype(np.int64).clip(0, None)
+    hi = np.ceil(pts.max(axis=1) - 0.5).astype(np.int64).clip(None, size - 1)
+    width, height = (hi - lo + 1).clip(0, None).T
+    n_candidates = width * height
+    ends = np.cumsum(n_candidates)
+    begins = ends - n_candidates
 
-    def edge(p, q):
-        return (q[0] - p[0]) * (cy - p[1]) - (q[1] - p[1]) * (cx - p[0])
-
-    e0 = edge(pts[0], pts[1])
-    e1 = edge(pts[1], pts[2])
-    e2 = edge(pts[2], pts[0])
-    inside = ((e0 >= 0) & (e1 >= 0) & (e2 >= 0)) | ((e0 <= 0) & (e1 <= 0) & (e2 <= 0))
-    count = int(inside.sum())
-    if count == 0:
-        return 0.0, 0
-    block = attn_map[r0 : r1 + 1, c0 : c1 + 1]
-    return float(block[inside].sum() / count), count
+    sums = np.zeros(len(pts))
+    counts = np.zeros(len(pts), dtype=np.int64)
+    first = 0
+    while first < len(pts):
+        stop = max(first + 1, int(np.searchsorted(ends, begins[first] + _PIXEL_BLOCK, "right")))
+        tri = np.repeat(np.arange(first, stop), n_candidates[first:stop])
+        local = np.arange(begins[first], ends[stop - 1]) - begins[tri]
+        rows = lo[tri, 1] + local // width[tri]
+        cols = lo[tri, 0] + local % width[tri]
+        cx, cy = cols[:, None] + 0.5, rows[:, None] + 0.5
+        # Edge k runs from corner k to corner k + 1 (mod 3).
+        x, y = pts[tri, :, 0], pts[tri, :, 1]
+        edge = (np.roll(x, -1, axis=1) - x) * (cy - y) - (np.roll(y, -1, axis=1) - y) * (cx - x)
+        inside = (edge >= 0).all(axis=1) | (edge <= 0).all(axis=1)
+        tri, rows, cols = tri[inside], rows[inside], cols[inside]
+        sums += np.bincount(tri, weights=attn_map[rows, cols], minlength=len(pts))
+        counts += np.bincount(tri, minlength=len(pts))
+        first = stop
+    return sums, counts
 
 
 def triangle_attention(mesh: FaceMesh, attn_map) -> TriangleAttention:
@@ -234,22 +249,21 @@ def triangle_attention(mesh: FaceMesh, attn_map) -> TriangleAttention:
     Triangles whose footprint covers no pixel center fall back to a
     bilinear sample of the map at their centroid, so thin slivers still
     carry a well-defined score. Landmarks must be inside the map frame.
+    The projection is linear in the map, so the mean of several images'
+    scores is the score of their mean map.
     """
     amap = validate_grid(attn_map)
     size = amap.shape[0]
     lm = mesh.landmarks2d
     if lm.size and (lm.min() < 0.0 or lm.max() > size):
         raise DataError("landmarks fall outside the attention map frame")
+    pts = lm[mesh.triangles]
+    sums, counts = _covered_pixel_sums(amap, pts)
     values = np.empty(mesh.n_triangles)
-    for k, tri in enumerate(mesh.triangles):
-        pts = lm[tri]
-        value, covered = _covered_pixel_values(amap, pts)
-        if covered == 0:
-            centroid = pts.mean(axis=0)
-            value = float(
-                bilinear_sample(amap, centroid[0], centroid[1], frame=float(size))
-            )
-        values[k] = value
+    covered = counts > 0
+    values[covered] = sums[covered] / counts[covered]
+    centroid = pts[~covered].mean(axis=1)
+    values[~covered] = bilinear_sample(amap, centroid[:, 0], centroid[:, 1], frame=float(size))
     return TriangleAttention(values, n_images=1)
 
 
@@ -306,19 +320,20 @@ def export_obj(mesh: FaceMesh, scores: TriangleAttention | np.ndarray) -> bytes:
         normalized = np.full(values.shape, 0.5)
     colors = colormap_rgb(normalized)
 
-    out = io.StringIO()
-    out.write("# visage attention surface\n")
-    out.write("# colormap viridis\n")
-    out.write(f"# triangles {mesh.n_triangles}\n")
-    verts = mesh.vertices
-    for k, tri in enumerate(mesh.triangles):
-        r, g, b = colors[k]
-        for vi in tri:
-            x, y, z = verts[vi]
-            out.write(f"v {x:.6f} {y:.6f} {z:.6f} {r:.4f} {g:.4f} {b:.4f}\n")
-    for k in range(mesh.n_triangles):
-        out.write(f"f {3 * k + 1} {3 * k + 2} {3 * k + 3}\n")
-    return out.getvalue().encode("utf-8")
+    header = (
+        "# visage attention surface\n"
+        "# colormap viridis\n"
+        f"# triangles {mesh.n_triangles}\n"
+    )
+    # One row per duplicated corner: x y z of the vertex, r g b of its face.
+    corners = np.hstack(
+        [mesh.vertices[mesh.triangles].reshape(-1, 3), np.repeat(colors, 3, axis=0)]
+    )
+    vertex_lines = ("v %.6f %.6f %.6f %.4f %.4f %.4f\n" * len(corners)) % tuple(
+        corners.ravel().tolist()
+    )
+    face_lines = ("f %d %d %d\n" * mesh.n_triangles) % tuple(range(1, 3 * mesh.n_triangles + 1))
+    return (header + vertex_lines + face_lines).encode("utf-8")
 
 
 def load_obj(source) -> tuple[np.ndarray, np.ndarray]:

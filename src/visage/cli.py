@@ -476,14 +476,16 @@ def cmd_attention(args, outputs: dict) -> dict:
     for _ in range(args.subdivide):
         mesh = attention_mod.subdivide_once(mesh)
 
-    per_image = []
+    maps = []
     for grid_path in args.grid.split(","):
         grid = attention_mod.load_grid(grid_path.strip())
-        amap = grid if grid.shape[0] == attention_mod.IMAGE_SIZE else (
+        maps.append(grid if grid.shape[0] == attention_mod.IMAGE_SIZE else (
             attention_mod.upsample_bilinear(grid, attention_mod.IMAGE_SIZE)
-        )
-        per_image.append(attention_mod.triangle_attention(mesh, amap))
-    averaged = attention_mod.average_over_dataset(per_image)
+        ))
+    # The projection is linear: the mean of per-image scores is the
+    # projection of the mean map, so one projection serves every image.
+    projected = attention_mod.triangle_attention(mesh, attention_mod.mean_grids(maps))
+    averaged = attention_mod.TriangleAttention(projected.values, n_images=len(maps))
 
     outputs["attention.obj"] = attention_mod.export_obj(mesh, averaged)
     lines = ["triangle,score"]

@@ -18,9 +18,6 @@ from scipy import stats
 from .errors import AnalysisError, ConstantInputError, DataError, NoComparablePairsError
 from .survival import kaplan_meier
 
-_PAIR_BLOCK = 512
-
-
 @dataclass(frozen=True)
 class ConcordanceResult:
     c_index: float
@@ -61,7 +58,34 @@ def _check_aligned(*arrays) -> tuple[np.ndarray, ...]:
     length = {a.shape for a in out}
     if len(length) != 1 or out[0].ndim != 1:
         raise DataError("inputs must be 1-d and the same length")
+    if not all(np.isfinite(a).all() for a in out):
+        raise DataError("inputs must be finite")
     return tuple(out)
+
+
+def _count_later_below(rank: np.ndarray, start: np.ndarray, query: np.ndarray) -> np.ndarray:
+    """For each q, the number of positions j >= start[q] with rank[j] < query[q].
+
+    This is the prefix query of a Fenwick tree over dense ranks, taken
+    after the subjects at positions start[q].. have been inserted, and
+    answered for every q at once. Node level k holds aligned rank blocks
+    of width 2**k; the prefix [0, query) is the union of block
+    (query >> k) - 1 over the levels k whose bit is set in ``query``. A
+    node's content at the time of a query is its members at positions
+    >= start: all members of blocks up to it, less those ordered before
+    (block, start), found by binary search on (block, position) keys.
+    """
+    n = rank.size
+    position = np.arange(n, dtype=np.int64)
+    counts = np.zeros(query.size, dtype=np.int64)
+    for k in range(int(query.max(initial=0)).bit_length()):
+        node = rank >> k
+        keys = np.sort(node * n + position)
+        hit = (query >> k) & 1 == 1
+        block = (query[hit] >> k) - 1
+        through = np.cumsum(np.bincount(node, minlength=block.max(initial=0) + 1))
+        counts[hit] += through[block] - np.searchsorted(keys, block * n + start[hit])
+    return counts
 
 
 def harrell_c(risk, times, events) -> ConcordanceResult:
@@ -73,41 +97,43 @@ def harrell_c(risk, times, events) -> ConcordanceResult:
     time with both events are excluded. Concordant means the
     shorter-lived subject carries the higher risk; tied risks count
     one half. Raises NoComparablePairsError when nothing is comparable.
+
+    Runs in O(n log^2 n) time and O(n) memory: subjects are sorted by
+    time with deaths ahead of censorings at a tied time, so the subjects
+    a death outlives are exactly those after the last death at its time,
+    and each death's count of lower, equal and higher risks among them
+    comes from Fenwick prefix counts over dense risk ranks
+    (Therneau & Atkinson, "Concordance", R survival package).
     """
-    r, t = _check_aligned(risk, times)[:2]
+    r, t = _check_aligned(risk, times)
     e = np.asarray(events, dtype=bool)
     if e.shape != t.shape:
         raise DataError("events must align with times")
-    n = t.size
 
-    concordant = discordant = tied = comparable = 0
-    # Row blocks keep the pairwise masks at a fixed memory footprint;
-    # counts are integers so accumulation order cannot change the result.
-    for start in range(0, n, _PAIR_BLOCK):
-        stop = min(start + _PAIR_BLOCK, n)
-        tb = t[start:stop, None]
-        rb = r[start:stop, None]
-        eb = e[start:stop, None]
-        later = np.arange(n)[None, :] > np.arange(start, stop)[:, None]
+    order = np.lexsort((~e, t))
+    t_sorted = t[order]
+    rank = np.unique(r, return_inverse=True)[1].astype(np.int64)[order]
+    deaths = np.flatnonzero(e[order])
+    death_times = t_sorted[deaths]
+    # First position past the last death at each death's time.
+    start = deaths[np.searchsorted(death_times, death_times, side="right") - 1] + 1
+    # Only totals are needed, so deaths are taken in risk order (start
+    # stays ascending within a risk); sorted queries search faster.
+    by_risk = np.argsort(rank[deaths], kind="stable")
+    start, death_rank = start[by_risk], rank[deaths][by_risk]
+    lower, lower_or_equal = _count_later_below(
+        rank, np.tile(start, 2), np.concatenate([death_rank, death_rank + 1])
+    ).reshape(2, -1)
+    # Higher risks are counted on reversed ranks, so that the three
+    # counts are checked against the pair total rather than derived from it.
+    top = rank.max(initial=0)
+    higher = _count_later_below(top - rank, start[::-1], top - death_rank[::-1])
 
-        shorter_i = later & (tb < t[None, :]) & eb
-        shorter_j = later & (tb > t[None, :]) & e[None, :]
-        tied_time = later & (tb == t[None, :]) & (eb ^ e[None, :])
-
-        # risk of the shorter-lived member vs the other, per orientation
-        for mask, short_risk, long_risk in (
-            (shorter_i, rb, r[None, :]),
-            (shorter_j, r[None, :], rb),
-            (tied_time & eb, rb, r[None, :]),
-            (tied_time & ~eb, r[None, :], rb),
-        ):
-            if not mask.any():
-                continue
-            comparable += int(mask.sum())
-            concordant += int((mask & (short_risk > long_risk)).sum())
-            discordant += int((mask & (short_risk < long_risk)).sum())
-            tied += int((mask & (short_risk == long_risk)).sum())
-
+    comparable = int(np.sum(t.size - start))
+    concordant = int(lower.sum())
+    discordant = int(higher.sum())
+    tied = int(np.sum(lower_or_equal - lower))
+    assert concordant + discordant + tied == comparable
     if comparable == 0:
         raise NoComparablePairsError("no comparable pairs for the concordance index")
     c = (concordant + 0.5 * tied) / comparable
@@ -134,8 +160,10 @@ def time_dependent_auc(marker, times, events, horizon: float) -> TimeAUCResult:
     survival at the horizon; without censoring every weight is one and
     the statistic reduces to the empirical ROC area.
     """
-    m, t = _check_aligned(marker, times)[:2]
+    m, t = _check_aligned(marker, times)
     e = np.asarray(events, dtype=bool)
+    if e.shape != t.shape:
+        raise DataError("events must align with times")
     if horizon <= 0:
         raise DataError("horizon must be positive")
 
@@ -150,19 +178,22 @@ def time_dependent_auc(marker, times, events, horizon: float) -> TimeAUCResult:
 
     censor_curve = kaplan_meier(t, ~e)
     w_case = 1.0 / _censor_survival_before(censor_curve, t[cases])
-    # The control weight 1/G(horizon) is shared and cancels in the
-    # normalized statistic; it is kept for clarity.
+    # Every control carries the same weight 1/G(horizon), which cancels
+    # in the normalized statistic; only its existence is checked.
     g_h = _censor_survival_before(censor_curve, np.array([np.nextafter(horizon, np.inf)]))[0]
     if g_h <= 0:
         raise AnalysisError("censoring survival vanished at the horizon")
-    w_control = np.full(n_controls, 1.0 / g_h)
 
-    mc = m[cases][:, None]
-    mk = m[controls][None, :]
-    wins = (mc > mk) + 0.5 * (mc == mk)
-    numerator = float(w_case @ wins @ w_control)
-    denominator = float(w_case.sum() * w_control.sum())
-    return TimeAUCResult(float(horizon), numerator / denominator, n_cases, n_controls)
+    # Each case beats the controls with a lower marker and ties those
+    # with an equal one: (below + below_or_equal) / 2 wins.
+    control_markers = np.sort(m[controls])
+    case_markers = m[cases]
+    wins = 0.5 * (
+        np.searchsorted(control_markers, case_markers, side="left")
+        + np.searchsorted(control_markers, case_markers, side="right")
+    )
+    auc = float(w_case @ wins) / (float(w_case.sum()) * n_controls)
+    return TimeAUCResult(float(horizon), auc, n_cases, n_controls)
 
 
 def age_accuracy(predicted, actual) -> AgeAccuracy:

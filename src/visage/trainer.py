@@ -133,9 +133,31 @@ class TrainResult:
     val_indices: tuple[int, ...]
 
 
-def _softplus(x: np.ndarray) -> np.ndarray:
-    # log(1 + exp(x)) without overflow for large |x|
-    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+# Event rows per block of the pairwise loss: memory is O(_ROW_BLOCK * n).
+_ROW_BLOCK = 16
+
+
+def _pair_terms(margin: np.ndarray, form: str) -> tuple[np.ndarray, np.ndarray]:
+    """Pair losses and their slopes d loss / d margin, margin = r_event - r_longer.
+
+    A margin of +inf gives a zero loss and a zero slope in both forms.
+    """
+    if form == "logistic":
+        # loss = log(1 + exp(-margin)) = max(-margin, 0) + log1p(exp(-|margin|))
+        # and slope = -1 / (1 + exp(margin)) = expm1(-loss), both overflow-free;
+        # computed in place, since this is the trainer's innermost loop.
+        losses = np.abs(margin)
+        np.negative(losses, out=losses)
+        np.exp(losses, out=losses)
+        np.log1p(losses, out=losses)
+        slope = np.minimum(margin, 0.0)
+        losses -= slope
+        np.negative(losses, out=slope)
+        np.expm1(slope, out=slope)
+    else:
+        losses = np.maximum(0.0, 1.0 - margin)
+        slope = np.where(margin < 1.0, -1.0, 0.0)
+    return losses, slope
 
 
 def pairwise_rank_loss(
@@ -151,44 +173,57 @@ def pairwise_rank_loss(
     risks adjacent in time-sorted order. When a batch holds no
     comparable pair the pair term is skipped and the result is flagged
     through ``n_pairs == 0``.
+
+    Subjects are sorted by time once; event rows are then taken in
+    blocks of ``_ROW_BLOCK``, each against only the columns from the
+    first subject strictly later than its earliest row, so memory is
+    O(block * n) rather than O(n^2).
     """
     r = np.asarray(risks, dtype=float)
     t = np.asarray(times, dtype=float)
     e = np.asarray(events, dtype=bool)
     if not (r.shape == t.shape == e.shape) or r.ndim != 1:
         raise DataError("risks, times, events must be 1-d and aligned")
+    if not (np.isfinite(r).all() and np.isfinite(t).all()):
+        raise DataError("risks and times must be finite")
     if form not in ("logistic", "hinge"):
         raise DataError(f"unknown pair loss {form!r}")
     n = r.size
-    grad = np.zeros(n)
+    order = np.argsort(t, kind="stable")
+    t_sorted, r_sorted = t[order], r[order]
+    rows = np.flatnonzero(e[order])
+    # Each event row pairs with every column from its first strictly later subject.
+    first_later = np.searchsorted(t_sorted, t_sorted[rows], side="right")
+    n_pairs = int(np.sum(n - first_later))
 
-    pair_mask = e[:, None] & (t[:, None] < t[None, :])
-    n_pairs = int(pair_mask.sum())
+    grad_sorted = np.zeros(n)
     pair_loss = 0.0
     if n_pairs:
-        margin = r[:, None] - r[None, :]  # r_event - r_longer
-        if form == "logistic":
-            losses = _softplus(-margin)
-            slope = -1.0 / (1.0 + np.exp(margin))  # d loss / d margin
-        else:
-            losses = np.maximum(0.0, 1.0 - margin)
-            slope = np.where(margin < 1.0, -1.0, 0.0)
-        losses = np.where(pair_mask, losses, 0.0)
-        slope = np.where(pair_mask, slope, 0.0)
-        pair_loss = float(losses.sum() / n_pairs)
-        grad += slope.sum(axis=1) / n_pairs
-        grad -= slope.sum(axis=0) / n_pairs
+        total = 0.0
+        for b in range(0, rows.size, _ROW_BLOCK):
+            block = slice(b, b + _ROW_BLOCK)
+            lo, hi = first_later[b], first_later[block][-1]
+            margin = r_sorted[rows[block], None] - r_sorted[None, lo:]
+            # Later rows of the block pair from further right; their cells
+            # before that get margin +inf, hence zero loss and zero slope.
+            unpaired = np.arange(lo, hi)[None, :] < first_later[block, None]
+            margin[:, : hi - lo][unpaired] = np.inf
+            losses, slope = _pair_terms(margin, form)
+            total += float(losses.sum())
+            grad_sorted[rows[block]] += slope.sum(axis=1)
+            grad_sorted[lo:] -= slope.sum(axis=0)
+        pair_loss = total / n_pairs
+        grad_sorted /= n_pairs
 
     smooth_loss = 0.0
     if smooth_lambda > 0 and n > 1:
-        order = np.lexsort((np.arange(n), t))
-        diffs = r[order][1:] - r[order][:-1]
+        diffs = r_sorted[1:] - r_sorted[:-1]
         smooth_loss = float(smooth_lambda * np.sum(diffs**2))
-        contrib = np.zeros(n)
-        np.add.at(contrib, order[1:], 2.0 * smooth_lambda * diffs)
-        np.add.at(contrib, order[:-1], -2.0 * smooth_lambda * diffs)
-        grad += contrib
+        grad_sorted[1:] += 2.0 * smooth_lambda * diffs
+        grad_sorted[:-1] -= 2.0 * smooth_lambda * diffs
 
+    grad = np.empty(n)
+    grad[order] = grad_sorted
     return RankLoss(pair_loss + smooth_loss, grad, n_pairs, pair_loss, smooth_loss)
 
 

@@ -29,6 +29,71 @@ from visage.attention import (
 from visage.errors import AnalysisError, DataError
 
 
+def looped_triangle_attention(mesh, amap):
+    """One triangle at a time: its bounding box, edge functions and mean."""
+    size = amap.shape[0]
+    values = np.empty(mesh.n_triangles)
+    for k, tri in enumerate(mesh.triangles):
+        pts = mesh.landmarks2d[tri]
+        min_xy, max_xy = pts.min(axis=0), pts.max(axis=0)
+        c0 = max(0, int(np.floor(min_xy[0] - 0.5)))
+        c1 = min(size - 1, int(np.ceil(max_xy[0] - 0.5)))
+        r0 = max(0, int(np.floor(min_xy[1] - 0.5)))
+        r1 = min(size - 1, int(np.ceil(max_xy[1] - 0.5)))
+        cx, cy = np.meshgrid(np.arange(c0, c1 + 1) + 0.5, np.arange(r0, r1 + 1) + 0.5)
+
+        def edge(p, q):
+            return (q[0] - p[0]) * (cy - p[1]) - (q[1] - p[1]) * (cx - p[0])
+
+        e0, e1, e2 = edge(pts[0], pts[1]), edge(pts[1], pts[2]), edge(pts[2], pts[0])
+        inside = ((e0 >= 0) & (e1 >= 0) & (e2 >= 0)) | ((e0 <= 0) & (e1 <= 0) & (e2 <= 0))
+        if inside.any():
+            values[k] = amap[r0 : r1 + 1, c0 : c1 + 1][inside].mean()
+        else:
+            centroid = pts.mean(axis=0)
+            values[k] = bilinear_sample(amap, centroid[0], centroid[1], frame=float(size))
+    return values
+
+
+def looped_export_obj(mesh, values):
+    """OBJ bytes written one line at a time."""
+    lo, hi = float(values.min()), float(values.max())
+    normalized = (values - lo) / (hi - lo) if hi > lo else np.full(values.shape, 0.5)
+    colors = colormap_rgb(normalized)
+    lines = ["# visage attention surface", "# colormap viridis", f"# triangles {mesh.n_triangles}"]
+    for k, tri in enumerate(mesh.triangles):
+        r, g, b = colors[k]
+        for vi in tri:
+            x, y, z = mesh.vertices[vi]
+            lines.append(f"v {x:.6f} {y:.6f} {z:.6f} {r:.4f} {g:.4f} {b:.4f}")
+    lines.extend(f"f {3 * k + 1} {3 * k + 2} {3 * k + 3}" for k in range(mesh.n_triangles))
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def jittered_face_mesh(frame, seed=29):
+    """A jittered 8x8-quad lattice filling ``frame``, plus two sub-pixel
+    slivers, subdivided twice: 2,080 triangles on a curved surface."""
+    rng = np.random.default_rng(seed)
+    k = 8
+    step = frame * 0.85 / k
+    jj, ii = np.meshgrid(np.arange(k + 1), np.arange(k + 1))
+    x = frame * 0.075 + step * (jj + rng.uniform(-0.3, 0.3, jj.shape))
+    y = frame * 0.075 + step * (ii + rng.uniform(-0.3, 0.3, ii.shape))
+    lm = np.column_stack([x.ravel(), y.ravel()])
+    tris = []
+    for i in range(k):
+        for j in range(k):
+            a, b = i * (k + 1) + j, i * (k + 1) + j + 1
+            tris += [(a, b, b + k + 1), (a, b + k + 1, a + k + 1)]
+    sliver = frame * np.array([(0.02, 0.03), (0.024, 0.031), (0.022, 0.034)])
+    lm = np.vstack([lm, sliver, sliver[::-1] + frame * 0.9])
+    v = len(lm) - 6
+    tris += [(v, v + 1, v + 2), (v + 3, v + 4, v + 5)]
+    u = (lm - frame / 2) / frame
+    verts = np.column_stack([u, 0.4 * np.exp(-(u**2).sum(axis=1))])
+    return subdivide_once(subdivide_once(FaceMesh(verts, np.array(tris), lm)))
+
+
 def flat_mesh(landmarks, triangles):
     """Planar mesh in z=0 whose vertices sit at their landmarks."""
     lm = np.asarray(landmarks, dtype=float)
@@ -232,6 +297,31 @@ class TestTriangleAttention:
         scores = triangle_attention(mesh, grid)
         assert grid.min() <= scores.values[0] <= grid.max()
 
+    @pytest.mark.parametrize("size", [7, 112])
+    def test_matches_per_triangle_loop(self, size):
+        """Vectorised rasterisation against the triangle-at-a-time loop,
+        with both covered and centroid-fallback triangles."""
+        mesh = jittered_face_mesh(float(size))
+        amap = np.random.default_rng(31).random((size, size))
+        expect = looped_triangle_attention(mesh, amap)
+        got = triangle_attention(mesh, amap).values
+        np.testing.assert_allclose(got, expect, rtol=0, atol=1e-12)
+        centroids = mesh.landmarks2d[mesh.triangles].mean(axis=1)
+        fallback = expect == bilinear_sample(amap, centroids[:, 0], centroids[:, 1], frame=size)
+        assert 0 < fallback.sum() < mesh.n_triangles
+
+    def test_projection_of_mean_map_is_mean_of_projections(self):
+        mesh = jittered_face_mesh(112.0)
+        rng = np.random.default_rng(37)
+        maps = [upsample_bilinear(rng.random((7, 7))) for _ in range(2)] + [rng.random((112, 112))]
+        each = [triangle_attention(mesh, m).values for m in maps]
+        np.testing.assert_allclose(
+            triangle_attention(mesh, mean_grids(maps)).values,
+            np.mean(each, axis=0),
+            rtol=0,
+            atol=1e-12,
+        )
+
 
 class TestDatasetAverage:
     def test_single_image_identity(self):
@@ -308,6 +398,13 @@ class TestObjExport:
         mesh = flat_mesh(rng.uniform(5, 107, (6, 2)), [(0, 1, 2), (3, 4, 5)])
         scores = TriangleAttention(rng.random(2))
         assert export_obj(mesh, scores) == export_obj(mesh, scores)
+
+    def test_bytes_match_line_by_line_writer(self):
+        mesh = jittered_face_mesh(112.0)
+        scores = np.random.default_rng(41).random(mesh.n_triangles)
+        assert export_obj(mesh, scores) == looped_export_obj(mesh, scores)
+        flat = np.full(mesh.n_triangles, 0.3)
+        assert export_obj(mesh, flat) == looped_export_obj(mesh, flat)
 
     def test_roundtrip_through_strict_loader(self):
         mesh = flat_mesh(

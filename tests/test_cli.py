@@ -4,12 +4,15 @@ reproducibility, and exit codes."""
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import visage
 from visage.cli import main
 
 
@@ -334,6 +337,31 @@ class TestAttention:
         colors = {tuple(l.split()[4:7]) for l in v_lines}
         assert len(colors) == 1
 
+    def test_three_grids_score_their_mean(self, tmp_path, geometry):
+        """Two 7x7 grids and one 112x112 grid: the scores equal the mean
+        of the single-grid runs, and the manifest counts three images."""
+        mesh, lm = geometry
+        rng = np.random.default_rng(43)
+        grids = []
+        for g, size in enumerate((7, 7, 112)):
+            path = tmp_path / f"grid{g}.csv"
+            np.savetxt(path, rng.random((size, size)), delimiter=",", fmt="%.17g")
+            grids.append(path)
+
+        def scores(out, grid_arg):
+            rc = run(
+                "attention", "--out", out, "--grid", grid_arg,
+                "--mesh", mesh, "--landmarks", lm, "--subdivide", 2,
+            )
+            assert rc == 0
+            rows = (out / "triangle_scores.csv").read_text().splitlines()[1:]
+            return np.array([float(line.split(",")[1]) for line in rows])
+
+        single = [scores(tmp_path / f"one{g}", path) for g, path in enumerate(grids)]
+        combined = scores(tmp_path / "all", ",".join(map(str, grids)))
+        np.testing.assert_allclose(combined, np.mean(single, axis=0), rtol=0, atol=1e-12)
+        assert read_json(tmp_path / "all" / "manifest.json")["parameters"]["images"] == 3
+
     def test_subdivide_zero_respected(self, tmp_path, geometry):
         mesh, lm = geometry
         grid = tmp_path / "grid.csv"
@@ -426,10 +454,14 @@ class TestConfigMerge:
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
         out = tmp_path / "sim"
+        # The child imports visage from where this process found it.
+        package_root = str(Path(visage.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "visage.cli", "simulate", "--out", str(out), "--n", "10"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0, proc.stderr
         assert (out / "manifest.json").exists()

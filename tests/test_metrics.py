@@ -117,7 +117,7 @@ class TestHarrellC:
             harrell_c([1.0, 2.0], [3.0, 4.0], [False, False])
 
     def test_large_input_crosses_row_blocks(self):
-        """n=1300 spans three internal row blocks; counts must match a
+        """n=1300 with heavy time and risk ties; counts must match a
         single full-matrix pass."""
         rng = np.random.default_rng(79)
         n = 1300
@@ -148,6 +148,22 @@ class TestHarrellC:
         assert result.comparable_pairs == conc + disc + tied
 
 
+    def test_nan_risk_rejected(self):
+        """A NaN risk compares false with everything: 3 of the 6
+        comparable pairs went unclassified and c came out 0.5."""
+        with pytest.raises(DataError):
+            harrell_c([3.0, 2.0, np.nan, 0.0], [1.0, 2.0, 3.0, 4.0], np.ones(4, dtype=bool))
+
+    def test_nan_time_rejected(self):
+        """A NaN time is neither earlier nor later: its pairs dropped out."""
+        with pytest.raises(DataError):
+            harrell_c([3.0, 2.0, 1.0, 0.0], [1.0, np.nan, 3.0, 4.0], np.ones(4, dtype=bool))
+
+    def test_infinite_risk_rejected(self):
+        with pytest.raises(DataError):
+            harrell_c([np.inf, 2.0, 1.0], [1.0, 2.0, 3.0], np.ones(3, dtype=bool))
+
+
 def oracle_roc_auc(marker, is_case):
     wins = ties = total = 0
     for i in np.flatnonzero(is_case):
@@ -160,7 +176,59 @@ def oracle_roc_auc(marker, is_case):
     return (wins + 0.5 * ties) / total
 
 
+def dense_time_auc(marker, times, events, horizon):
+    """The weighted Mann-Whitney sum over the full case x control matrix."""
+    from visage.metrics import _censor_survival_before
+    from visage.survival import kaplan_meier
+
+    m = np.asarray(marker, dtype=float)
+    t = np.asarray(times, dtype=float)
+    e = np.asarray(events, dtype=bool)
+    cases = e & (t <= horizon)
+    controls = t > horizon
+    censor_curve = kaplan_meier(t, ~e)
+    w_case = 1.0 / _censor_survival_before(censor_curve, t[cases])
+    g_h = _censor_survival_before(censor_curve, np.array([np.nextafter(horizon, np.inf)]))[0]
+    w_control = np.full(int(controls.sum()), 1.0 / g_h)
+    mc = m[cases][:, None]
+    mk = m[controls][None, :]
+    wins = (mc > mk) + 0.5 * (mc == mk)
+    return float(w_case @ wins @ w_control) / float(w_case.sum() * w_control.sum())
+
+
 class TestTimeAUC:
+    def test_matches_dense_matrix_with_censoring_and_tied_markers(self):
+        rng = np.random.default_rng(107)
+        checked = 0
+        for _ in range(200):
+            n = int(rng.integers(5, 120))
+            t = rng.integers(1, 60, n).astype(float)
+            e = rng.random(n) < 0.6
+            m = rng.integers(0, 5, n).astype(float)  # many tied markers
+            horizon = float(rng.integers(5, 50))
+            try:
+                result = time_dependent_auc(m, t, e, horizon)
+            except AnalysisError:
+                continue
+            np.testing.assert_allclose(
+                result.auc, dense_time_auc(m, t, e, horizon), rtol=0, atol=1e-12
+            )
+            checked += 1
+        assert checked > 150
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_marker_rejected(self, bad):
+        """A NaN marker loses and ties every comparison: the AUC came out 0."""
+        t = np.array([10.0, 20.0, 400.0, 500.0])
+        with pytest.raises(DataError):
+            time_dependent_auc([bad, bad, 0.2, 0.1], t, np.ones(4, dtype=bool), 91.0)
+
+    def test_nan_time_rejected(self):
+        t = np.array([10.0, np.nan, 400.0, 500.0])
+        with pytest.raises(DataError):
+            time_dependent_auc([0.9, 0.8, 0.2, 0.1], t, np.ones(4, dtype=bool), 91.0)
+
+
     def test_equals_empirical_roc_without_censoring(self):
         rng = np.random.default_rng(73)
         for _ in range(100):

@@ -10,6 +10,7 @@ from visage.metrics import harrell_c
 from visage.trainer import (
     DEFAULT_FACTOR_TABLE,
     TrainConfig,
+    _ROW_BLOCK,
     _AdamW,
     _forward,
     _backward,
@@ -48,7 +49,72 @@ def oracle_pair_loss(risks, times, events, smooth_lambda, form="logistic"):
     return pair + smooth, len(terms)
 
 
+def dense_pair_loss(risks, times, events, smooth_lambda, form="logistic"):
+    """The loss and gradient from full n x n pair matrices."""
+    r = np.asarray(risks, dtype=float)
+    t = np.asarray(times, dtype=float)
+    e = np.asarray(events, dtype=bool)
+    n = r.size
+    grad = np.zeros(n)
+    pair_mask = e[:, None] & (t[:, None] < t[None, :])
+    n_pairs = int(pair_mask.sum())
+    pair_loss = 0.0
+    if n_pairs:
+        margin = r[:, None] - r[None, :]
+        if form == "logistic":
+            losses = np.maximum(-margin, 0.0) + np.log1p(np.exp(-np.abs(margin)))
+            slope = -1.0 / (1.0 + np.exp(margin))
+        else:
+            losses = np.maximum(0.0, 1.0 - margin)
+            slope = np.where(margin < 1.0, -1.0, 0.0)
+        losses = np.where(pair_mask, losses, 0.0)
+        slope = np.where(pair_mask, slope, 0.0)
+        pair_loss = float(losses.sum() / n_pairs)
+        grad += slope.sum(axis=1) / n_pairs
+        grad -= slope.sum(axis=0) / n_pairs
+    smooth_loss = 0.0
+    if smooth_lambda > 0 and n > 1:
+        order = np.lexsort((np.arange(n), t))
+        diffs = r[order][1:] - r[order][:-1]
+        smooth_loss = float(smooth_lambda * np.sum(diffs**2))
+        contrib = np.zeros(n)
+        np.add.at(contrib, order[1:], 2.0 * smooth_lambda * diffs)
+        np.add.at(contrib, order[:-1], -2.0 * smooth_lambda * diffs)
+        grad += contrib
+    return pair_loss + smooth_loss, grad, n_pairs
+
+
 class TestPairwiseLoss:
+    @pytest.mark.parametrize("form", ["logistic", "hinge"])
+    def test_blocked_matches_dense_matrices(self, form):
+        """Many row blocks, tied times and tied risks, events at the
+        latest time (rows with no later subject)."""
+        rng = np.random.default_rng(13)
+        n = 40 * _ROW_BLOCK + 7
+        r = rng.integers(0, 12, n) * 0.25  # tied risks, margins on hinge kinks
+        t = rng.integers(1, 60, n).astype(float)
+        e = rng.random(n) < 0.6
+        e[t == t.max()] = True
+        for lam in (0.0, 1e-3):
+            expect_loss, expect_grad, n_pairs = dense_pair_loss(r, t, e, lam, form)
+            result = pairwise_rank_loss(r, t, e, lam, form)
+            assert result.n_pairs == n_pairs
+            np.testing.assert_allclose(result.loss, expect_loss, rtol=1e-12)
+            np.testing.assert_allclose(result.grad, expect_grad, rtol=1e-10)
+
+    @pytest.mark.parametrize(
+        "risks, times",
+        [
+            ([np.nan, 0.2, 0.1], [1.0, 2.0, 3.0]),  # loss and gradient came out NaN
+            ([0.3, 0.2, 0.1], [1.0, np.nan, 3.0]),  # the NaN time's pairs dropped out
+            ([np.inf, 0.2, 0.1], [1.0, 2.0, 3.0]),
+            ([0.3, 0.2, 0.1], [1.0, 2.0, np.inf]),
+        ],
+    )
+    def test_non_finite_input_rejected(self, risks, times):
+        with pytest.raises(DataError):
+            pairwise_rank_loss(risks, times, [True, True, True])
+
     def test_symmetric_point_log2(self):
         result = pairwise_rank_loss([0.3, 0.3], [5.0, 10.0], [True, False])
         np.testing.assert_allclose(result.pair_loss, np.log(2), rtol=1e-12)
