@@ -18,7 +18,6 @@ __version__ = "0.1.0"
 from .errors import (
     AnalysisError,
     ConstantInputError,
-    ConvergenceError,
     DataError,
     MedianNotReachedError,
     NoComparablePairsError,
@@ -30,7 +29,6 @@ __all__ = [
     "__version__",
     "AnalysisError",
     "ConstantInputError",
-    "ConvergenceError",
     "DataError",
     "MedianNotReachedError",
     "NoComparablePairsError",

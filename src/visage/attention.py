@@ -166,36 +166,28 @@ def subdivide_once(mesh: FaceMesh) -> FaceMesh:
     has V + E vertices and 4T triangles, preserves total area exactly,
     and keeps each child's orientation equal to its parent's. Landmarks
     of new vertices are the midpoints of their edge's landmarks.
-    Zero-area triangles subdivide like any other, with a warning.
+    Zero-area triangles subdivide like any other, with a warning. New
+    vertices are numbered in order of their edge's first appearance,
+    scanning triangles in order and each one's edges as ab, bc, ca.
     """
-    vertices = [v for v in mesh.vertices]
-    landmarks = [l for l in mesh.landmarks2d]
-    midpoint: dict[tuple[int, int], int] = {}
-
     degenerate = int(np.sum(triangle_areas(mesh) == 0.0))
     if degenerate:
         log.warning("subdividing %d zero-area triangle(s)", degenerate)
 
-    def mid(a: int, b: int) -> int:
-        key = (a, b) if a < b else (b, a)
-        found = midpoint.get(key)
-        if found is None:
-            found = len(vertices)
-            vertices.append((vertices[a] + vertices[b]) / 2.0)
-            landmarks.append((landmarks[a] + landmarks[b]) / 2.0)
-            midpoint[key] = found
-        return found
+    tri = mesh.triangles
+    n = mesh.n_vertices
+    edges = np.sort(np.stack([tri, np.roll(tri, -1, axis=1)], axis=2).reshape(-1, 2), axis=1)
+    keys = edges[:, 0] * n + edges[:, 1]
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)  # unique edges in order of first appearance
+    ab, bc, ca = (n + np.argsort(order)[inverse]).reshape(-1, 3).T
+    a, b, c = tri.T
+    children = np.stack([a, ab, ca, ab, b, bc, ca, bc, c, ab, bc, ca], axis=1).reshape(-1, 3)
 
-    children = np.empty((mesh.n_triangles * 4, 3), dtype=int)
-    for k, (a, b, c) in enumerate(mesh.triangles):
-        ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
-        children[4 * k : 4 * k + 4] = [
-            (a, ab, ca),
-            (ab, b, bc),
-            (ca, bc, c),
-            (ab, bc, ca),
-        ]
-    return FaceMesh(np.array(vertices), children, np.array(landmarks))
+    lo, hi = edges[first[order]].T
+    vertices = np.vstack([mesh.vertices, (mesh.vertices[lo] + mesh.vertices[hi]) / 2.0])
+    landmarks = np.vstack([mesh.landmarks2d, (mesh.landmarks2d[lo] + mesh.landmarks2d[hi]) / 2.0])
+    return FaceMesh(vertices, children, landmarks)
 
 
 # Candidate pixels rasterised per pass; bounds memory for large triangles.

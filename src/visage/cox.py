@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import stats
 
+from ._stats import chi2_sf, norm_sf
 from .cohort import Cohort, PatientRecord
 from .errors import AnalysisError, DataError, SingularDesignError, VisageError
 
@@ -423,7 +423,7 @@ def fit_cox(design: DesignMatrix, times, events, ties: str = "efron") -> CoxFit:
         ci95 = np.column_stack((np.exp(beta - 1.96 * se), np.exp(beta + 1.96 * se)))
     with np.errstate(divide="ignore", invalid="ignore"):
         z = np.where(se > 0, beta / se, np.nan)
-    p = 2.0 * stats.norm.sf(np.abs(z))
+    p = np.array([2.0 * norm_sf(v) for v in np.abs(z)])
     if "separation" in flags:
         runaway = np.abs(beta) >= SEPARATION_BOUND
         hr = np.where(runaway & (beta > 0), np.inf, hr)
@@ -439,7 +439,7 @@ def fit_cox(design: DesignMatrix, times, events, ties: str = "efron") -> CoxFit:
         hr=hr,
         ci95=ci95,
         wald_z=z,
-        wald_p=np.asarray(p, dtype=float),
+        wald_p=p,
         aic=float(-2.0 * ll + 2.0 * k),
         n_used=int(mask.sum()),
         n_events=int(e.sum()),
@@ -475,7 +475,7 @@ def univariate_screen(
             fit = fit_cox(design, times, events, ties)
             if cov.kind == "categorical":
                 lr = 2.0 * (fit.log_pl - fit.log_pl_null)
-                p = float(stats.chi2.sf(max(lr, 0.0), len(fit.names)))
+                p = chi2_sf(max(lr, 0.0), len(fit.names))
             else:
                 p = float(fit.wald_p[0])
         except VisageError as err:

@@ -37,7 +37,3 @@ class NoComparablePairsError(AnalysisError):
 
 class ConstantInputError(AnalysisError):
     """An input that must vary is constant."""
-
-
-class ConvergenceError(AnalysisError):
-    """An iterative fit exhausted its iteration budget."""

@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
+from ._stats import norm_sf
 from .errors import AnalysisError, ConstantInputError, DataError, NoComparablePairsError
 from .survival import kaplan_meier
 
@@ -290,7 +290,7 @@ def wilcoxon_signed_rank(diffs, exact_limit: int = 25) -> RankTestResult:
     if var <= 0:
         raise AnalysisError("zero variance in signed-rank statistic")
     z = (abs(w_plus - mean) - 0.5) / np.sqrt(var)
-    p = 2.0 * stats.norm.sf(max(z, 0.0))
+    p = 2.0 * norm_sf(max(z, 0.0))
     return RankTestResult(w_plus, min(1.0, float(p)), n, "normal")
 
 
@@ -344,7 +344,7 @@ def wilcoxon_rank_sum(a, b, exact_limit: int = 20) -> RankTestResult:
     if var <= 0:
         raise AnalysisError("zero variance in rank-sum statistic")
     z = (abs(u_a - mean) - 0.5) / np.sqrt(var)
-    p = 2.0 * stats.norm.sf(max(z, 0.0))
+    p = 2.0 * norm_sf(max(z, 0.0))
     method = "normal(ties)" if has_ties else "normal"
     return RankTestResult(u_a, min(1.0, float(p)), n, method)
 

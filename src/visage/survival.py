@@ -14,11 +14,9 @@ import io
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
+from ._stats import Z95, chi2_sf
 from .errors import AnalysisError, DataError, MedianNotReachedError
-
-Z95 = float(stats.norm.ppf(0.975))
 
 
 @dataclass(frozen=True)
@@ -251,7 +249,7 @@ def log_rank(groups) -> LogRankResult:
         except np.linalg.LinAlgError:
             chi = float(diff @ np.linalg.pinv(v) @ diff)
     dof = k - 1
-    return LogRankResult(chi, dof, float(stats.chi2.sf(chi, dof)))
+    return LogRankResult(chi, dof, chi2_sf(chi, dof))
 
 
 def wilson_interval(successes: int, n: int, z: float = Z95) -> tuple[float, float]:

@@ -70,9 +70,30 @@ def looped_export_obj(mesh, values):
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-def jittered_face_mesh(frame, seed=29):
+def looped_subdivide_once(mesh):
+    """Midpoints numbered through a dict, one triangle at a time."""
+    vertices = list(mesh.vertices)
+    landmarks = list(mesh.landmarks2d)
+    midpoint = {}
+
+    def mid(a, b):
+        key = (min(a, b), max(a, b))
+        if key not in midpoint:
+            midpoint[key] = len(vertices)
+            vertices.append((vertices[a] + vertices[b]) / 2.0)
+            landmarks.append((landmarks[a] + landmarks[b]) / 2.0)
+        return midpoint[key]
+
+    children = []
+    for a, b, c in mesh.triangles:
+        ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
+        children += [(a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca)]
+    return FaceMesh(np.array(vertices), np.array(children), np.array(landmarks))
+
+
+def jittered_lattice_mesh(frame, seed=29):
     """A jittered 8x8-quad lattice filling ``frame``, plus two sub-pixel
-    slivers, subdivided twice: 2,080 triangles on a curved surface."""
+    slivers: 130 triangles on a curved surface."""
     rng = np.random.default_rng(seed)
     k = 8
     step = frame * 0.85 / k
@@ -91,7 +112,12 @@ def jittered_face_mesh(frame, seed=29):
     tris += [(v, v + 1, v + 2), (v + 3, v + 4, v + 5)]
     u = (lm - frame / 2) / frame
     verts = np.column_stack([u, 0.4 * np.exp(-(u**2).sum(axis=1))])
-    return subdivide_once(subdivide_once(FaceMesh(verts, np.array(tris), lm)))
+    return FaceMesh(verts, np.array(tris), lm)
+
+
+def jittered_face_mesh(frame, seed=29):
+    """The jittered lattice subdivided twice: 2,080 triangles."""
+    return subdivide_once(subdivide_once(jittered_lattice_mesh(frame, seed)))
 
 
 def flat_mesh(landmarks, triangles):
@@ -219,6 +245,24 @@ class TestSubdivision:
             child = subdivide_once(mesh)
         assert child.n_triangles == 4
         assert any("zero-area" in rec.message for rec in caplog.records)
+
+    def test_matches_dict_loop_twice_subdivided(self):
+        """Same vertices, triangles, landmarks and OBJ bytes as the
+        per-triangle dict loop, on a jittered mesh with slivers and
+        triangles listed in shuffled order."""
+        mesh = jittered_lattice_mesh(112.0)
+        rng = np.random.default_rng(5)
+        shuffled = FaceMesh(
+            mesh.vertices, mesh.triangles[rng.permutation(mesh.n_triangles)], mesh.landmarks2d
+        )
+        for parent in (mesh, shuffled):
+            fast = subdivide_once(subdivide_once(parent))
+            slow = looped_subdivide_once(looped_subdivide_once(parent))
+            np.testing.assert_array_equal(fast.vertices, slow.vertices)
+            np.testing.assert_array_equal(fast.triangles, slow.triangles)
+            np.testing.assert_array_equal(fast.landmarks2d, slow.landmarks2d)
+            scores = rng.uniform(size=fast.n_triangles)
+            assert export_obj(fast, scores) == export_obj(slow, scores)
 
     def test_landmarks_interpolate_linearly(self):
         mesh = flat_mesh([(0, 0), (40, 0), (0, 40)], [(0, 1, 2)])

@@ -451,20 +451,34 @@ class TestConfigMerge:
         assert manifest["seed"] == 0  # unset seed falls back to 0
 
 
+def run_child(*args):
+    """Run a Python child that imports visage from where this process found it."""
+    package_root = str(Path(visage.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+
+
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
         out = tmp_path / "sim"
-        # The child imports visage from where this process found it.
-        package_root = str(Path(visage.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "visage.cli", "simulate", "--out", str(out), "--n", "10"],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": path},
-        )
+        proc = run_child("-m", "visage.cli", "simulate", "--out", str(out), "--n", "10")
         assert proc.returncode == 0, proc.stderr
         assert (out / "manifest.json").exists()
+
+    def test_cli_import_loads_no_scipy(self):
+        """scipy is a test-only dependency; start-up must not pay for it."""
+        proc = run_child(
+            "-c",
+            "import sys, visage.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     def test_version_flag(self):
         with pytest.raises(SystemExit) as exc:
