@@ -60,9 +60,7 @@ def compute_fad(predicted_age, chrono_age) -> BiomarkerColumn:
     indices reported on the column.
     """
     chrono = np.asarray(chrono_age, dtype=float)
-    pred = np.array(
-        [np.nan if v is None else float(v) for v in predicted_age], dtype=float
-    )
+    pred = np.array(predicted_age, dtype=float)
     if pred.shape != chrono.shape or pred.ndim != 1:
         raise DataError("predicted and chronological ages must align")
     values = pred - chrono
@@ -73,9 +71,7 @@ def compute_fad(predicted_age, chrono_age) -> BiomarkerColumn:
 
 def fad_for_cohort(cohort) -> BiomarkerColumn:
     """FAD column for a cohort, excluding subjects without predictions."""
-    return compute_fad(
-        [r.predicted_age for r in cohort], [r.chrono_age for r in cohort]
-    )
+    return compute_fad(cohort.predicted_age, cohort.chrono_age)
 
 
 def minmax_scale(raw) -> np.ndarray:

@@ -96,12 +96,10 @@ def _marker_values(cohort, marker: str) -> tuple[np.ndarray, np.ndarray]:
     """Return (values, included mask) for a marker name."""
     n = len(cohort)
     if marker == "risk":
-        scaled = np.array(
-            [np.nan if r.risk_scaled is None else r.risk_scaled for r in cohort]
-        )
+        scaled = cohort.risk_scaled
         if np.all(np.isfinite(scaled)):
             return scaled, np.ones(n, dtype=bool)
-        raw = np.array([np.nan if r.risk_raw is None else r.risk_raw for r in cohort])
+        raw = cohort.risk_raw
         mask = np.isfinite(raw)
         if not mask.any():
             raise DataError("no risk values in cohort")
@@ -111,13 +109,8 @@ def _marker_values(cohort, marker: str) -> tuple[np.ndarray, np.ndarray]:
     if marker == "fad":
         col = biomarkers.fad_for_cohort(cohort)
         return col.values, np.isfinite(col.values)
-    if marker == "predicted_age":
-        vals = np.array(
-            [np.nan if r.predicted_age is None else r.predicted_age for r in cohort]
-        )
-        return vals, np.isfinite(vals)
-    if marker == "chrono_age":
-        vals = np.array([r.chrono_age for r in cohort], dtype=float)
+    if marker in ("predicted_age", "chrono_age"):
+        vals = getattr(cohort, marker)
         return vals, np.isfinite(vals)
     raise DataError(f"unknown marker {marker!r}")
 
@@ -146,8 +139,7 @@ def cmd_km(args, outputs: dict) -> dict:
         groups = biomarkers.group_indices(assignment)
         results["scheme"] = args.group_by
         results["excluded_missing_marker"] = int(np.sum(~mask))
-        ids = np.asarray(cohort.ids(), dtype=object)[mask]
-        outputs["strata.csv"] = biomarkers.strata_to_csv(list(ids), assignment)
+        outputs["strata.csv"] = biomarkers.strata_to_csv(cohort.ids[mask].tolist(), assignment)
     else:
         groups = {"all": np.arange(times.size)}
         sub_times, sub_events = times, events
@@ -292,13 +284,11 @@ def cmd_metrics(args, outputs: dict) -> dict:
             results["auc"][f"{h:g}"] = {"value": None, "note": str(err)}
 
     if marker != "chrono_age":
-        pred = np.array(
-            [np.nan if r.predicted_age is None else r.predicted_age for r in cohort]
-        )
-        has_age = np.isfinite(pred)
+        has_age = np.isfinite(cohort.predicted_age)
         if has_age.any():
-            chrono = np.array([r.chrono_age for r in cohort])[has_age]
-            acc = metrics_mod.age_accuracy(pred[has_age], chrono)
+            acc = metrics_mod.age_accuracy(
+                cohort.predicted_age[has_age], cohort.chrono_age[has_age]
+            )
             results["age_accuracy"] = {
                 "mae": acc.mae,
                 "me": acc.me,
@@ -350,8 +340,7 @@ def cmd_train(args, outputs: dict) -> dict:
             else None
         )
     elif target == "age":
-        ages = np.array([r.chrono_age for r in cohort])
-        result = trainer_mod.train_age_model(X, ages, config)
+        result = trainer_mod.train_age_model(X, cohort.chrono_age, config)
         lines = ["epoch,train_mae,val_mae"]
         lines.extend(f"{s.epoch},{s.train_mae!r},{s.val_mae!r}" for s in result.trace)
         final = (
@@ -438,7 +427,7 @@ def cmd_simulate(args, outputs: dict) -> dict:
 
 def cmd_balance(args, outputs: dict) -> dict:
     cohort, load = _load(args)
-    ages = np.array([r.chrono_age for r in cohort])
+    ages = cohort.chrono_age
     mode = args.mode or "bins"
     if mode == "factors":
         indices = trainer_mod.balance_by_factors(ages, seed=args.seed)
@@ -449,7 +438,7 @@ def cmd_balance(args, outputs: dict) -> dict:
     else:
         raise DataError(f"unknown balance mode {mode!r}")
 
-    ids = cohort.ids()
+    ids = cohort.ids
     lines = ["index,id"]
     lines.extend(f"{int(i)},{ids[int(i)]}" for i in indices)
     outputs["indices.csv"] = "\n".join(lines) + "\n"

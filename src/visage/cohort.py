@@ -11,6 +11,9 @@ Unknown fields are left empty. Arbitrary column names are supported
 through a schema mapping, and a flat binary sidecar may carry the
 embedding instead of text columns. Text is canonical; the sidecar is a
 convenience for bulk transfer.
+
+In memory a :class:`Cohort` holds one array per field; a
+:class:`PatientRecord` is a per-subject view of it.
 """
 
 from __future__ import annotations
@@ -18,8 +21,12 @@ from __future__ import annotations
 import csv
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import cached_property, partial
+from itertools import chain
+from operator import itemgetter
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -42,37 +49,35 @@ _CLOSED_LEVELS = {
     "year_group": YEAR_GROUP_LEVELS,
 }
 
+CATEGORY_FIELDS = ("sex", "race", "cancer_site", "intent", "year_group", "technique")
+
 _CANONICAL_COLUMNS = (
-    "id",
-    "time",
-    "event",
-    "chrono_age",
-    "sex",
-    "race",
-    "cancer_site",
-    "intent",
-    "year_group",
-    "technique",
-    "predicted_age",
-    "risk",
+    "id", "time", "event", "chrono_age", *CATEGORY_FIELDS, "predicted_age", "risk"
 )
 
 _MANDATORY = ("time", "event", "chrono_age")
 
-_TRUE_TOKENS = frozenset({"1", "true", "t", "yes"})
-_FALSE_TOKENS = frozenset({"0", "false", "f", "no"})
+# Optional float columns: canonical CSV name -> Cohort attribute.
+_OPTIONAL_COLUMNS = {
+    "predicted_age": "predicted_age", "risk": "risk_raw", "risk_scaled": "risk_scaled"
+}
+
+# Event flag token (stripped, lower case) -> 1 death, 0 censored.
+_EVENT_CODES = {
+    **dict.fromkeys(("1", "true", "t", "yes"), 1),
+    **dict.fromkeys(("0", "false", "f", "no"), 0),
+}
 
 
 @dataclass(frozen=True)
 class PatientRecord:
-    """One subject.
+    """One subject, as :attr:`Cohort.records` yields it.
 
     ``time`` is days of follow-up (> 0), ``event`` True when the subject
     died at ``time`` and False when censored there. ``predicted_age``,
     ``risk_raw``, ``risk_scaled`` and ``embedding`` are model outputs and
-    may be absent. Records are value objects; invalid field values are
-    representable and surfaced by :func:`validate` rather than rejected
-    at construction.
+    may be absent (None). Build a cohort from records with
+    :meth:`Cohort.from_records`.
     """
 
     id: str
@@ -91,43 +96,131 @@ class PatientRecord:
     embedding: tuple[float, ...] | None = None
 
 
-@dataclass(frozen=True)
-class Cohort:
-    """An immutable ordered collection of patient records."""
+# Cohort column -> (dtype, value of a column given as None); categoricals
+# are str columns missing as "unknown", and a None embedding stays None.
+_COLUMN_TYPES = {
+    "ids": (object, ""),
+    "event": (bool, False),
+    "embedding": (float, None),
+    **dict.fromkeys(("time", "chrono_age", *_OPTIONAL_COLUMNS.values()), (float, np.nan)),
+}
 
-    records: tuple[PatientRecord, ...]
-    embedding_dim: int | None = None
+
+@dataclass(frozen=True, eq=False)
+class Cohort:
+    """An immutable cohort held as parallel read-only columns.
+
+    ``ids`` and the six categorical fields are object arrays of str,
+    ``time`` (days) and ``chrono_age`` (years) float64, ``event`` bool.
+    ``predicted_age``, ``risk_raw`` and ``risk_scaled`` are float64 with
+    NaN where a value is missing, and ``embedding`` is an (n, D) float64
+    matrix or None. The constructor copies each column; an optional
+    column passed as None is all missing. Invalid values are
+    representable and surfaced by :func:`validate`.
+    """
+
+    ids: np.ndarray
+    time: np.ndarray
+    event: np.ndarray
+    chrono_age: np.ndarray
+    sex: np.ndarray | None = None
+    race: np.ndarray | None = None
+    cancer_site: np.ndarray | None = None
+    intent: np.ndarray | None = None
+    year_group: np.ndarray | None = None
+    technique: np.ndarray | None = None
+    predicted_age: np.ndarray | None = None
+    risk_raw: np.ndarray | None = None
+    risk_scaled: np.ndarray | None = None
+    embedding: np.ndarray | None = None
+
+    def __post_init__(self):
+        n = len(self.ids)
+        for f in fields(self):
+            dtype, missing = _COLUMN_TYPES.get(f.name, (object, "unknown"))
+            value = getattr(self, f.name)
+            if value is None and f.name == "embedding":
+                continue
+            col = np.full(n, missing, dtype) if value is None else np.array(value, dtype, order="C")
+            if col.shape[:1] != (n,) or col.ndim != 1 + (f.name == "embedding"):
+                raise DataError(f"{f.name} of shape {col.shape} does not align with {n} subjects")
+            col.flags.writeable = False
+            object.__setattr__(self, f.name, col)
+
+    @classmethod
+    def from_records(
+        cls, records: Sequence[PatientRecord], embedding_dim: int | None = None
+    ) -> Cohort:
+        """Build a cohort from per-subject records.
+
+        Every record has an embedding of one length (``embedding_dim``
+        when given, else the first record's), or none has; otherwise
+        DataError names the first record that breaks the rule.
+        """
+        records = tuple(records)
+        if embedding_dim is None and records and records[0].embedding is not None:
+            embedding_dim = len(records[0].embedding)
+        for r in records:
+            length = None if r.embedding is None else len(r.embedding)
+            if length != embedding_dim:
+                raise DataError(
+                    f"record {r.id!r}: embedding length {length}, expected {embedding_dim}"
+                )
+        columns = {f.name: [getattr(r, f.name) for r in records] for f in fields(PatientRecord)}
+        embeddings = columns.pop("embedding")
+        shape = (len(records), embedding_dim)
+        embedding = None if embedding_dim is None else np.array(embeddings, float).reshape(shape)
+        return cls(ids=columns.pop("id"), embedding=embedding, **columns)
+
+    @cached_property
+    def records(self) -> tuple[PatientRecord, ...]:
+        """Per-subject view: Python scalars, None for a missing value."""
+
+        def listed(name: str) -> list:
+            values = getattr(self, name)
+            if values is None:  # no embedding
+                return [None] * len(self)
+            if name == "embedding":
+                return list(map(tuple, values.tolist()))
+            if name in _OPTIONAL_COLUMNS.values():
+                return [None if v != v else v for v in values.tolist()]
+            return values.tolist()
+
+        return tuple(PatientRecord(*row) for row in zip(*(listed(f.name) for f in fields(self))))
+
+    @property
+    def embedding_dim(self) -> int | None:
+        return None if self.embedding is None else self.embedding.shape[1]
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.ids)
 
     def __iter__(self) -> Iterator[PatientRecord]:
         return iter(self.records)
 
+    def __eq__(self, other) -> bool:
+        """Column equality, NaN equal to NaN."""
+        if not isinstance(other, Cohort):
+            return NotImplemented
+        for f in fields(self):
+            a, b = getattr(self, f.name), getattr(other, f.name)
+            if (a is None or b is None) and a is not b:
+                return False
+            if a is not None and not np.array_equal(a, b, equal_nan=a.dtype.kind == "f"):
+                return False
+        return True
+
     def times(self) -> np.ndarray:
-        return np.array([r.time for r in self.records], dtype=float)
+        return self.time
 
     def events(self) -> np.ndarray:
-        return np.array([r.event for r in self.records], dtype=bool)
-
-    def ids(self) -> tuple[str, ...]:
-        return tuple(r.id for r in self.records)
+        return self.event
 
     def embedding_matrix(self) -> np.ndarray:
-        """Stack embeddings into an (n, D) float array.
-
-        Raises DataError if any record lacks an embedding or lengths
-        disagree.
-        """
-        rows = []
-        for r in self.records:
-            if r.embedding is None:
-                raise DataError(f"record {r.id!r} has no embedding")
-            rows.append(r.embedding)
-        lengths = {len(row) for row in rows}
-        if len(lengths) > 1:
-            raise DataError(f"inconsistent embedding lengths: {sorted(lengths)}")
-        return np.array(rows, dtype=float)
+        """The (n, D) embedding matrix; DataError when the cohort has none."""
+        if self.embedding is None:
+            raise DataError("cohort has no embeddings")
+        return self.embedding
 
 
 @dataclass(frozen=True)
@@ -166,30 +259,36 @@ def _normalize_category(field_name: str, raw: str) -> str:
     return lowered if lowered in levels else "unknown"
 
 
-def _parse_event(raw: str) -> bool:
-    token = raw.strip().lower()
-    if token in _TRUE_TOKENS:
-        return True
-    if token in _FALSE_TOKENS:
-        return False
-    raise ValueError(f"unrecognized event flag {raw!r}")
+def _per_distinct(cells: Sequence[str], func) -> list:
+    """``func`` of every cell, computed once per distinct cell."""
+    lookup = {raw: func(raw) for raw in set(cells)}
+    return list(map(lookup.__getitem__, cells))
 
 
-def _embedding_columns(header: Sequence[str]) -> tuple[str, ...]:
-    """Return e0..e{D-1} in index order, requiring a contiguous range."""
-    pattern = re.compile(r"^e(\d+)$")
-    found = {}
-    for name in header:
-        m = pattern.match(name)
-        if m:
-            found[int(m.group(1))] = name
-    if not found:
-        return ()
-    dim = max(found) + 1
-    missing = [i for i in range(dim) if i not in found]
+def _parse_floats(cells: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """``float()`` of every cell, NaN where it fails, and the mask of those cells."""
+    n = len(cells)
+    try:
+        return np.fromiter(map(float, cells), float, n), np.zeros(n, dtype=bool)
+    except ValueError:
+        pass
+    values = np.full(n, np.nan)
+    bad = np.zeros(n, dtype=bool)
+    for i, text in enumerate(cells):
+        try:
+            values[i] = float(text)
+        except ValueError:
+            bad[i] = True
+    return values, bad
+
+
+def _embedding_positions(header: Sequence[str]) -> list[int]:
+    """Positions of the e0..e{D-1} columns in index order, requiring a contiguous range."""
+    found = {int(m[1]): i for i, name in enumerate(header) if (m := re.match(r"e(\d+)$", name))}
+    missing = sorted(set(range(max(found, default=-1) + 1)) - set(found))
     if missing:
         raise DataError(f"embedding columns not contiguous, missing e{missing[0]}")
-    return tuple(found[i] for i in range(dim))
+    return [found[k] for k in range(len(found))]
 
 
 def read_schema(path: str | Path) -> dict:
@@ -219,169 +318,142 @@ def load_cohort(
     Rows with missing or non-positive follow-up time, or with unparseable
     mandatory fields, are dropped and reported by (1-based data row
     number, reason); valid rows are never mutated beyond category
-    normalization. ``schema`` renames columns and may declare times in
-    years, which are converted to days at 365.25 days per year. When
-    ``embedding_sidecar`` names a flat row-major little-endian float32
-    file, embeddings are read from it (``embedding_dim`` required) and
-    any e* text columns are ignored.
+    normalization. Blank lines are skipped and not numbered, short rows
+    read as empty cells and extra cells are ignored. An empty or ``nan``
+    optional value is missing. ``schema`` renames columns and may
+    declare times in years, which are converted to days at 365.25 days
+    per year. When ``embedding_sidecar`` names a flat row-major
+    little-endian float32 file, embeddings are read from it
+    (``embedding_dim`` required) and any e* text columns are ignored.
     """
     schema = schema or {}
     rename = schema.get("columns", {})
-    time_unit = schema.get("time_unit", "days")
 
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
             raise DataError(f"{path}: empty file")
-        header = list(reader.fieldnames)
-        rows = list(reader)
+        rows = [row for row in reader if row]  # as csv.DictReader, skip blank lines
+    n, width = len(rows), len(header)
+    for row in rows:  # as csv.DictReader, short rows read as empty cells
+        if len(row) < width:
+            row += [""] * (width - len(row))
+    position = {name: i for i, name in enumerate(header)}  # a repeated name: the last wins
 
-    def actual(canonical: str) -> str | None:
-        name = rename.get(canonical, canonical)
-        return name if name in header else None
+    def cells(canonical: str) -> list[str]:
+        i = position.get(rename.get(canonical, canonical))
+        return [""] * n if i is None else list(map(itemgetter(i), rows))
 
     for canonical in _MANDATORY:
-        if actual(canonical) is None:
+        if rename.get(canonical, canonical) not in position:
             raise DataError(f"{path}: missing mandatory column {canonical!r}")
 
-    sidecar_matrix = None
+    time, bad_time = _parse_floats(cells("time"))
+    if schema.get("time_unit", "days") == "years":
+        time = time * DAYS_PER_YEAR
+    event = np.array(
+        _per_distinct(cells("event"), lambda raw: _EVENT_CODES.get(raw.strip().lower(), -1)),
+        dtype=np.int8,
+    )
+    chrono_age, bad_age = _parse_floats(cells("chrono_age"))
+    optional = {  # a blank optional cell is missing, as nan is
+        canonical: _parse_floats([text if text.strip() else "nan" for text in cells(canonical)])
+        for canonical in _OPTIONAL_COLUMNS
+    }
+
+    bad_embedding = np.zeros(n, dtype=bool)
     if embedding_sidecar is not None:
         if embedding_dim is None:
             raise DataError("embedding_dim is required with a binary sidecar")
         raw = np.fromfile(embedding_sidecar, dtype="<f4")
-        if raw.size != len(rows) * embedding_dim:
-            raise DataError(
-                f"sidecar holds {raw.size} values, expected "
-                f"{len(rows)} x {embedding_dim}"
-            )
-        sidecar_matrix = raw.reshape(len(rows), embedding_dim).astype(float)
-        emb_cols: tuple[str, ...] = ()
+        if raw.size != n * embedding_dim:
+            raise DataError(f"sidecar holds {raw.size} values, expected {n} x {embedding_dim}")
+        embedding = raw.reshape(n, embedding_dim).astype(float)
     else:
-        emb_cols = _embedding_columns(header)
-
-    records: list[PatientRecord] = []
-    dropped: list[tuple[int, str]] = []
-
-    for row_number, row in enumerate(rows, start=1):
-        def cell(canonical: str) -> str:
-            name = actual(canonical)
-            return (row.get(name) or "") if name else ""
-
-        try:
-            time_value = float(cell("time"))
-        except ValueError:
-            dropped.append((row_number, "unparseable time"))
-            continue
-        if time_unit == "years":
-            time_value *= DAYS_PER_YEAR
-        if not np.isfinite(time_value) or time_value <= 0:
-            dropped.append((row_number, "non-positive time"))
-            continue
-
-        try:
-            event = _parse_event(cell("event"))
-        except ValueError:
-            dropped.append((row_number, "unparseable event flag"))
-            continue
-
-        try:
-            chrono_age = float(cell("chrono_age"))
-        except ValueError:
-            dropped.append((row_number, "unparseable chrono_age"))
-            continue
-
-        optional: dict[str, float | None] = {}
-        bad_optional = None
-        for canonical, attr in (
-            ("predicted_age", "predicted_age"),
-            ("risk", "risk_raw"),
-            ("risk_scaled", "risk_scaled"),
-        ):
-            text = cell(canonical).strip()
-            if not text:
-                optional[attr] = None
-                continue
-            try:
-                optional[attr] = float(text)
-            except ValueError:
-                bad_optional = canonical
-                break
-        if bad_optional:
-            dropped.append((row_number, f"unparseable {bad_optional}"))
-            continue
-
-        if sidecar_matrix is not None:
-            embedding = tuple(float(v) for v in sidecar_matrix[row_number - 1])
-        elif emb_cols:
-            try:
-                embedding = tuple(float(row.get(c) or "") for c in emb_cols)
-            except ValueError:
-                dropped.append((row_number, "unparseable embedding value"))
-                continue
-        else:
-            embedding = None
-
-        rid = cell("id").strip() or f"row{row_number}"
-        records.append(
-            PatientRecord(
-                id=rid,
-                time=time_value,
-                event=event,
-                chrono_age=chrono_age,
-                sex=_normalize_category("sex", cell("sex")),
-                race=_normalize_category("race", cell("race")),
-                cancer_site=_normalize_category("cancer_site", cell("cancer_site")),
-                intent=_normalize_category("intent", cell("intent")),
-                year_group=_normalize_category("year_group", cell("year_group")),
-                technique=_normalize_category("technique", cell("technique")),
-                embedding=embedding,
-                **optional,
+        block = _embedding_positions(header)
+        embedding = None
+        if block:
+            picked = map(itemgetter(*block), rows)
+            values, bad = _parse_floats(
+                list(chain.from_iterable(picked) if len(block) > 1 else picked)
             )
-        )
+            embedding = values.reshape(n, len(block))
+            bad_embedding = bad.reshape(n, len(block)).any(axis=1)
 
-    dim = embedding_dim
-    if dim is None and records and records[0].embedding is not None:
-        dim = len(records[0].embedding)
-    return LoadResult(Cohort(tuple(records), embedding_dim=dim), tuple(dropped))
+    # Each row is dropped for the first check it fails, in this order.
+    checks = (
+        ("unparseable time", bad_time),
+        ("non-positive time", ~(np.isfinite(time) & (time > 0))),
+        ("unparseable event flag", event < 0),
+        ("unparseable chrono_age", bad_age),
+        *((f"unparseable {canonical}", bad) for canonical, (_, bad) in optional.items()),
+        ("unparseable embedding value", bad_embedding),
+    )
+    failed = np.select([mask for _, mask in checks], range(len(checks)), -1)
+    keep = failed < 0
+    dropped = tuple((i + 1, checks[failed[i]][0]) for i in np.flatnonzero(~keep).tolist())
+
+    def kept(texts: list[str]) -> np.ndarray:
+        return np.array(texts, dtype=object)[keep]
+
+    cohort = Cohort(
+        ids=kept([text.strip() or f"row{i}" for i, text in enumerate(cells("id"), start=1)]),
+        time=time[keep],
+        event=event[keep] == 1,
+        chrono_age=chrono_age[keep],
+        embedding=None if embedding is None else embedding[keep],
+        **{
+            name: kept(_per_distinct(cells(name), partial(_normalize_category, name)))
+            for name in CATEGORY_FIELDS
+        },
+        **{attr: optional[canonical][0][keep] for canonical, attr in _OPTIONAL_COLUMNS.items()},
+    )
+    return LoadResult(cohort, dropped)
+
+
+def _csv_fields(values: np.ndarray) -> list[str]:
+    """Each value as csv.writer writes it in a row, quoted where needed."""
+    lines: list[str] = []
+    writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\n")
+
+    def field(value) -> str:
+        writer.writerow((value, ""))  # a lone "" would be quoted
+        return lines.pop()[:-2]
+
+    return _per_distinct(values.tolist(), field)
 
 
 def save_cohort(cohort: Cohort, path: str | Path) -> None:
-    """Write the canonical CSV form. Floats use repr and round-trip."""
-    any_scaled = any(r.risk_scaled is not None for r in cohort)
-    dim = cohort.embedding_dim or 0
+    """Write the canonical CSV form. Floats use repr and round-trip;
+    missing values are written empty."""
+
+    def optional(values: np.ndarray) -> list[str]:
+        return ["" if v != v else repr(v) for v in values.tolist()]
+
+    # Only the text columns can need quoting: repr of a float, the event
+    # flag and an empty cell never do, so rows are joined directly.
     header = list(_CANONICAL_COLUMNS)
-    if any_scaled:
+    columns = [
+        _csv_fields(cohort.ids),
+        map(repr, cohort.time.tolist()),
+        np.where(cohort.event, "1", "0").tolist(),
+        map(repr, cohort.chrono_age.tolist()),
+        *(_csv_fields(getattr(cohort, name)) for name in CATEGORY_FIELDS),
+        optional(cohort.predicted_age),
+        optional(cohort.risk_raw),
+    ]
+    if not np.all(np.isnan(cohort.risk_scaled)):
         header.append("risk_scaled")
-    header.extend(f"e{i}" for i in range(dim))
-
-    def fmt(value) -> str:
-        return "" if value is None else repr(float(value))
-
+        columns.append(optional(cohort.risk_scaled))
+    if cohort.embedding_dim:
+        header.extend(f"e{i}" for i in range(cohort.embedding_dim))
+        columns.append(
+            ",".join(map(repr, row)) for row in map(np.ndarray.tolist, cohort.embedding)
+        )
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for r in cohort:
-            row = [
-                r.id,
-                repr(float(r.time)),
-                "1" if r.event else "0",
-                repr(float(r.chrono_age)),
-                r.sex,
-                r.race,
-                r.cancer_site,
-                r.intent,
-                r.year_group,
-                r.technique,
-                fmt(r.predicted_age),
-                fmt(r.risk_raw),
-            ]
-            if any_scaled:
-                row.append(fmt(r.risk_scaled))
-            if dim:
-                if r.embedding is None or len(r.embedding) != dim:
-                    raise DataError(f"record {r.id!r} embedding does not match dim {dim}")
-                row.extend(repr(float(v)) for v in r.embedding)
-            writer.writerow(row)
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in zip(*columns))
 
 
 def save_embedding_sidecar(cohort: Cohort, path: str | Path) -> None:
@@ -390,37 +462,32 @@ def save_embedding_sidecar(cohort: Cohort, path: str | Path) -> None:
 
 
 def validate(cohort: Cohort) -> ValidationReport:
-    """Report invariant violations per record without mutating anything."""
-    violations: list[Violation] = []
-    seen: set[str] = set()
-    expected_dim = cohort.embedding_dim
+    """Report invariant violations without mutating anything.
 
-    for r in cohort:
-        if r.id in seen:
-            violations.append(Violation(r.id, "id", "duplicate id"))
-        seen.add(r.id)
-        if not (np.isfinite(r.time) and r.time > 0):
-            violations.append(Violation(r.id, "time", f"time must be > 0, got {r.time}"))
-        if not (np.isfinite(r.chrono_age) and r.chrono_age >= 0):
-            violations.append(
-                Violation(r.id, "chrono_age", f"chrono_age must be >= 0, got {r.chrono_age}")
-            )
-        if r.risk_scaled is not None and not (0.0 <= r.risk_scaled <= 1.0):
-            violations.append(
-                Violation(r.id, "risk_scaled", f"risk_scaled outside [0, 1]: {r.risk_scaled}")
-            )
-        if r.embedding is not None:
-            if expected_dim is None:
-                expected_dim = len(r.embedding)
-            if len(r.embedding) != expected_dim:
-                violations.append(
-                    Violation(
-                        r.id,
-                        "embedding",
-                        f"length {len(r.embedding)} != cohort dim {expected_dim}",
-                    )
-                )
-            elif not all(np.isfinite(v) for v in r.embedding):
-                violations.append(Violation(r.id, "embedding", "non-finite value"))
-
-    return ValidationReport(tuple(violations))
+    Violations are ordered by subject, then by field: a repeated id
+    (reported from its second occurrence on), a time that is not
+    positive and finite, a chrono_age that is not non-negative and
+    finite, a risk_scaled outside [0, 1], a non-finite embedding value.
+    """
+    ids = cohort.ids.tolist()
+    n = len(ids)
+    repeated = np.ones(n, dtype=bool)
+    repeated[list(dict(zip(reversed(ids), range(n - 1, -1, -1))).values())] = False
+    time, age, scaled = cohort.time, cohort.chrono_age, cohort.risk_scaled
+    embedding = cohort.embedding if cohort.embedding is not None else np.zeros((n, 0))
+    checks = (
+        ("id", repeated, lambda i: "duplicate id"),
+        ("time", ~(np.isfinite(time) & (time > 0)),
+         lambda i: f"time must be > 0, got {float(time[i])}"),
+        ("chrono_age", ~(np.isfinite(age) & (age >= 0)),
+         lambda i: f"chrono_age must be >= 0, got {float(age[i])}"),
+        ("risk_scaled", (scaled < 0.0) | (scaled > 1.0),
+         lambda i: f"risk_scaled outside [0, 1]: {float(scaled[i])}"),
+        ("embedding", ~np.isfinite(embedding).all(axis=1), lambda i: "non-finite value"),
+    )
+    found = sorted(
+        (i, k) for k, (_, mask, _) in enumerate(checks) for i in np.flatnonzero(mask).tolist()
+    )
+    return ValidationReport(
+        tuple(Violation(ids[i], checks[k][0], checks[k][2](i)) for i, k in found)
+    )

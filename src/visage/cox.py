@@ -1,6 +1,6 @@
 """Cox proportional hazards regression.
 
-Covers design construction from cohort records (indicator expansion for
+Covers design construction from cohort columns (indicator expansion for
 categoricals, per-unit scaling for continuous terms, threshold splits),
 maximum partial likelihood fitting with Efron or Breslow tie handling,
 Wald inference, univariate screening with block likelihood-ratio tests
@@ -16,12 +16,11 @@ from typing import Sequence
 
 import numpy as np
 
-from ._stats import chi2_sf, norm_sf
-from .cohort import Cohort, PatientRecord
+from ._stats import Z95, chi2_sf, norm_sf
+from .cohort import CATEGORY_FIELDS, Cohort
 from .errors import AnalysisError, DataError, SingularDesignError, VisageError
 
 CONTINUOUS_FIELDS = ("chrono_age", "predicted_age", "risk_raw", "risk_scaled", "fad")
-CATEGORICAL_FIELDS = ("sex", "race", "cancer_site", "intent", "year_group", "technique")
 
 MAX_ITER = 100
 GRAD_TOL = 1e-8
@@ -163,18 +162,13 @@ class AicEntry:
     delta: float
 
 
-def _fad(record: PatientRecord) -> float | None:
-    if record.predicted_age is None:
-        return None
-    return record.predicted_age - record.chrono_age
-
-
-def _continuous_values(cohort: Cohort, name: str) -> list[float | None]:
+def _continuous_values(cohort: Cohort, name: str) -> np.ndarray:
+    """The field's column, NaN where missing; "fad" is predicted minus chrono age."""
     if name == "fad":
-        return [_fad(r) for r in cohort]
+        return cohort.predicted_age - cohort.chrono_age
     if name not in CONTINUOUS_FIELDS:
         raise DataError(f"unknown continuous field {name!r}")
-    return [getattr(r, name) for r in cohort]
+    return getattr(cohort, name)
 
 
 def build_design(cohort: Cohort, covariates: Sequence[Covariate]) -> DesignMatrix:
@@ -197,28 +191,24 @@ def build_design(cohort: Cohort, covariates: Sequence[Covariate]) -> DesignMatri
         if cov.kind == "continuous":
             if cov.per <= 0:
                 raise DataError(f"{cov.field}: per must be positive")
-            raw = _continuous_values(cohort, cov.field)
-            present = np.array([v is not None and np.isfinite(v) for v in raw])
-            vals = np.array([0.0 if v is None else float(v) for v in raw])
-            included &= present
+            vals = _continuous_values(cohort, cov.field)
+            included &= np.isfinite(vals)
             columns.append(vals / cov.per)
             names.append(cov.base_name())
             notes.append(f"{cov.field} per {cov.per:g} unit(s)")
         elif cov.kind == "threshold":
             if cov.threshold is None or cov.op not in (">=", "<="):
                 raise DataError(f"{cov.field}: threshold kind needs threshold and op >=/<=")
-            raw = _continuous_values(cohort, cov.field)
-            present = np.array([v is not None and np.isfinite(v) for v in raw])
-            vals = np.array([0.0 if v is None else float(v) for v in raw])
+            vals = _continuous_values(cohort, cov.field)
             hit = vals >= cov.threshold if cov.op == ">=" else vals <= cov.threshold
-            included &= present
+            included &= np.isfinite(vals)
             columns.append(hit.astype(float))
             names.append(cov.base_name())
             notes.append(f"indicator of {cov.field} {cov.op} {cov.threshold:g}")
         elif cov.kind == "categorical":
-            if cov.field not in CATEGORICAL_FIELDS:
+            if cov.field not in CATEGORY_FIELDS:
                 raise DataError(f"unknown categorical field {cov.field!r}")
-            values = np.array([getattr(r, cov.field) for r in cohort], dtype=object)
+            values = getattr(cohort, cov.field)
             levels = sorted(set(values) - {"unknown"})
             if cov.reference is None:
                 raise DataError(f"{cov.field}: categorical covariate needs a reference level")
@@ -420,7 +410,7 @@ def fit_cox(design: DesignMatrix, times, events, ties: str = "efron") -> CoxFit:
 
     with np.errstate(over="ignore"):
         hr = np.exp(beta)
-        ci95 = np.column_stack((np.exp(beta - 1.96 * se), np.exp(beta + 1.96 * se)))
+        ci95 = np.column_stack((np.exp(beta - Z95 * se), np.exp(beta + Z95 * se)))
     with np.errstate(divide="ignore", invalid="ignore"):
         z = np.where(se > 0, beta / se, np.nan)
     p = np.array([2.0 * norm_sf(v) for v in np.abs(z)])

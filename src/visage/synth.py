@@ -4,7 +4,7 @@ Event times are exponential with subject hazard
 ``baseline_hazard * exp(beta . x)``; censoring is uniform,
 exponential, or administrative; the observed time is the minimum of
 the two with the event flag set when death comes first. Generated
-cohorts use the standard record layout, so everything downstream
+cohorts use the standard cohort columns, so everything downstream
 (ingestion, fitting, training) runs on them unchanged, and the ground
 truth travels in a JSON-ready sidecar. By default observed times are
 rounded up to whole days, which produces realistic ties; exact
@@ -17,26 +17,28 @@ spec pins its cohort bit-for-bit across runs and platforms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .cohort import Cohort, PatientRecord
+from .cohort import Cohort
 from .errors import DataError
 from .rng import substream
 
-_FILL_SITES = ("breast", "lung", "prostate", "gi", "skin")
-_FILL_RACES = ("white", "black", "asian", "hispanic", "other")
-_FILL_INTENTS = ("curative", "oligomet_ablation", "palliative")
-_FILL_YEAR_GROUPS = ("pre2016", "post2016")
-_FILL_TECHNIQUES = ("conformal", "imrt", "sbrt")
+# Levels of the categorical fill columns, drawn uniformly in this order.
+_FILL_LEVELS = {
+    "race": ("white", "black", "asian", "hispanic", "other"),
+    "cancer_site": ("breast", "lung", "prostate", "gi", "skin"),
+    "intent": ("curative", "oligomet_ablation", "palliative"),
+    "year_group": ("pre2016", "post2016"),
+    "technique": ("conformal", "imrt", "sbrt"),
+}
 
 _COVARIATE_FIELDS = ("sex", "chrono_age", "risk_scaled", "fad")
 
 
 @dataclass(frozen=True)
 class SimCovariate:
-    """One hazard-driving covariate and where it lands in the record.
+    """One hazard-driving covariate and the cohort column it lands in.
 
     ``field`` is "sex" (bernoulli 0/1 becomes female/male),
     "chrono_age" (years), "risk_scaled" (should generate within [0, 1])
@@ -150,34 +152,9 @@ def simulate(spec: SimSpec) -> SimResult:
         sex = np.where(driven["sex"] > 0.5, "male", "female")
     else:
         sex = np.where(rng_fill.random(n) < 0.5, "male", "female")
-    race = rng_fill.choice(_FILL_RACES, n)
-    site = rng_fill.choice(_FILL_SITES, n)
-    intent = rng_fill.choice(_FILL_INTENTS, n)
-    year_group = rng_fill.choice(_FILL_YEAR_GROUPS, n)
-    technique = rng_fill.choice(_FILL_TECHNIQUES, n)
+    fill = {name: rng_fill.choice(levels, n) for name, levels in _FILL_LEVELS.items()}
 
     predicted = chrono + driven["fad"] if "fad" in driven else None
-    risk_scaled = driven.get("risk_scaled")
-
-    records = []
-    for i in range(n):
-        records.append(
-            PatientRecord(
-                id=f"s{i:05d}",
-                time=float(observed[i]),
-                event=bool(events[i]),
-                chrono_age=float(chrono[i]),
-                sex=str(sex[i]),
-                race=str(race[i]),
-                cancer_site=str(site[i]),
-                intent=str(intent[i]),
-                year_group=str(year_group[i]),
-                technique=str(technique[i]),
-                predicted_age=None if predicted is None else float(predicted[i]),
-                risk_scaled=None if risk_scaled is None else float(risk_scaled[i]),
-                embedding=None if embeddings is None else tuple(map(float, embeddings[i])),
-            )
-        )
 
     truth = {
         "n": n,
@@ -196,5 +173,15 @@ def simulate(spec: SimSpec) -> SimResult:
         "eta": [float(v) for v in eta],
         "censored_fraction": float(1.0 - events.mean()),
     }
-    cohort = Cohort(tuple(records), embedding_dim=spec.embedding_dim)
+    cohort = Cohort(
+        ids=[f"s{i:05d}" for i in range(n)],
+        time=observed,
+        event=events,
+        chrono_age=chrono,
+        sex=sex,
+        **fill,
+        predicted_age=predicted,
+        risk_scaled=driven.get("risk_scaled"),
+        embedding=embeddings,
+    )
     return SimResult(cohort, truth)

@@ -41,4 +41,4 @@ def make_cohort(times, events, **columns) -> Cohort:
             )
         )
     dim = None if embedding is None else int(np.asarray(embedding).shape[1])
-    return Cohort(records=tuple(records), embedding_dim=dim)
+    return Cohort.from_records(records, embedding_dim=dim)

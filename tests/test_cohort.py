@@ -2,19 +2,28 @@
 
 from __future__ import annotations
 
+import csv
+import re
+
 import numpy as np
 import pytest
 
+from visage.biomarkers import fad_for_cohort
 from visage.cohort import (
+    DAYS_PER_YEAR,
     Cohort,
     PatientRecord,
+    Violation,
+    _normalize_category,
     load_cohort,
     read_schema,
     save_cohort,
     save_embedding_sidecar,
     validate,
 )
+from visage.cox import Covariate, build_design
 from visage.errors import DataError
+from visage.synth import SimCovariate, SimSpec, simulate
 
 
 HEADER = (
@@ -207,14 +216,14 @@ class TestRoundTrip:
             PatientRecord(id="b", time=365.0, event=False, chrono_age=70.0,
                           embedding=(1.0, 2.0, 3.0)),
         )
-        cohort = Cohort(records, embedding_dim=3)
+        cohort = Cohort.from_records(records, embedding_dim=3)
         p = tmp_path / "c.csv"
         save_cohort(cohort, p)
         back = load_cohort(p).cohort
         assert back == cohort
 
     def test_save_bytes_stable(self, tmp_path):
-        cohort = Cohort(
+        cohort = Cohort.from_records(
             (PatientRecord(id="a", time=1.5, event=True, chrono_age=60.0),)
         )
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -232,11 +241,11 @@ class TestRoundTrip:
             )
             for i in range(4)
         )
-        cohort = Cohort(records, embedding_dim=6)
+        cohort = Cohort.from_records(records, embedding_dim=6)
         csv_path = tmp_path / "c.csv"
         bin_path = tmp_path / "c.f32"
         # save CSV without embeddings so the sidecar is the only source
-        save_cohort(Cohort(tuple(
+        save_cohort(Cohort.from_records(tuple(
             PatientRecord(id=r.id, time=r.time, event=r.event, chrono_age=r.chrono_age)
             for r in records
         )), csv_path)
@@ -263,7 +272,7 @@ class TestRoundTrip:
 
 class TestValidate:
     def test_all_valid_empty_report(self):
-        cohort = Cohort(
+        cohort = Cohort.from_records(
             (
                 PatientRecord(id="a", time=10.0, event=True, chrono_age=60.0,
                               risk_scaled=0.0),
@@ -274,7 +283,7 @@ class TestValidate:
         assert validate(cohort).ok()
 
     def test_risk_scaled_out_of_range(self):
-        cohort = Cohort(
+        cohort = Cohort.from_records(
             (PatientRecord(id="bad", time=10.0, event=True, chrono_age=60.0,
                            risk_scaled=1.3),)
         )
@@ -284,7 +293,7 @@ class TestValidate:
         assert report.violations[0].field == "risk_scaled"
 
     def test_duplicate_ids_named(self):
-        cohort = Cohort(
+        cohort = Cohort.from_records(
             (
                 PatientRecord(id="dup", time=10.0, event=True, chrono_age=60.0),
                 PatientRecord(id="dup", time=20.0, event=False, chrono_age=61.0),
@@ -295,7 +304,7 @@ class TestValidate:
         assert report.violations[0].record_id == "dup"
 
     def test_time_and_age_bounds(self):
-        cohort = Cohort(
+        cohort = Cohort.from_records(
             (
                 PatientRecord(id="t", time=-1.0, event=True, chrono_age=60.0),
                 PatientRecord(id="g", time=10.0, event=True, chrono_age=-2.0),
@@ -305,23 +314,346 @@ class TestValidate:
         assert fields == {"time", "chrono_age"}
 
     def test_embedding_length_mismatch(self):
-        cohort = Cohort(
-            (
-                PatientRecord(id="a", time=10.0, event=True, chrono_age=60.0,
-                              embedding=(0.1, 0.2)),
-                PatientRecord(id="b", time=20.0, event=False, chrono_age=60.0,
-                              embedding=(0.1, 0.2, 0.3)),
-            ),
-            embedding_dim=2,
-        )
-        report = validate(cohort)
-        assert [v.record_id for v in report.violations] == ["b"]
+        with pytest.raises(DataError, match="'b'"):
+            Cohort.from_records(
+                (
+                    PatientRecord(id="a", time=10.0, event=True, chrono_age=60.0,
+                                  embedding=(0.1, 0.2)),
+                    PatientRecord(id="b", time=20.0, event=False, chrono_age=60.0,
+                                  embedding=(0.1, 0.2, 0.3)),
+                ),
+                embedding_dim=2,
+            )
 
     def test_nonfinite_embedding_flagged(self):
-        cohort = Cohort(
+        cohort = Cohort.from_records(
             (PatientRecord(id="a", time=10.0, event=True, chrono_age=60.0,
                            embedding=(0.1, float("nan"))),),
             embedding_dim=2,
         )
         report = validate(cohort)
         assert report.violations[0].field == "embedding"
+
+    def test_matches_record_loop(self):
+        """Every violation kind, several in one record, interleaved with
+        valid records: the vectorised report equals the record loop's."""
+        nan, inf = float("nan"), float("inf")
+        rows = [
+            ("a", 10.0, 60.0, 0.5, (0.1, 0.2)),
+            ("b", -1.0, 60.0, None, (0.1, 0.2)),
+            ("a", 10.0, -2.0, 1.5, (nan, 0.2)),
+            ("c", nan, nan, -0.1, (0.1, inf)),
+            ("d", 0.0, inf, inf, (0.1, 0.2)),
+            ("e", 5.0, 0.0, 1.0, (0.3, 0.4)),
+            ("a", inf, 60.0, 0.0, (-inf, 0.2)),
+            ("c", 3.0, 61.0, None, (0.1, 0.2)),
+        ]
+        cohort = Cohort.from_records(
+            [
+                PatientRecord(id=i, time=t, event=True, chrono_age=age,
+                              risk_scaled=scaled, embedding=emb)
+                for i, t, age, scaled, emb in rows
+            ]
+        )
+        expected = looped_validate(cohort)
+        assert {v.field for v in expected} == {
+            "id", "time", "chrono_age", "risk_scaled", "embedding"
+        }
+        assert validate(cohort).violations == expected
+
+
+def looped_validate(cohort: Cohort) -> tuple:
+    """The per-record validation loop that the vectorised one replaced."""
+    violations = []
+    seen = set()
+    for r in cohort:
+        if r.id in seen:
+            violations.append(Violation(r.id, "id", "duplicate id"))
+        seen.add(r.id)
+        if not (np.isfinite(r.time) and r.time > 0):
+            violations.append(Violation(r.id, "time", f"time must be > 0, got {r.time}"))
+        if not (np.isfinite(r.chrono_age) and r.chrono_age >= 0):
+            violations.append(
+                Violation(r.id, "chrono_age", f"chrono_age must be >= 0, got {r.chrono_age}")
+            )
+        if r.risk_scaled is not None and not (0.0 <= r.risk_scaled <= 1.0):
+            violations.append(
+                Violation(r.id, "risk_scaled", f"risk_scaled outside [0, 1]: {r.risk_scaled}")
+            )
+        if r.embedding is not None and not all(np.isfinite(v) for v in r.embedding):
+            violations.append(Violation(r.id, "embedding", "non-finite value"))
+    return tuple(violations)
+
+
+def rowwise_load_cohort(path, schema=None, embedding_sidecar=None, embedding_dim=None):
+    """The row-by-row loader that the columnar one replaced, through
+    csv.DictReader and one PatientRecord per row. Returns the records,
+    the dropped rows and the embedding dimension."""
+    schema = schema or {}
+    rename = schema.get("columns", {})
+    time_unit = schema.get("time_unit", "days")
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh)
+        header = list(reader.fieldnames)
+        rows = list(reader)
+
+    def actual(canonical):
+        name = rename.get(canonical, canonical)
+        return name if name in header else None
+
+    def parse_event(raw):
+        token = raw.strip().lower()
+        if token in ("1", "true", "t", "yes"):
+            return True
+        if token in ("0", "false", "f", "no"):
+            return False
+        raise ValueError(raw)
+
+    def embedding_columns(header):
+        found = {}
+        for name in header:
+            m = re.match(r"^e(\d+)$", name)
+            if m:
+                found[int(m.group(1))] = name
+        if not found:
+            return ()
+        dim = max(found) + 1
+        missing = [i for i in range(dim) if i not in found]
+        if missing:
+            raise DataError(f"embedding columns not contiguous, missing e{missing[0]}")
+        return tuple(found[i] for i in range(dim))
+
+    sidecar_matrix = None
+    if embedding_sidecar is not None:
+        raw = np.fromfile(embedding_sidecar, dtype="<f4")
+        sidecar_matrix = raw.reshape(len(rows), embedding_dim).astype(float)
+        emb_cols = ()
+    else:
+        emb_cols = embedding_columns(header)
+
+    records, dropped = [], []
+    for row_number, row in enumerate(rows, start=1):
+        def cell(canonical):
+            name = actual(canonical)
+            return (row.get(name) or "") if name else ""
+
+        try:
+            time_value = float(cell("time"))
+        except ValueError:
+            dropped.append((row_number, "unparseable time"))
+            continue
+        if time_unit == "years":
+            time_value *= DAYS_PER_YEAR
+        if not np.isfinite(time_value) or time_value <= 0:
+            dropped.append((row_number, "non-positive time"))
+            continue
+        try:
+            event = parse_event(cell("event"))
+        except ValueError:
+            dropped.append((row_number, "unparseable event flag"))
+            continue
+        try:
+            chrono_age = float(cell("chrono_age"))
+        except ValueError:
+            dropped.append((row_number, "unparseable chrono_age"))
+            continue
+        optional, bad_optional = {}, None
+        for canonical, attr in (
+            ("predicted_age", "predicted_age"),
+            ("risk", "risk_raw"),
+            ("risk_scaled", "risk_scaled"),
+        ):
+            text = cell(canonical).strip()
+            if not text:
+                optional[attr] = None
+                continue
+            try:
+                optional[attr] = float(text)
+            except ValueError:
+                bad_optional = canonical
+                break
+        if bad_optional:
+            dropped.append((row_number, f"unparseable {bad_optional}"))
+            continue
+        if sidecar_matrix is not None:
+            embedding = tuple(float(v) for v in sidecar_matrix[row_number - 1])
+        elif emb_cols:
+            try:
+                embedding = tuple(float(row.get(c) or "") for c in emb_cols)
+            except ValueError:
+                dropped.append((row_number, "unparseable embedding value"))
+                continue
+        else:
+            embedding = None
+        records.append(
+            PatientRecord(
+                id=cell("id").strip() or f"row{row_number}",
+                time=time_value,
+                event=event,
+                chrono_age=chrono_age,
+                **{
+                    name: _normalize_category(name, cell(name))
+                    for name in ("sex", "race", "cancer_site", "intent", "year_group",
+                                 "technique")
+                },
+                embedding=embedding,
+                **optional,
+            )
+        )
+    dim = embedding_dim
+    if dim is None and records and records[0].embedding is not None:
+        dim = len(records[0].embedding)
+    return records, tuple(dropped), dim
+
+
+def rowwise_save_cohort(records, dim, path):
+    """The row-by-row writer that the columnar one replaced."""
+    any_scaled = any(r.risk_scaled is not None for r in records)
+    header = HEADER.split(",") + (["risk_scaled"] if any_scaled else [])
+    header += [f"e{i}" for i in range(dim or 0)]
+
+    def fmt(value):
+        return "" if value is None else repr(float(value))
+
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for r in records:
+            row = [r.id, repr(float(r.time)), "1" if r.event else "0", repr(float(r.chrono_age)),
+                   r.sex, r.race, r.cancer_site, r.intent, r.year_group, r.technique,
+                   fmt(r.predicted_age), fmt(r.risk_raw)]
+            if any_scaled:
+                row.append(fmt(r.risk_scaled))
+            if dim:
+                row.extend(repr(float(v)) for v in r.embedding)
+            writer.writerow(row)
+
+
+# Renamed columns with times in years, e* columns out of order, an
+# unrelated column and a repeated name (the last column wins, as in
+# csv.DictReader). Rows cover every drop reason, alone and with later
+# checks failing too, a blank line, short and long rows, quoted ids and
+# free text with commas and quotes, whitespace-padded numbers, inf, 1_0
+# and mixed-case event tokens.
+ORACLE_SCHEMA = {
+    "columns": {"id": "subject", "time": "fu_years", "event": "dead",
+                "chrono_age": "age", "cancer_site": "site"},
+    "time_unit": "years",
+}
+ORACLE_CSV = '''\
+subject,fu_years,dead,age,sex,race,site,intent,year_group,technique,predicted_age,risk,risk_scaled,e1,note,e0,e2,race
+"a,1",2.0,Yes,61.5,FEMALE,White,"breast, left",Curative,pre2016,"imrt, ""6MV""",63.0,0.4,0.5,0.1,x,0.2,0.3,Asian
+
+b, 1.5 ,no, 70 ,male,Black,lung,palliative,Post2016,sbrt, 71.25 ,,, 1 ,, 2 ,3
+short,0.5,T,55
+long,1_0,F,40.0,,,,oligomet-ablation,,,,,,0.5,,0.6,0.7,extra,"more, cells"
+e,oops,1,60,,,,,,,,,,1,,2,3
+f,-1,1,60,,,,,,,,,,1,,2,3
+g,inf,1,60,,,,,,,,,,1,,2,3
+h,1,maybe,60,,,,,,,,,,1,,2,3
+i,1,1,old,,,,,,,,,,1,,2,3
+j,1,1,60,,,,,,,abc,,,1,,2,3
+k,1,1,60,,,,,,,,xyz,,1,,2,3
+l,1,1,60,,,,,,,,,bad,1,,2,3
+m,1,1,60,,,,,,,,,,zz,,2,3
+r,1,maybe,old,,,,,,,abc,,,zz,,2,3
+s,oops,maybe,old,,,,,,,,,,1,,2,3
+t,1,1,60,,,,,,,,xyz,bad,zz,,2,3
+,3,TRUE,inf,,Martian,,,,,,1e-3,1.5,inf,,-0.0,1e300
+"q""uote",0.25,0,50,Male,hispanic,"gi, upper",PALLIATIVE,unknown,sbrt,49.5,-2,0,0,,0,0
+
+
+o,nan,1,60,,,,,,,,,,1,,2,3
+p, 2 , No ,1_5.5,female,,skin,,,conformal, -3 ,  ,0.25,1,,2,3
+'''
+
+
+class TestRowwiseOracle:
+    """The columnar loader and writer against the row-by-row originals."""
+
+    def check(self, path, tmp_path, **kwargs):
+        records, dropped, dim = rowwise_load_cohort(path, ORACLE_SCHEMA, **kwargs)
+        result = load_cohort(path, ORACLE_SCHEMA, **kwargs)
+        assert result.dropped == dropped
+        assert result.cohort == Cohort.from_records(records, embedding_dim=dim)
+        old, new = tmp_path / "old.csv", tmp_path / "new.csv"
+        rowwise_save_cohort(records, dim, old)
+        save_cohort(result.cohort, new)
+        assert new.read_bytes() == old.read_bytes()
+        return result
+
+    def test_text_embedding(self, tmp_path):
+        path = tmp_path / "c.csv"
+        path.write_text(ORACLE_CSV, encoding="utf-8")
+        result = self.check(path, tmp_path)
+        reasons = {reason for _, reason in result.dropped}
+        assert reasons == {
+            "unparseable time", "non-positive time", "unparseable event flag",
+            "unparseable chrono_age", "unparseable predicted_age", "unparseable risk",
+            "unparseable risk_scaled", "unparseable embedding value",
+        }
+        assert len(result.cohort) == 6
+
+    def test_sidecar(self, tmp_path):
+        path = tmp_path / "c.csv"
+        path.write_text(ORACLE_CSV, encoding="utf-8")
+        n_rows = sum(1 for line in ORACLE_CSV.splitlines()[1:] if line)
+        sidecar = tmp_path / "c.f32"
+        np.arange(n_rows * 4, dtype="<f4").tofile(sidecar)
+        result = self.check(path, tmp_path, embedding_sidecar=sidecar, embedding_dim=4)
+        assert result.cohort.embedding_dim == 4
+        assert "short" in result.cohort.ids.tolist()
+
+
+class TestMissingValues:
+    def test_literal_nan_is_missing(self, tmp_path):
+        """A literal nan in an optional column reads as an empty cell
+        does: missing, written back empty, not a validation error."""
+        p = tmp_path / "c.csv"
+        write_csv(p, ["a,120,1,61.5,,,,,,,nan,NaN", "b,130,0,62.0,,,,,,,,"])
+        cohort = load_cohort(p).cohort
+        a, b = cohort.records
+        assert a.predicted_age is None and a.risk_raw is None
+        assert a == PatientRecord(id="a", time=120.0, event=True, chrono_age=61.5)
+        assert b == PatientRecord(id="b", time=130.0, event=False, chrono_age=62.0)
+        out = tmp_path / "out.csv"
+        save_cohort(cohort, out)
+        assert out.read_text().splitlines()[1] == "a,120.0,1,61.5" + ",unknown" * 6 + ",,"
+        scaled = Cohort.from_records(
+            [PatientRecord(id="a", time=1.0, event=True, chrono_age=60.0,
+                           risk_scaled=float("nan"))]
+        )
+        assert validate(scaled).ok()
+
+
+class TestNoRecordObjects:
+    def test_column_paths_build_no_records(self, tmp_path, monkeypatch):
+        """Simulating, writing, reading, validating and the Cox design and
+        FAD columns of a 1k cohort construct no PatientRecord."""
+        built = []
+        original = PatientRecord.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(PatientRecord, "__init__", counting_init)
+        spec = SimSpec(
+            n=1000, beta_true=(0.05, 0.3),
+            covariate_model=(SimCovariate("fad", ("normal", 0.0, 6.0)),
+                             SimCovariate("sex", ("bernoulli", 0.5))),
+            censor_model=("uniform", 1500.0), embedding_dim=8,
+            embedding_weights=(0.0,) * 8, seed=5,
+        )
+        path = tmp_path / "c.csv"
+        save_cohort(simulate(spec).cohort, path)
+        cohort = load_cohort(path).cohort
+        assert validate(cohort).ok()
+        build_design(cohort, [Covariate("fad", per=10.0),
+                              Covariate("sex", kind="categorical", reference="female"),
+                              Covariate("chrono_age", kind="threshold", threshold=60.0)])
+        fad_for_cohort(cohort)
+        save_cohort(cohort, tmp_path / "again.csv")
+        assert built == []
+        assert cohort.records[0].id == "s00000"
+        assert len(built) == 1000

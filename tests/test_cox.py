@@ -14,6 +14,7 @@ import time as time_mod
 import numpy as np
 import pytest
 
+from visage._stats import Z95
 from visage.cohort import Cohort, PatientRecord
 from visage.cox import (
     Covariate,
@@ -183,7 +184,7 @@ class TestFitBehavior:
         row = fit.row("risk_scaled")
         assert row.ci_low < row.hr < row.ci_high
         np.testing.assert_allclose(row.hr, np.exp(row.beta), rtol=1e-12)
-        np.testing.assert_allclose(row.ci_low, np.exp(row.beta - 1.96 * row.se), rtol=1e-12)
+        np.testing.assert_allclose(row.ci_low, np.exp(row.beta - Z95 * row.se), rtol=1e-12)
         assert 0.0 <= row.p <= 1.0
 
     def test_aic_formula(self):
@@ -449,7 +450,7 @@ class TestAdjustedAndAic:
         design = build_design(toy_cohort(), [Covariate("risk_scaled")])
         fit_full = fit_cox(design, TOY_T, TOY_E)
         sub = toy_cohort().records[:10]
-        cohort_sub = Cohort(records=sub)
+        cohort_sub = Cohort.from_records(sub)
         design_sub = build_design(cohort_sub, [Covariate("risk_scaled")])
         fit_sub = fit_cox(design_sub, TOY_T[:10], TOY_E[:10])
         with pytest.raises(DataError):

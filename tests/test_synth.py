@@ -3,6 +3,8 @@ round trip from generated cohorts through the fitting code."""
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,28 @@ class TestDeterminism:
         save_cohort(b.cohort, pb)
         assert pa.read_bytes() == pb.read_bytes()
         assert a.truth == b.truth
+
+    def test_cohort_bytes_pinned(self, tmp_path):
+        """The digest was recorded from the row-object implementation;
+        simulate and save_cohort must keep writing the same file."""
+        spec = SimSpec(
+            n=300,
+            beta_true=(0.05, 0.4, 0.8),
+            censor_model=("uniform", 1500.0),
+            covariate_model=(
+                SimCovariate("fad", ("normal", 0.0, 6.0)),
+                BINARY,
+                SimCovariate("risk_scaled", ("beta", 2.0, 5.0)),
+            ),
+            embedding_dim=8,
+            embedding_weights=(0.1, -0.2, 0.0, 0.3, 0.0, -0.1, 0.05, 0.0),
+            seed=2024,
+        )
+        path = tmp_path / "cohort.csv"
+        save_cohort(simulate(spec).cohort, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "a7abebba1299e38cb1ae10396bc57c7bf035df2c7b538dd431bec8f550f4e7ec"
+        )
 
     def test_seed_changes_output(self):
         spec = SimSpec(n=50, seed=1)
