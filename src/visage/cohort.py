@@ -23,7 +23,7 @@ import json
 import re
 from dataclasses import dataclass, fields
 from functools import cached_property, partial
-from itertools import chain
+from itertools import chain, islice
 from operator import itemgetter
 from pathlib import Path
 from types import SimpleNamespace
@@ -56,6 +56,10 @@ _CANONICAL_COLUMNS = (
 )
 
 _MANDATORY = ("time", "event", "chrono_age")
+
+# Data rows parsed at a time by load_cohort: it holds the cell strings of
+# one block, not of the whole file.
+_ROW_BLOCK = 512
 
 # Optional float columns: canonical CSV name -> Cohort attribute.
 _OPTIONAL_COLUMNS = {
@@ -106,6 +110,18 @@ _COLUMN_TYPES = {
 }
 
 
+def _frozen(value, dtype) -> bool:
+    """True for a C-ordered array of ``dtype`` that nothing can write to:
+    it is read-only and so is every array whose memory it views."""
+    if not (isinstance(value, np.ndarray) and value.dtype == dtype and value.flags.c_contiguous):
+        return False
+    while isinstance(value, np.ndarray):
+        if value.flags.writeable:
+            return False
+        value = value.base
+    return value is None
+
+
 @dataclass(frozen=True, eq=False)
 class Cohort:
     """An immutable cohort held as parallel read-only columns.
@@ -114,9 +130,11 @@ class Cohort:
     ``time`` (days) and ``chrono_age`` (years) float64, ``event`` bool.
     ``predicted_age``, ``risk_raw`` and ``risk_scaled`` are float64 with
     NaN where a value is missing, and ``embedding`` is an (n, D) float64
-    matrix or None. The constructor copies each column; an optional
-    column passed as None is all missing. Invalid values are
-    representable and surfaced by :func:`validate`.
+    matrix or None. The constructor copies each column, except an array
+    of the column's dtype, C-ordered, that neither it nor any array it
+    views is writeable: that one is shared, since no one can change it.
+    An optional column passed as None is all missing. Invalid values
+    are representable and surfaced by :func:`validate`.
     """
 
     ids: np.ndarray
@@ -141,7 +159,12 @@ class Cohort:
             value = getattr(self, f.name)
             if value is None and f.name == "embedding":
                 continue
-            col = np.full(n, missing, dtype) if value is None else np.array(value, dtype, order="C")
+            if value is None:
+                col = np.full(n, missing, dtype)
+            elif _frozen(value, dtype):
+                col = value
+            else:
+                col = np.array(value, dtype, order="C")
             if col.shape[:1] != (n,) or col.ndim != 1 + (f.name == "embedding"):
                 raise DataError(f"{f.name} of shape {col.shape} does not align with {n} subjects")
             col.flags.writeable = False
@@ -294,63 +317,42 @@ def _embedding_positions(header: Sequence[str]) -> list[int]:
 def read_schema(path: str | Path) -> dict:
     """Load a schema-mapping JSON file.
 
-    Recognized keys: ``columns`` (canonical name -> actual column name)
-    and ``time_unit`` ("days", the default, or "years").
+    Recognized keys: ``columns`` (canonical name -> actual column name,
+    an object of strings) and ``time_unit`` ("days", the default, or
+    "years").
     """
     with open(path, "r", encoding="utf-8") as fh:
         schema = json.load(fh)
     if not isinstance(schema, dict):
         raise DataError("schema file must contain a JSON object")
+    columns = schema.get("columns", {})
+    if not isinstance(columns, dict):
+        raise DataError(f"schema 'columns' must be a JSON object, got {type(columns).__name__}")
+    for canonical, actual in columns.items():
+        if not isinstance(actual, str):
+            raise DataError(
+                f"schema 'columns' entry {canonical!r} must be a string, got {actual!r}"
+            )
     unit = schema.get("time_unit", "days")
     if unit not in ("days", "years"):
         raise DataError(f"unsupported time_unit {unit!r}")
     return schema
 
 
-def load_cohort(
-    path: str | Path,
-    schema: dict | None = None,
-    embedding_sidecar: str | Path | None = None,
-    embedding_dim: int | None = None,
-) -> LoadResult:
-    """Read a cohort CSV, returning the cohort plus dropped-row report.
-
-    Rows with missing or non-positive follow-up time, or with unparseable
-    mandatory fields, are dropped and reported by (1-based data row
-    number, reason); valid rows are never mutated beyond category
-    normalization. Blank lines are skipped and not numbered, short rows
-    read as empty cells and extra cells are ignored. An empty or ``nan``
-    optional value is missing. ``schema`` renames columns and may
-    declare times in years, which are converted to days at 365.25 days
-    per year. When ``embedding_sidecar`` names a flat row-major
-    little-endian float32 file, embeddings are read from it
-    (``embedding_dim`` required) and any e* text columns are ignored.
-    """
-    schema = schema or {}
-    rename = schema.get("columns", {})
-
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise DataError(f"{path}: empty file")
-        rows = [row for row in reader if row]  # as csv.DictReader, skip blank lines
-    n, width = len(rows), len(header)
-    for row in rows:  # as csv.DictReader, short rows read as empty cells
-        if len(row) < width:
-            row += [""] * (width - len(row))
-    position = {name: i for i, name in enumerate(header)}  # a repeated name: the last wins
+def _parse_block(
+    rows: list[list[str]], start: int, where: dict, e_positions: list[int], years: bool
+) -> tuple[dict, np.ndarray, list[tuple[int, str]]]:
+    """The kept rows' columns of one block of data rows, the mask of kept
+    rows, and the dropped rows as (1-based data row number, reason);
+    ``start`` data rows came before the block."""
+    n = len(rows)
 
     def cells(canonical: str) -> list[str]:
-        i = position.get(rename.get(canonical, canonical))
+        i = where[canonical]
         return [""] * n if i is None else list(map(itemgetter(i), rows))
 
-    for canonical in _MANDATORY:
-        if rename.get(canonical, canonical) not in position:
-            raise DataError(f"{path}: missing mandatory column {canonical!r}")
-
     time, bad_time = _parse_floats(cells("time"))
-    if schema.get("time_unit", "days") == "years":
+    if years:
         time = time * DAYS_PER_YEAR
     event = np.array(
         _per_distinct(cells("event"), lambda raw: _EVENT_CODES.get(raw.strip().lower(), -1)),
@@ -361,25 +363,12 @@ def load_cohort(
         canonical: _parse_floats([text if text.strip() else "nan" for text in cells(canonical)])
         for canonical in _OPTIONAL_COLUMNS
     }
-
-    bad_embedding = np.zeros(n, dtype=bool)
-    if embedding_sidecar is not None:
-        if embedding_dim is None:
-            raise DataError("embedding_dim is required with a binary sidecar")
-        raw = np.fromfile(embedding_sidecar, dtype="<f4")
-        if raw.size != n * embedding_dim:
-            raise DataError(f"sidecar holds {raw.size} values, expected {n} x {embedding_dim}")
-        embedding = raw.reshape(n, embedding_dim).astype(float)
-    else:
-        block = _embedding_positions(header)
-        embedding = None
-        if block:
-            picked = map(itemgetter(*block), rows)
-            values, bad = _parse_floats(
-                list(chain.from_iterable(picked) if len(block) > 1 else picked)
-            )
-            embedding = values.reshape(n, len(block))
-            bad_embedding = bad.reshape(n, len(block)).any(axis=1)
+    embedding, bad_embedding = None, np.zeros(n, dtype=bool)
+    if e_positions:
+        picked = map(itemgetter(*e_positions), rows)
+        values, bad = _parse_floats(list(chain.from_iterable(picked) if len(e_positions) > 1 else picked))
+        embedding = values.reshape(n, len(e_positions))
+        bad_embedding = bad.reshape(n, len(e_positions)).any(axis=1)
 
     # Each row is dropped for the first check it fails, in this order.
     checks = (
@@ -392,24 +381,114 @@ def load_cohort(
     )
     failed = np.select([mask for _, mask in checks], range(len(checks)), -1)
     keep = failed < 0
-    dropped = tuple((i + 1, checks[failed[i]][0]) for i in np.flatnonzero(~keep).tolist())
+    dropped = [(start + i + 1, checks[failed[i]][0]) for i in np.flatnonzero(~keep).tolist()]
 
     def kept(texts: list[str]) -> np.ndarray:
         return np.array(texts, dtype=object)[keep]
 
-    cohort = Cohort(
-        ids=kept([text.strip() or f"row{i}" for i, text in enumerate(cells("id"), start=1)]),
-        time=time[keep],
-        event=event[keep] == 1,
-        chrono_age=chrono_age[keep],
-        embedding=None if embedding is None else embedding[keep],
+    columns = {
+        "ids": kept([text.strip() or f"row{i}" for i, text in enumerate(cells("id"), start + 1)]),
+        "time": time[keep],
+        "event": event[keep] == 1,
+        "chrono_age": chrono_age[keep],
         **{
             name: kept(_per_distinct(cells(name), partial(_normalize_category, name)))
             for name in CATEGORY_FIELDS
         },
         **{attr: optional[canonical][0][keep] for canonical, attr in _OPTIONAL_COLUMNS.items()},
-    )
-    return LoadResult(cohort, dropped)
+    }
+    if embedding is not None:
+        columns["embedding"] = embedding[keep]
+    return columns, keep, dropped
+
+
+def load_cohort(
+    path: str | Path,
+    schema: dict | None = None,
+    embedding_sidecar: str | Path | None = None,
+    embedding_dim: int | None = None,
+) -> LoadResult:
+    """Read a cohort CSV, returning the cohort plus dropped-row report.
+
+    A row is dropped when its follow-up time is unparseable, not finite
+    or not positive, its event flag or chrono_age is unparseable, a
+    non-blank optional value (predicted_age, risk, risk_scaled) is
+    unparseable, or an e* embedding value is unparseable. Dropped rows
+    are reported by (1-based data row number, reason), the reason being
+    the first of those checks the row fails; kept rows are never mutated
+    beyond category normalization. Blank lines are skipped and not
+    numbered, short rows read as empty cells and extra cells are
+    ignored. An empty or ``nan`` optional value is missing. ``schema``
+    renames columns and may declare times in years, which are converted
+    to days at 365.25 days per year. When ``embedding_sidecar`` names a
+    flat row-major little-endian float32 file, embeddings are read from
+    it (``embedding_dim`` required) and any e* text columns are ignored;
+    e* text columns give the cohort an embedding only when a row is kept.
+
+    The file is parsed in blocks of rows, so memory holds the parsed
+    columns plus the cell strings of one block, never the whole file as
+    text.
+    """
+    schema = schema or {}
+    rename = schema.get("columns", {})
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise DataError(f"{path}: empty file")
+        position = {name: i for i, name in enumerate(header)}  # a repeated name: the last wins
+        for canonical in _MANDATORY:
+            if rename.get(canonical, canonical) not in position:
+                raise DataError(f"{path}: missing mandatory column {canonical!r}")
+        if embedding_sidecar is not None and embedding_dim is None:
+            raise DataError("embedding_dim is required with a binary sidecar")
+        e_positions = [] if embedding_sidecar is not None else _embedding_positions(header)
+        where = {
+            canonical: position.get(rename.get(canonical, canonical))
+            for canonical in ("id", *_MANDATORY, *CATEGORY_FIELDS, *_OPTIONAL_COLUMNS)
+        }
+        years = schema.get("time_unit", "days") == "years"
+
+        # As csv.DictReader: blank lines are skipped, short rows padded.
+        width = len(header)
+        rows = (
+            row if len(row) >= width else row + [""] * (width - len(row))
+            for row in reader
+            if row
+        )
+        parts: dict[str, list[np.ndarray]] = {}
+        keeps: list[np.ndarray] = []
+        dropped: list[tuple[int, str]] = []
+        # The kept embedding rows, grown in place block by block (realloc,
+        # not a second matrix plus a copy).
+        embedding = np.empty((0, len(e_positions)))
+        n = 0
+        # A first, empty block gives a file without data rows its empty columns.
+        for chunk in chain([[]], iter(lambda: list(islice(rows, _ROW_BLOCK)), [])):
+            columns, keep, chunk_dropped = _parse_block(chunk, n, where, e_positions, years)
+            n += len(chunk)
+            del chunk  # free the block's cell strings before reading the next
+            keeps.append(keep)
+            dropped += chunk_dropped
+            if e_positions:
+                values = columns.pop("embedding")
+                used = len(embedding)
+                embedding.resize((used + len(values), len(e_positions)), refcheck=False)
+                embedding[used:] = values
+            for name, values in columns.items():
+                parts.setdefault(name, []).append(values)
+
+    columns = {name: np.concatenate(values) for name, values in parts.items()}
+    if embedding_sidecar is not None:
+        raw = np.fromfile(embedding_sidecar, dtype="<f4")
+        if raw.size != n * embedding_dim:
+            raise DataError(f"sidecar holds {raw.size} values, expected {n} x {embedding_dim}")
+        columns["embedding"] = raw.reshape(n, embedding_dim)[np.concatenate(keeps)].astype(float)
+    elif len(embedding):
+        columns["embedding"] = embedding
+    for values in columns.values():
+        values.flags.writeable = False
+    return LoadResult(Cohort(**columns), tuple(dropped))
 
 
 def _csv_fields(values: np.ndarray) -> list[str]:

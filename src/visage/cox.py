@@ -282,19 +282,24 @@ class _SortedFitData:
         return float(np.sum(eta[self.e]) - np.sum(np.log(denom)) - n_deaths * shift)
 
     def derivatives(self, beta: np.ndarray, ties: str):
-        """Log partial likelihood with its analytic gradient and Hessian."""
+        """Log partial likelihood with its analytic gradient and Hessian.
+
+        The Hessian needs, for each death, the risk set's sum of
+        phi x x' less the death's Efron share of its tie group's. Summed
+        over deaths with weight 1 / denom, that is one weighted sum over
+        rows: each row's phi x x' weighted by 1 / denom summed over the
+        deaths whose risk set holds it, less its tie group's Efron
+        weights when it is a death. So no per-row or per-time k x k
+        array is formed.
+        """
         eta, shift, phi = self._common(beta)
         phi_d = phi[self.e]
         phi_x = phi[:, None] * self.X
-        phi_xx = phi_x[:, :, None] * self.X[:, None, :]
 
         risk_phi = np.cumsum(phi[::-1])[::-1]
         risk_phi_x = np.cumsum(phi_x[::-1], axis=0)[::-1]
-        risk_phi_xx = np.cumsum(phi_xx[::-1], axis=0)[::-1]
-
         tie_phi = np.add.reduceat(phi_d, self.group_first)
         tie_phi_x = np.add.reduceat(phi_x[self.e], self.group_first, axis=0)
-        tie_phi_xx = np.add.reduceat(phi_xx[self.e], self.group_first, axis=0)
 
         g = self.group_of_death
         frac = self.efron_frac if ties == "efron" else np.zeros_like(self.efron_frac)
@@ -302,13 +307,18 @@ class _SortedFitData:
         if np.any(denom <= 0):
             return -np.inf, np.zeros(self.k), np.zeros((self.k, self.k))
         num = risk_phi_x[self.risk_start][g] - frac[:, None] * tie_phi_x[g]
-        quad = risk_phi_xx[self.risk_start][g] - frac[:, None, None] * tie_phi_xx[g]
 
         inv = 1.0 / denom
         ll = float(np.sum(eta[self.e]) - np.sum(np.log(denom)) - g.size * shift)
         score = self.x_death_total - np.einsum("e,ei->i", inv, num)
         ratio = num * inv[:, None]
-        hess = -(np.einsum("e,eij->ij", inv, quad) - np.einsum("ei,ej->ij", ratio, ratio))
+
+        entering = np.zeros(self.n)  # a tie group's 1 / denom, from its risk set's first row
+        entering[self.risk_start] = np.bincount(g, inv)
+        weight = phi * np.cumsum(entering)
+        weight[self.e] -= phi_d * np.bincount(g, frac * inv)[g]
+        second = np.einsum("ia,ib->ab", self.X * weight[:, None], self.X)
+        hess = -(second - np.einsum("ei,ej->ij", ratio, ratio))
         return ll, score, hess
 
 

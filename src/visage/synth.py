@@ -123,6 +123,7 @@ def simulate(spec: SimSpec) -> SimResult:
     embeddings = None
     if spec.embedding_dim is not None:
         embeddings = rng_emb.standard_normal((n, spec.embedding_dim))
+        embeddings.flags.writeable = False  # the cohort takes it without a copy
         eta += embeddings @ np.asarray(spec.embedding_weights, dtype=float)
 
     hazards = spec.baseline_hazard * np.exp(eta)
@@ -148,11 +149,18 @@ def simulate(spec: SimSpec) -> SimResult:
         chrono = driven["chrono_age"]
     else:
         chrono = rng_fill.uniform(40.0, 80.0, n)
+    # Category columns index arrays of the levels, so that every cell of
+    # a level is the same str object. choice() over a length draws the
+    # same indices as choice() over the levels themselves.
     if "sex" in driven:
-        sex = np.where(driven["sex"] > 0.5, "male", "female")
+        male = driven["sex"] > 0.5
     else:
-        sex = np.where(rng_fill.random(n) < 0.5, "male", "female")
-    fill = {name: rng_fill.choice(levels, n) for name, levels in _FILL_LEVELS.items()}
+        male = rng_fill.random(n) < 0.5
+    sex = np.array(("female", "male"), dtype=object)[male.astype(np.intp)]
+    fill = {
+        name: np.array(levels, dtype=object)[rng_fill.choice(len(levels), n)]
+        for name, levels in _FILL_LEVELS.items()
+    }
 
     predicted = chrono + driven["fad"] if "fad" in driven else None
 

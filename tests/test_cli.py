@@ -396,6 +396,15 @@ class TestErrorHandling:
         assert rc == 2
         assert not out.exists()
 
+    def test_non_object_schema_columns_exits_two(self, tmp_path, sim_cohort, capsys):
+        schema = tmp_path / "schema.json"
+        schema.write_text('{"columns": ["time"]}')
+        out = tmp_path / "km"
+        rc = run("km", "--cohort", sim_cohort, "--schema", schema, "--out", out)
+        assert rc == 2
+        assert not out.exists()
+        assert "'columns'" in capsys.readouterr().err
+
     def test_missing_grid_file_exits_two(self, tmp_path):
         mesh = tmp_path / "mesh.obj"
         mesh.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n")

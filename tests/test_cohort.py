@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import csv
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from visage import cohort as cohort_mod
 from visage.biomarkers import fad_for_cohort
 from visage.cohort import (
     DAYS_PER_YEAR,
@@ -192,6 +194,23 @@ class TestSchema:
         p.write_text('{"columns": {"time": "fu"}, "time_unit": "years"}')
         schema = read_schema(p)
         assert schema["columns"] == {"time": "fu"}
+
+    @pytest.mark.parametrize(
+        "text, named",
+        [
+            ('{"columns": ["time"]}', "'columns'"),
+            ('{"columns": "fu"}', "'columns'"),
+            ('{"columns": {"time": 3}}', "'time'"),
+            ('{"columns": {"time": "fu", "event": null}}', "'event'"),
+            ('{"columns": {"id": ["subject"]}}', "'id'"),
+        ],
+    )
+    def test_read_schema_rejects_bad_columns(self, tmp_path, text, named):
+        """``columns`` must map names to strings; the error names the key."""
+        p = tmp_path / "s.json"
+        p.write_text(text)
+        with pytest.raises(DataError, match=named):
+            read_schema(p)
 
 
 class TestRoundTrip:
@@ -568,6 +587,32 @@ p, 2 , No ,1_5.5,female,,skin,,,conformal, -3 ,  ,0.25,1,,2,3
 '''
 
 
+# Blank lines and dropped rows on the edges of blocks of 1, 2 and 3 rows:
+# rows 1-3 are all dropped (a whole first block of 3), blank lines come
+# before rows 4 and 8 and after the last row, rows 7 and 11 are dropped
+# after a kept row, row 12 is the last and is dropped.
+EDGE_CSV = ORACLE_CSV.splitlines()[0] + """
+x1,oops,1,60,,,,,,,,,,1,,2,3
+x2,1,1,60,,,,,,,,,,zz,,2,3
+x3,0,1,60,,,,,,,,,,1,,2,3
+
+x4,1,1,60,,,,,,,,,,1,,2,3
+x5,2,0,61,,,,,,,,,,1,,2,3
+x6,3,1,62,male,,,,,,,,,1,,2,3
+x7,3,maybe,62,,,,,,,,,,1,,2,3
+
+x8,4,1,63,,,,,,,,,0.5,1,,2,3
+x9,5,0,64,,,,,,,,,,1,,2,3
+x10,6,1,65,,,,,,,,,,1,,2,3
+x11,6,1,65,,,,,,,,,7x,1,,2,3
+x12,7,1,old,,,,,,,,,,1,,2,3
+
+"""
+HEADER_ONLY_CSV = ORACLE_CSV.splitlines()[0] + "\n"
+ALL_BLANK_CSV = HEADER_ONLY_CSV + "\n\n\n"
+ALL_DROPPED_CSV = EDGE_CSV.split("x4,")[0]
+
+
 class TestRowwiseOracle:
     """The columnar loader and writer against the row-by-row originals."""
 
@@ -603,6 +648,24 @@ class TestRowwiseOracle:
         result = self.check(path, tmp_path, embedding_sidecar=sidecar, embedding_dim=4)
         assert result.cohort.embedding_dim == 4
         assert "short" in result.cohort.ids.tolist()
+
+    @pytest.mark.parametrize("row_block", [1, 2, 3, cohort_mod._ROW_BLOCK])
+    @pytest.mark.parametrize(
+        "text",
+        [ORACLE_CSV, EDGE_CSV, HEADER_ONLY_CSV, ALL_BLANK_CSV, ALL_DROPPED_CSV],
+        ids=["oracle", "edges", "header_only", "all_blank", "all_dropped"],
+    )
+    def test_row_blocks(self, tmp_path, monkeypatch, text, row_block):
+        """Any block size reads as the row-by-row loader does, with text
+        and with sidecar embeddings."""
+        monkeypatch.setattr(cohort_mod, "_ROW_BLOCK", row_block)
+        path = tmp_path / "c.csv"
+        path.write_text(text, encoding="utf-8")
+        self.check(path, tmp_path)
+        n_rows = sum(1 for line in text.splitlines()[1:] if line)
+        sidecar = tmp_path / "c.f32"
+        np.arange(n_rows * 4, dtype="<f4").tofile(sidecar)
+        self.check(path, tmp_path, embedding_sidecar=sidecar, embedding_dim=4)
 
 
 class TestMissingValues:
@@ -657,3 +720,45 @@ class TestNoRecordObjects:
         assert built == []
         assert cohort.records[0].id == "s00000"
         assert len(built) == 1000
+
+
+class TestMemory:
+    def test_load_peak_bounded_by_matrix(self, tmp_path):
+        """Loading holds the embedding matrix once plus one block of rows,
+        not every cell of the file as a str (about 14 matrices)."""
+        n, dim = 20_000, 32
+        spec = SimSpec(n=n, censor_model=("uniform", 1500.0), embedding_dim=dim,
+                       embedding_weights=(0.0,) * dim, seed=11)
+        path = tmp_path / "c.csv"
+        save_cohort(simulate(spec).cohort, path)
+        tracemalloc.start()
+        try:
+            cohort = load_cohort(path).cohort
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cohort.embedding.shape == (n, dim)
+        assert peak < 2 * n * dim * 8 + 8 * 2**20
+
+    def test_read_only_column_shared(self):
+        time = np.array([1.0, 2.0])
+        embedding = np.ones((2, 3))
+        for column in (time, embedding):
+            column.flags.writeable = False
+        cohort = Cohort(ids=["a", "b"], time=time, event=[True, False],
+                        chrono_age=[60.0, 61.0], embedding=embedding)
+        assert np.shares_memory(cohort.time, time)
+        assert np.shares_memory(cohort.embedding, embedding)
+
+    def test_writeable_column_copied(self):
+        time = np.array([1.0, 2.0])
+        embedding = np.ones((2, 3))
+        view = embedding[:]
+        view.flags.writeable = False  # read-only, but its base is not
+        cohort = Cohort(ids=["a", "b"], time=time, event=[True, False],
+                        chrono_age=[60.0, 61.0], embedding=view)
+        time[0] = 99.0
+        embedding[0, 0] = 99.0
+        assert cohort.time.tolist() == [1.0, 2.0]
+        assert cohort.embedding[0, 0] == 1.0
+        assert not cohort.time.flags.writeable and not cohort.embedding.flags.writeable

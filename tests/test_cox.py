@@ -23,6 +23,7 @@ from visage.cox import (
     fit_adjusted,
     fit_cox,
     fit_to_dict,
+    _SortedFitData,
     partial_likelihood,
     univariate_screen,
 )
@@ -152,6 +153,60 @@ class TestDerivatives:
             _, sm, _ = partial_likelihood(X, t, e, bm, ties)
             fd[:, j] = (sp - sm) / (2 * h)
         np.testing.assert_allclose(hessian, fd, rtol=1e-4, atol=1e-6)
+
+
+def nkk_derivatives(data, beta, ties):
+    """The derivatives as computed before the weighted row sum: the n x k x k
+    array of phi x x' and its reversed cumulative sum over all rows."""
+    eta, shift, phi = data._common(beta)
+    phi_d = phi[data.e]
+    phi_x = phi[:, None] * data.X
+    phi_xx = phi_x[:, :, None] * data.X[:, None, :]
+
+    risk_phi = np.cumsum(phi[::-1])[::-1]
+    risk_phi_x = np.cumsum(phi_x[::-1], axis=0)[::-1]
+    risk_phi_xx = np.cumsum(phi_xx[::-1], axis=0)[::-1]
+
+    tie_phi = np.add.reduceat(phi_d, data.group_first)
+    tie_phi_x = np.add.reduceat(phi_x[data.e], data.group_first, axis=0)
+    tie_phi_xx = np.add.reduceat(phi_xx[data.e], data.group_first, axis=0)
+
+    g = data.group_of_death
+    frac = data.efron_frac if ties == "efron" else np.zeros_like(data.efron_frac)
+    denom = risk_phi[data.risk_start][g] - frac * tie_phi[g]
+    if np.any(denom <= 0):
+        return -np.inf, np.zeros(data.k), np.zeros((data.k, data.k))
+    num = risk_phi_x[data.risk_start][g] - frac[:, None] * tie_phi_x[g]
+    quad = risk_phi_xx[data.risk_start][g] - frac[:, None, None] * tie_phi_xx[g]
+
+    inv = 1.0 / denom
+    ll = float(np.sum(eta[data.e]) - np.sum(np.log(denom)) - g.size * shift)
+    score = data.x_death_total - np.einsum("e,ei->i", inv, num)
+    ratio = num * inv[:, None]
+    hess = -(np.einsum("e,eij->ij", inv, quad) - np.einsum("ei,ej->ij", ratio, ratio))
+    return ll, score, hess
+
+
+class TestNkkOracle:
+    """The weighted row sum against the n x k x k cumulative sums it replaced."""
+
+    @pytest.mark.parametrize("ties", ["efron", "breslow"])
+    @pytest.mark.parametrize("tied", [True, False])
+    @pytest.mark.parametrize("k", [1, 2, 5, 20])
+    def test_matches_nkk_cumsum(self, k, tied, ties):
+        rng = np.random.default_rng(100 * k + tied)
+        n = 400
+        X = rng.normal(size=(n, k))
+        X[:, 0] = rng.random(n) < 0.4  # a 0/1 indicator column
+        t = rng.integers(1, 60, n).astype(float) if tied else rng.exponential(100.0, n)
+        e = rng.random(n) < 0.6
+        beta = rng.normal(0.0, 0.3, k)
+        data = _SortedFitData(X, t, e)
+        ll, score, hess = data.derivatives(beta, ties)
+        ll_old, score_old, hess_old = nkk_derivatives(data, beta, ties)
+        np.testing.assert_allclose(ll, ll_old, rtol=1e-12)
+        np.testing.assert_allclose(score, score_old, rtol=1e-12)
+        np.testing.assert_allclose(hess, hess_old, rtol=1e-12)
 
 
 class TestFitBehavior:
