@@ -1,0 +1,44 @@
+"""The input contract of the public numeric functions.
+
+Every public function of ``cox``, ``metrics``, ``survival``, ``trainer``
+and ``biomarkers`` that takes 1-d numeric arrays passes them through
+:func:`vectors` once, at its boundary, so all of them agree on what
+valid input is.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from .errors import DataError
+
+
+def vectors(positive=(), **arrays) -> tuple[np.ndarray, ...]:
+    """The keyword arrays as finite, non-empty 1-d float64 arrays of one length.
+
+    Names in ``positive`` must hold values > 0. An argument named
+    ``events`` must hold 0/1 flags and comes back as bool. The arrays
+    come back in keyword order; a DataError names the argument that
+    failed.
+    """
+    out = []
+    for name, value in arrays.items():
+        try:
+            a = np.asarray(value, dtype=float)
+        except (TypeError, ValueError):
+            raise DataError(f"{name} must be numeric") from None
+        if a.ndim != 1 or a.size == 0:
+            raise DataError(f"{name} must be a non-empty 1-d array, got shape {a.shape}")
+        if out and a.size != out[0].size:
+            first = next(iter(arrays))
+            raise DataError(f"{name} has length {a.size}, {first} has {out[0].size}")
+        if not np.isfinite(a).all():
+            raise DataError(f"{name} holds non-finite values")
+        if name in positive and not (a > 0).all():
+            raise DataError(f"{name} must be > 0")
+        if name == "events":
+            if not ((a == 0) | (a == 1)).all():
+                raise DataError("events must hold 0/1 flags")
+            a = a == 1
+        out.append(a)
+    return tuple(out)

@@ -13,6 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._inputs import vectors
 from .errors import AnalysisError, ConstantInputError, DataError
 
 FAD_BAND_CUTS = (-10.0, -5.0, 0.0, 5.0, 10.0, 20.0)
@@ -57,12 +58,12 @@ def compute_fad(predicted_age, chrono_age) -> BiomarkerColumn:
 
     ``predicted_age`` entries may be None or NaN for subjects without a
     prediction; those subjects are excluded (NaN value) and their
-    indices reported on the column.
+    indices reported on the column. ``chrono_age`` must be finite.
     """
-    chrono = np.asarray(chrono_age, dtype=float)
+    (chrono,) = vectors(chrono_age=chrono_age)
     pred = np.array(predicted_age, dtype=float)
-    if pred.shape != chrono.shape or pred.ndim != 1:
-        raise DataError("predicted and chronological ages must align")
+    if pred.shape != chrono.shape:
+        raise DataError("predicted_age must align with chrono_age")
     values = pred - chrono
     excluded = tuple(int(i) for i in np.nonzero(~np.isfinite(pred))[0])
     values.flags.writeable = False
@@ -80,11 +81,7 @@ def minmax_scale(raw) -> np.ndarray:
     Requires at least two distinct finite values; a constant input has
     no defined scaling and raises ConstantInputError.
     """
-    x = np.asarray(raw, dtype=float)
-    if x.ndim != 1 or x.size == 0:
-        raise DataError("input must be a non-empty 1-d array")
-    if not np.all(np.isfinite(x)):
-        raise DataError("input contains non-finite values")
+    (x,) = vectors(raw=raw)
     lo, hi = float(np.min(x)), float(np.max(x))
     if lo == hi:
         raise ConstantInputError("cannot min-max scale a constant input")
@@ -113,11 +110,7 @@ def stratify(column, scheme: str, fad_cuts: Sequence[float] | None = None) -> St
     [0, 1]; apply :func:`minmax_scale` first. ``fad_cuts`` overrides
     the default FAD band boundaries.
     """
-    values = np.asarray(getattr(column, "values", column), dtype=float)
-    if values.ndim != 1 or values.size == 0:
-        raise DataError("empty biomarker column")
-    if not np.all(np.isfinite(values)):
-        raise DataError("stratification input has excluded or non-finite values")
+    (values,) = vectors(column=getattr(column, "values", column))
     if scheme not in SCHEMES:
         raise DataError(f"unknown scheme {scheme!r}; valid: {', '.join(SCHEMES)}")
     if scheme in _RISK_SCHEMES and (values.min() < 0.0 or values.max() > 1.0):
@@ -174,8 +167,10 @@ def cosine_similarity_profile(a, b) -> tuple[np.ndarray, float]:
     """
     xa = np.atleast_2d(np.asarray(a, dtype=float))
     xb = np.atleast_2d(np.asarray(b, dtype=float))
-    if xa.shape != xb.shape:
-        raise DataError(f"shape mismatch: {xa.shape} vs {xb.shape}")
+    if xa.shape != xb.shape or xa.size == 0:
+        raise DataError(f"need two non-empty matrices of one shape, got {xa.shape} and {xb.shape}")
+    if not (np.isfinite(xa).all() and np.isfinite(xb).all()):
+        raise DataError("embeddings hold non-finite values")
     norms_a = np.linalg.norm(xa, axis=1)
     norms_b = np.linalg.norm(xb, axis=1)
     if np.any(norms_a == 0) or np.any(norms_b == 0):

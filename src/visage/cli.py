@@ -365,13 +365,7 @@ def cmd_train(args, outputs: dict) -> dict:
         "final": final,
         "dropped_rows": load.n_dropped,
     }
-    settings = {
-        k: getattr(config, k)
-        for k in (
-            "learning_rate", "weight_decay", "beta1", "beta2", "batch_size",
-            "epochs", "smooth_lambda", "validation_fraction", "pair_loss", "shuffle",
-        )
-    }
+    settings = {k: getattr(config, k) for k in trainer_mod.SAVED_CONFIG_FIELDS}
     if config.hidden is not None:
         settings["hidden"] = config.hidden
     return {"target": target, "train_config": settings}

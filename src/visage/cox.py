@@ -16,6 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._inputs import vectors
 from ._stats import Z95, chi2_sf, norm_sf
 from .cohort import CATEGORY_FIELDS, Cohort
 from .errors import AnalysisError, DataError, SingularDesignError, VisageError
@@ -25,6 +26,11 @@ CONTINUOUS_FIELDS = ("chrono_age", "predicted_age", "risk_raw", "risk_scaled", "
 MAX_ITER = 100
 GRAD_TOL = 1e-8
 REL_LL_TOL = 1e-9
+# A step that lowers the log-likelihood by at most LL_ROUNDING * |ll| is
+# taken whole: a drop that small is the rounding of a sum of n logs
+# (thousands of ulps at n = 1e5), not a worse point. Being far below
+# REL_LL_TOL, such a step also ends the iteration.
+LL_ROUNDING = 1e-12
 SEPARATION_BOUND = 50.0
 
 
@@ -330,13 +336,15 @@ def partial_likelihood(X, times, events, beta, ties: str = "efron"):
     """
     if ties not in ("efron", "breslow"):
         raise DataError(f"unknown ties method {ties!r}")
+    t, e = vectors(("times",), times=times, events=events)
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    if X.shape[0] != np.size(times):
+    if X.shape[0] != t.size:
         X = X.T
-    data = _SortedFitData(
-        X, np.asarray(times, dtype=float), np.asarray(events, dtype=bool)
-    )
-    return data.derivatives(np.asarray(beta, dtype=float), ties)
+    if X.ndim != 2 or X.shape[0] != t.size:
+        raise DataError(f"X must hold one row per time, got shape {X.shape}")
+    if not np.isfinite(X).all():
+        raise DataError("X holds non-finite values")
+    return _SortedFitData(X, t, e).derivatives(np.asarray(beta, dtype=float), ties)
 
 
 def _fingerprint(included: np.ndarray, times: np.ndarray, events: np.ndarray) -> str:
@@ -352,19 +360,21 @@ def fit_cox(design: DesignMatrix, times, events, ties: str = "efron") -> CoxFit:
 
     Convergence requires the max absolute score below 1e-8 or a
     relative log-likelihood change below 1e-9; steps are halved until
-    the log likelihood does not decrease, keeping the ascent monotone.
+    the log likelihood does not decrease by more than its rounding
+    (``LL_ROUNDING`` relative), keeping the ascent monotone.
     A coefficient walking past +/-50 is reported as separation with an
     unbounded hazard ratio. Hitting the 100-iteration cap reports
     converged=False rather than raising.
     """
     if ties not in ("efron", "breslow"):
         raise DataError(f"unknown ties method {ties!r}")
-    times = np.asarray(times, dtype=float)
-    events = np.asarray(events, dtype=bool)
-    if times.shape[0] != design.matrix.shape[0]:
+    times, events = vectors(("times",), times=times, events=events)
+    if times.size != design.matrix.shape[0]:
         raise DataError("times/events do not align with the design matrix rows")
     mask = design.included
     X = design.matrix[mask]
+    if not np.isfinite(X).all():
+        raise DataError("design matrix holds non-finite values on included rows")
     t = times[mask]
     e = events[mask]
     k = X.shape[1]
@@ -388,7 +398,7 @@ def fit_cox(design: DesignMatrix, times, events, ties: str = "efron") -> CoxFit:
             ) from None
         ll_new = data.loglik(beta + delta, ties)
         halvings = 0
-        while ll_new < ll - 1e-13 and halvings < 40:
+        while ll_new < ll - LL_ROUNDING * abs(ll) and halvings < 40:
             delta = delta / 2.0
             ll_new = data.loglik(beta + delta, ties)
             halvings += 1

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._inputs import vectors
 from ._stats import norm_sf
 from .errors import AnalysisError, ConstantInputError, DataError, NoComparablePairsError
 from .survival import kaplan_meier
@@ -51,16 +52,6 @@ class RankTestResult:
     p_value: float
     n_used: int
     method: str
-
-
-def _check_aligned(*arrays) -> tuple[np.ndarray, ...]:
-    out = [np.asarray(a, dtype=float) for a in arrays]
-    length = {a.shape for a in out}
-    if len(length) != 1 or out[0].ndim != 1:
-        raise DataError("inputs must be 1-d and the same length")
-    if not all(np.isfinite(a).all() for a in out):
-        raise DataError("inputs must be finite")
-    return tuple(out)
 
 
 def _count_later_below(rank: np.ndarray, start: np.ndarray, query: np.ndarray) -> np.ndarray:
@@ -105,11 +96,7 @@ def harrell_c(risk, times, events) -> ConcordanceResult:
     comes from Fenwick prefix counts over dense risk ranks
     (Therneau & Atkinson, "Concordance", R survival package).
     """
-    r, t = _check_aligned(risk, times)
-    e = np.asarray(events, dtype=bool)
-    if e.shape != t.shape:
-        raise DataError("events must align with times")
-
+    r, t, e = vectors(("times",), risk=risk, times=times, events=events)
     order = np.lexsort((~e, t))
     t_sorted = t[order]
     rank = np.unique(r, return_inverse=True)[1].astype(np.int64)[order]
@@ -160,12 +147,9 @@ def time_dependent_auc(marker, times, events, horizon: float) -> TimeAUCResult:
     survival at the horizon; without censoring every weight is one and
     the statistic reduces to the empirical ROC area.
     """
-    m, t = _check_aligned(marker, times)
-    e = np.asarray(events, dtype=bool)
-    if e.shape != t.shape:
-        raise DataError("events must align with times")
-    if horizon <= 0:
-        raise DataError("horizon must be positive")
+    m, t, e = vectors(("times",), marker=marker, times=times, events=events)
+    if not 0 < horizon < np.inf:
+        raise DataError(f"horizon must be finite and > 0, got {horizon}")
 
     cases = e & (t <= horizon)
     controls = t > horizon
@@ -203,9 +187,7 @@ def age_accuracy(predicted, actual) -> AgeAccuracy:
     age starting at zero, weighting each occupied bin equally so sparse
     old-age bins are not drowned out by the bulk of the cohort.
     """
-    pred, act = _check_aligned(predicted, actual)
-    if act.size == 0:
-        raise DataError("empty input")
+    pred, act = vectors(predicted=predicted, actual=actual)
     if np.any(act < 0):
         raise DataError("actual ages must be >= 0")
     err = pred - act
@@ -220,23 +202,14 @@ def age_accuracy(predicted, actual) -> AgeAccuracy:
     return AgeAccuracy(mae, me, binwise, tuple(bins))
 
 
-def _midranks(values: np.ndarray) -> np.ndarray:
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(values.size)
-    sorted_vals = values[order]
-    i = 0
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+def _midranks(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """1-based ranks, tied values sharing their mean rank, and the tie group sizes.
 
-
-def _tie_groups(values: np.ndarray) -> np.ndarray:
-    _, counts = np.unique(values, return_counts=True)
-    return counts
+    A group of c values ending at rank k has midrank k - (c - 1) / 2,
+    exact in floating point.
+    """
+    _, group, counts = np.unique(values, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2.0)[group], counts
 
 
 def _signed_rank_exact_p(doubled_ranks: np.ndarray, doubled_stat: int) -> float:
@@ -269,14 +242,12 @@ def wilcoxon_signed_rank(diffs, exact_limit: int = 25) -> RankTestResult:
     continuity correction is used. The statistic is the positive-rank
     sum W+.
     """
-    d = np.asarray(diffs, dtype=float)
-    if d.ndim != 1:
-        raise DataError("diffs must be 1-d")
+    (d,) = vectors(diffs=diffs)
     d = d[d != 0]
     n = d.size
     if n == 0:
         raise AnalysisError("all differences are zero")
-    ranks = _midranks(np.abs(d))
+    ranks, ties = _midranks(np.abs(d))
     w_plus = float(ranks[d > 0].sum())
 
     if n <= exact_limit:
@@ -285,7 +256,6 @@ def wilcoxon_signed_rank(diffs, exact_limit: int = 25) -> RankTestResult:
         return RankTestResult(w_plus, min(1.0, p), n, "exact")
 
     mean = n * (n + 1) / 4.0
-    ties = _tie_groups(np.abs(d))
     var = n * (n + 1) * (2 * n + 1) / 24.0 - float(np.sum(ties**3 - ties)) / 48.0
     if var <= 0:
         raise AnalysisError("zero variance in signed-rank statistic")
@@ -322,23 +292,20 @@ def wilcoxon_rank_sum(a, b, exact_limit: int = 20) -> RankTestResult:
     approximation with tie correction and continuity correction is
     used (reported in the method field).
     """
-    xa = np.asarray(a, dtype=float)
-    xb = np.asarray(b, dtype=float)
-    if xa.size == 0 or xb.size == 0:
-        raise DataError("both samples must be non-empty")
+    # The samples differ in length, so each is checked on its own.
+    (xa,), (xb,) = vectors(a=a), vectors(b=b)
     n_a, n_b = xa.size, xb.size
     n = n_a + n_b
     combined = np.concatenate([xa, xb])
-    ranks = _midranks(combined)
+    ranks, ties = _midranks(combined)
     u_a = float(ranks[:n_a].sum() - n_a * (n_a + 1) / 2.0)
 
-    has_ties = np.unique(combined).size < n
+    has_ties = ties.size < n
     if n <= exact_limit and not has_ties:
         p = _rank_sum_exact_p(n_a, n_b, u_a)
         return RankTestResult(u_a, min(1.0, p), n, "exact")
 
     mean = n_a * n_b / 2.0
-    ties = _tie_groups(combined)
     tie_term = float(np.sum(ties**3 - ties)) / (n * (n - 1)) if n > 1 else 0.0
     var = n_a * n_b / 12.0 * ((n + 1) - tie_term)
     if var <= 0:
@@ -351,7 +318,7 @@ def wilcoxon_rank_sum(a, b, exact_limit: int = 20) -> RankTestResult:
 
 def pearson_r(x, y) -> float:
     """Pearson correlation; raises on length < 2 or zero variance."""
-    xs, ys = _check_aligned(x, y)
+    xs, ys = vectors(x=x, y=y)
     if xs.size < 2:
         raise DataError("need at least two observations")
     xc = xs - xs.mean()

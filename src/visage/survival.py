@@ -15,8 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._inputs import vectors
 from ._stats import Z95, chi2_sf
-from .errors import AnalysisError, DataError, MedianNotReachedError
+from .errors import DataError, MedianNotReachedError
 
 
 @dataclass(frozen=True)
@@ -82,18 +83,6 @@ class BucketStat:
     ci_high: float
 
 
-def _as_time_event(times, events) -> tuple[np.ndarray, np.ndarray]:
-    t = np.asarray(times, dtype=float)
-    e = np.asarray(events, dtype=bool)
-    if t.ndim != 1 or t.shape != e.shape:
-        raise DataError("times and events must be 1-d and the same length")
-    if t.size == 0:
-        raise DataError("empty input")
-    if not np.all(np.isfinite(t)) or np.any(t <= 0):
-        raise DataError("times must be finite and > 0")
-    return t, e
-
-
 def kaplan_meier(times, events) -> SurvivalCurve:
     """Fit the product-limit estimator.
 
@@ -117,7 +106,7 @@ def kaplan_meier(times, events) -> SurvivalCurve:
     times up to t; when the curve reaches zero the variance is clamped
     to zero.
     """
-    t, e = _as_time_event(times, events)
+    t, e = vectors(("times",), times=times, events=events)
     order = np.argsort(t, kind="stable")
     t, e = t[order], e[order]
     n_total = t.size
@@ -160,8 +149,8 @@ def km_estimate_at(curve: SurvivalCurve, t: float) -> KMEstimate:
     and S = 0 get the point interval. Querying past the last observed
     time returns the final value flagged as truncated.
     """
-    if t < 0:
-        raise DataError(f"negative time {t}")
+    if not 0 <= t < np.inf:
+        raise DataError(f"time must be finite and >= 0, got {t}")
     idx = int(np.searchsorted(curve.times, t, side="right")) - 1
     if idx < 0:
         return KMEstimate(1.0, 1.0, 1.0, truncated=False)
@@ -186,7 +175,7 @@ def reverse_km_median_followup(times, events) -> float:
     time at which it drops to 0.5 or below. Raises
     MedianNotReachedError when the flipped curve never does.
     """
-    t, e = _as_time_event(times, events)
+    t, e = vectors(("times",), times=times, events=events)
     flipped = kaplan_meier(t, ~e)
     below = np.nonzero(flipped.survival <= 0.5)[0]
     if below.size == 0:
@@ -216,7 +205,10 @@ def log_rank(groups) -> LogRankResult:
     """
     if len(groups) < 2:
         raise DataError("log-rank needs at least two groups")
-    parsed = [_as_time_event(t, e) for t, e in groups]
+    try:
+        parsed = [vectors(("times",), times=t, events=e) for t, e in groups]
+    except (TypeError, ValueError):
+        raise DataError("each group must be a (times, events) pair") from None
     k = len(parsed)
 
     t_all = np.concatenate([t for t, _ in parsed])
@@ -275,13 +267,13 @@ def early_mortality_table(
     windows. Each fraction carries a Wilson 95% interval. Windows with
     an empty denominator report fraction NaN.
     """
-    t, e = _as_time_event(times, events)
+    t, e = vectors(("times",), times=times, events=events)
     labels = np.asarray(groups, dtype=object)
     if labels.shape != t.shape:
         raise DataError("groups must align with times")
     cuts = [float(c) for c in thresholds]
-    if sorted(cuts) != cuts or len(set(cuts)) != len(cuts) or cuts[0] <= 0:
-        raise DataError("thresholds must be positive and strictly increasing")
+    if not cuts or sorted(cuts) != cuts or len(set(cuts)) != len(cuts) or cuts[0] <= 0:
+        raise DataError("thresholds must be non-empty, positive and strictly increasing")
 
     table: dict[str, tuple[BucketStat, ...]] = {}
     for label in dict.fromkeys(labels):  # first-seen order

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._inputs import vectors
 from .errors import AnalysisError, DataError, NoComparablePairsError
 from .metrics import harrell_c
 from .rng import substream
@@ -37,6 +38,14 @@ DEFAULT_FACTOR_TABLE = (
 )
 
 MODEL_FORMAT = "visage-linear-head/1"
+
+# The TrainConfig fields that a model header and the train manifest
+# record. The seed is recorded beside them; the hidden width is the
+# header's "hidden" and enters the manifest only when set.
+SAVED_CONFIG_FIELDS = (
+    "learning_rate", "weight_decay", "beta1", "beta2", "batch_size",
+    "epochs", "smooth_lambda", "validation_fraction", "pair_loss", "shuffle",
+)
 
 
 @dataclass(frozen=True)
@@ -179,13 +188,7 @@ def pairwise_rank_loss(
     first subject strictly later than its earliest row, so memory is
     O(block * n) rather than O(n^2).
     """
-    r = np.asarray(risks, dtype=float)
-    t = np.asarray(times, dtype=float)
-    e = np.asarray(events, dtype=bool)
-    if not (r.shape == t.shape == e.shape) or r.ndim != 1:
-        raise DataError("risks, times, events must be 1-d and aligned")
-    if not (np.isfinite(r).all() and np.isfinite(t).all()):
-        raise DataError("risks and times must be finite")
+    r, t, e = vectors(("times",), risks=risks, times=times, events=events)
     if form not in ("logistic", "hinge"):
         raise DataError(f"unknown pair loss {form!r}")
     n = r.size
@@ -318,6 +321,17 @@ def _epoch_batches(train_idx: np.ndarray, config: TrainConfig, shuffle_rng) -> l
     ]
 
 
+def _embeddings(embeddings, n: int) -> np.ndarray:
+    """The (n, d) embedding matrix, which must be finite."""
+    X = np.asarray(embeddings, dtype=float)
+    if X.ndim != 2 or X.shape[0] != n:
+        raise DataError(f"embeddings must be ({n}, d), got shape {X.shape}")
+    # Min and max are not finite exactly when some entry is not; no n x d temporary.
+    if not (np.isfinite(X.min(initial=0.0)) and np.isfinite(X.max(initial=0.0))):
+        raise DataError("embeddings hold non-finite values")
+    return X
+
+
 def _safe_c(risks, t, e) -> float:
     try:
         return harrell_c(risks, t, e).c_index
@@ -335,11 +349,8 @@ def train_risk_model(embeddings, times, events, config: TrainConfig | None = Non
     with an empty trace. Requires at least two events overall.
     """
     config = config or TrainConfig()
-    X = np.asarray(embeddings, dtype=float)
-    t = np.asarray(times, dtype=float)
-    e = np.asarray(events, dtype=bool)
-    if X.ndim != 2 or X.shape[0] != t.size or t.shape != e.shape:
-        raise DataError("embeddings must be (n, d) aligned with times and events")
+    t, e = vectors(("times",), times=times, events=events)
+    X = _embeddings(embeddings, t.size)
     if int(e.sum()) < 2:
         raise AnalysisError("need at least two events to form training pairs")
 
@@ -400,10 +411,8 @@ def train_age_model(embeddings, ages, config: TrainConfig | None = None) -> Trai
     train and validation MAE per epoch.
     """
     config = config or TrainConfig()
-    X = np.asarray(embeddings, dtype=float)
-    y = np.asarray(ages, dtype=float)
-    if X.ndim != 2 or X.shape[0] != y.size:
-        raise DataError("embeddings must be (n, d) aligned with ages")
+    (y,) = vectors(ages=ages)
+    X = _embeddings(embeddings, y.size)
 
     train_idx, val_idx = _split(X.shape[0], config)
     model, params = _init_model(X.shape[1], config)
@@ -447,9 +456,7 @@ def balance_by_factors(ages, table=DEFAULT_FACTOR_TABLE, seed: int = 0) -> np.nd
     replicated index sequence is then shuffled deterministically by the
     seed. Ages outside the table's coverage raise DataError.
     """
-    a = np.asarray(ages, dtype=float)
-    if a.ndim != 1 or a.size == 0:
-        raise DataError("ages must be a non-empty 1-d array")
+    (a,) = vectors(ages=ages)
     bands = [(float(lo), float(hi), int(f)) for lo, hi, f in table]
     if any(f < 1 for _, _, f in bands):
         raise DataError("factors must be >= 1")
@@ -483,9 +490,7 @@ def balance_bins(
     replacement). Bins with no members are skipped. The combined index
     sequence is shuffled deterministically by the seed.
     """
-    a = np.asarray(ages, dtype=float)
-    if a.ndim != 1 or a.size == 0:
-        raise DataError("ages must be a non-empty 1-d array")
+    (a,) = vectors(ages=ages)
     if bin_width <= 0 or target <= 0:
         raise DataError("bin_width and target must be positive")
     if np.any(a < 0):
@@ -527,21 +532,7 @@ def save_model(model: RiskModel, path, *, kind: str, config: TrainConfig) -> Non
         "dtype": "<f4",
         "n_weights": int(flat.size),
         "seed": config.seed,
-        "config": {
-            k: getattr(config, k)
-            for k in (
-                "learning_rate",
-                "weight_decay",
-                "beta1",
-                "beta2",
-                "batch_size",
-                "epochs",
-                "smooth_lambda",
-                "validation_fraction",
-                "pair_loss",
-                "shuffle",
-            )
-        },
+        "config": {k: getattr(config, k) for k in SAVED_CONFIG_FIELDS},
     }
     with open(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))

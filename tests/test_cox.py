@@ -28,6 +28,7 @@ from visage.cox import (
     univariate_screen,
 )
 from visage.errors import DataError, SingularDesignError
+from visage.synth import SimCovariate, SimSpec, simulate
 from tests.conftest import make_cohort
 
 
@@ -272,6 +273,33 @@ class TestFitBehavior:
         fit = fit_cox(design, t, e)
         assert fit.converged
         assert fit.beta[0] > 5.0
+
+    def test_fit_reaches_the_newton_point(self):
+        """On this cohort the third Newton step lowers the log-likelihood
+        by a few ulps of rounding; halving it (the old absolute 1e-13
+        rule) left beta 1e-8 relative short of the optimum. The
+        returned beta must be a fixed point of one more Newton step."""
+        spec = SimSpec(
+            n=300,
+            beta_true=(0.05, 0.3, 0.02),
+            censor_model=("uniform", 1500.0),
+            covariate_model=(
+                SimCovariate("fad", ("normal", 0.0, 6.0)),
+                SimCovariate("sex", ("bernoulli", 0.5)),
+                SimCovariate("chrono_age", ("uniform", 40.0, 80.0)),
+            ),
+            seed=3,
+        )
+        cohort = simulate(spec).cohort
+        design = build_design(cohort, [Covariate("fad", per=10.0)])
+        fit = fit_cox(design, cohort.times(), cohort.events())
+        mask = design.included
+        _, score, hess = partial_likelihood(
+            design.matrix[mask], cohort.times()[mask], cohort.events()[mask], fit.beta
+        )
+        step = np.linalg.solve(-hess, score)
+        assert fit.converged
+        assert abs(step[0]) < 1e-10 * abs(fit.beta[0])
 
     def test_runtime_twenty_fits(self):
         rng = np.random.default_rng(0)
