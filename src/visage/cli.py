@@ -8,6 +8,10 @@ project ``attention`` maps onto a mesh. Every run writes a
 digests, and tool version; outputs contain no timestamps, so a rerun
 on identical inputs is byte-identical.
 
+Each option is declared, defaulted, typed and checked once, in
+``build_parser``. ``--config`` entries are parsed as flags placed
+before the command line's: flags beat config, config beats defaults.
+
 Exit codes: 0 success, 1 analysis failure (e.g. a fit that does not
 converge), 2 input/usage error with no partial outputs.
 """
@@ -15,7 +19,9 @@ converge), 2 input/usage error with no partial outputs.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -32,9 +38,6 @@ from . import survival
 from . import synth as synth_mod
 from . import trainer as trainer_mod
 from .cohort import load_cohort, read_schema, save_cohort
-
-DEFAULT_HORIZONS = (91, 182, 365, 730)  # 3, 6, 12, 24 months in days
-KM_HORIZONS = (913, 1826)  # 2.5 and 5 years in days
 
 
 def _sha256(path: Path) -> str:
@@ -53,8 +56,53 @@ def _safe_label(label: str) -> str:
     return "".join(out)
 
 
-def _parse_floats(text: str) -> tuple[float, ...]:
+def _option_type(parse):
+    """An argparse ``type=`` that reports ``parse``'s DataError or
+    ValueError as a usage error naming the option."""
+
+    def convert(text: str):
+        try:
+            return parse(text)
+        except (DataError, ValueError) as err:
+            raise argparse.ArgumentTypeError(str(err)) from None
+
+    return convert
+
+
+def _checked(parse):
+    """An argparse ``type=`` that keeps the text as given once ``parse`` accepts it."""
+    return _option_type(lambda text: (parse(text), text)[1])
+
+
+@_option_type
+def _floats(text: str) -> tuple[float, ...]:
+    """A comma-separated list of numbers."""
     return tuple(float(tok) for tok in text.split(",") if tok.strip())
+
+
+@_option_type
+def _censor(text: str) -> tuple:
+    """``none`` or ``kind:parameter``."""
+    if text in ("", "none"):
+        return ("none",)
+    kind, _, param = text.partition(":")
+    if not param:
+        raise DataError(f"censor model {text!r} needs a parameter, e.g. uniform:730")
+    return (kind, float(param))
+
+
+@_option_type
+def _sim_covariates(text: str) -> tuple[synth_mod.SimCovariate, ...]:
+    """Semicolon-separated ``field:dist:params``."""
+    covs = []
+    for token in filter(None, (t.strip() for t in text.split(";"))):
+        field, *dist = token.split(":")
+        if len(dist) < 2:
+            raise DataError(
+                f"covariate {token!r} must be field:dist:params, e.g. sex:bernoulli:0.5"
+            )
+        covs.append(synth_mod.SimCovariate(field, (dist[0], *map(float, dist[1:]))))
+    return tuple(covs)
 
 
 def parse_covariate(spec: str) -> cox_mod.Covariate:
@@ -73,15 +121,23 @@ def parse_covariate(spec: str) -> cox_mod.Covariate:
     if len(parts) != 3:
         raise DataError(f"covariate spec {spec!r} must be field[:kind:value]")
     kind, value = parts[1].strip(), parts[2].strip()
-    if kind == "per":
-        return cox_mod.Covariate(field, per=float(value))
     if kind == "cat":
         return cox_mod.Covariate(field, kind="categorical", reference=value)
-    if kind in ("ge", "le"):
-        return cox_mod.Covariate(
-            field, kind="threshold", threshold=float(value), op=">=" if kind == "ge" else "<="
-        )
-    raise DataError(f"unknown covariate kind {kind!r} in {spec!r}")
+    if kind not in ("per", "ge", "le"):
+        raise DataError(f"unknown covariate kind {kind!r} in {spec!r}")
+    try:
+        number = float(value)
+    except ValueError:
+        raise DataError(f"covariate spec {spec!r}: {value!r} is not a number") from None
+    if kind == "per":
+        return cox_mod.Covariate(field, per=number)
+    return cox_mod.Covariate(
+        field, kind="threshold", threshold=number, op=">=" if kind == "ge" else "<="
+    )
+
+
+def _covariate_list(text: str) -> list[cox_mod.Covariate]:
+    return [parse_covariate(s) for s in text.split(",") if s.strip()]
 
 
 def _load(args) -> tuple:
@@ -123,7 +179,6 @@ def cmd_km(args, outputs: dict) -> dict:
     cohort, load = _load(args)
     times = cohort.times()
     events = cohort.events()
-    horizons = _parse_floats(args.horizons) if args.horizons else KM_HORIZONS
 
     results: dict = {"strata": {}, "dropped_rows": load.n_dropped}
     try:
@@ -132,7 +187,7 @@ def cmd_km(args, outputs: dict) -> dict:
         results["median_followup_days"] = None
         results["median_followup_note"] = str(err)
 
-    if args.group_by and args.group_by != "none":
+    if args.group_by != "none":
         values, mask = _marker_values(cohort, _scheme_marker(args.group_by))
         assignment = biomarkers.stratify(values[mask], args.group_by)
         sub_times, sub_events = times[mask], events[mask]
@@ -145,14 +200,12 @@ def cmd_km(args, outputs: dict) -> dict:
         sub_times, sub_events = times, events
         results["scheme"] = None
 
-    curves = {}
     for label, idx in groups.items():
         curve = survival.kaplan_meier(sub_times[idx], sub_events[idx])
-        curves[label] = (curve, idx)
         outputs[f"km_{_safe_label(label)}.csv"] = survival.curve_to_csv(curve)
         est = {}
-        for h in horizons:
-            e = survival.km_estimate_at(curve, float(h))
+        for h in args.horizons:
+            e = survival.km_estimate_at(curve, h)
             est[f"{h:g}"] = {
                 "survival": e.estimate,
                 "ci95": [e.ci_low, e.ci_high],
@@ -167,28 +220,19 @@ def cmd_km(args, outputs: dict) -> dict:
     labels = list(groups)
     if len(labels) >= 2:
         pairs = [(sub_times[i], sub_events[i]) for i in groups.values()]
-        test = survival.log_rank(pairs)
-        results["log_rank"] = {
-            "chi_square": test.chi_square,
-            "dof": test.dof,
-            "p_value": test.p_value,
+        results["log_rank"] = dataclasses.asdict(survival.log_rank(pairs))
+        results["log_rank_pairwise"] = {
+            f"{labels[a]} vs {labels[b]}": dataclasses.asdict(
+                survival.log_rank([pairs[a], pairs[b]])
+            )
+            for a, b in itertools.combinations(range(len(labels)), 2)
         }
-        pairwise = {}
-        for a in range(len(labels)):
-            for b in range(a + 1, len(labels)):
-                t2 = survival.log_rank([pairs[a], pairs[b]])
-                pairwise[f"{labels[a]} vs {labels[b]}"] = {
-                    "chi_square": t2.chi_square,
-                    "dof": t2.dof,
-                    "p_value": t2.p_value,
-                }
-        results["log_rank_pairwise"] = pairwise
     else:
         results["log_rank"] = None
         results["log_rank_note"] = "single stratum; log-rank skipped"
 
     outputs["results.json"] = results
-    return {"group_by": args.group_by, "horizons": list(horizons)}
+    return {"group_by": args.group_by, "horizons": list(args.horizons)}
 
 
 def cmd_cox(args, outputs: dict) -> dict:
@@ -198,13 +242,11 @@ def cmd_cox(args, outputs: dict) -> dict:
     times = cohort.times()
     events = cohort.events()
     biomarker = parse_covariate(args.biomarker)
-    adjusters = [parse_covariate(s) for s in args.adjusters.split(",") if s.strip()] \
-        if args.adjusters else []
-    ties = args.ties or "efron"
+    adjusters = _covariate_list(args.adjusters)
 
-    report: dict = {"dropped_rows": load.n_dropped, "ties": ties}
+    report: dict = {"dropped_rows": load.n_dropped, "ties": args.ties}
     if args.screen and adjusters:
-        screen = cox_mod.univariate_screen(cohort, adjusters, alpha=args.alpha, ties=ties)
+        screen = cox_mod.univariate_screen(cohort, adjusters, alpha=args.alpha, ties=args.ties)
         report["screen"] = [
             {
                 "covariate": entry.covariate.base_name(),
@@ -217,11 +259,11 @@ def cmd_cox(args, outputs: dict) -> dict:
         adjusters = list(screen.retained)
 
     uni_design = cox_mod.build_design(cohort, [biomarker])
-    uni_fit = cox_mod.fit_cox(uni_design, times, events, ties)
+    uni_fit = cox_mod.fit_cox(uni_design, times, events, args.ties)
     report["univariate"] = cox_mod.fit_to_dict(uni_fit)
 
     rows = [("univariate", row) for row in uni_fit.rows()]
-    adjusted = cox_mod.fit_adjusted(cohort, biomarker, adjusters, ties)
+    adjusted = cox_mod.fit_adjusted(cohort, biomarker, adjusters, args.ties)
     report["adjusted"] = cox_mod.fit_to_dict(adjusted.fit)
     report["headline"] = [
         {"name": r.name, "hr": r.hr, "ci95": [r.ci_low, r.ci_high], "p": r.p}
@@ -242,24 +284,22 @@ def cmd_cox(args, outputs: dict) -> dict:
     return {
         "biomarker": args.biomarker,
         "adjusters": args.adjusters,
-        "screen": bool(args.screen),
+        "screen": args.screen,
         "alpha": args.alpha,
-        "ties": ties,
+        "ties": args.ties,
         "_exit_analysis_failure": failed,
     }
 
 
 def cmd_metrics(args, outputs: dict) -> dict:
     cohort, load = _load(args)
-    marker = args.marker or "risk"
-    values, mask = _marker_values(cohort, marker)
+    values, mask = _marker_values(cohort, args.marker)
     times = cohort.times()[mask]
     events = cohort.events()[mask]
-    horizons = _parse_floats(args.horizons) if args.horizons else DEFAULT_HORIZONS
 
     conc = metrics_mod.harrell_c(values[mask], times, events)
     results: dict = {
-        "marker": marker,
+        "marker": args.marker,
         "n_used": int(mask.sum()),
         "excluded_missing_marker": int(np.sum(~mask)),
         "dropped_rows": load.n_dropped,
@@ -272,9 +312,9 @@ def cmd_metrics(args, outputs: dict) -> dict:
         },
         "auc": {},
     }
-    for h in horizons:
+    for h in args.horizons:
         try:
-            auc = metrics_mod.time_dependent_auc(values[mask], times, events, float(h))
+            auc = metrics_mod.time_dependent_auc(values[mask], times, events, h)
             results["auc"][f"{h:g}"] = {
                 "value": auc.auc,
                 "n_cases": auc.n_cases,
@@ -283,7 +323,7 @@ def cmd_metrics(args, outputs: dict) -> dict:
         except AnalysisError as err:
             results["auc"][f"{h:g}"] = {"value": None, "note": str(err)}
 
-    if marker != "chrono_age":
+    if args.marker != "chrono_age":
         has_age = np.isfinite(cohort.predicted_age)
         if has_age.any():
             acc = metrics_mod.age_accuracy(
@@ -299,64 +339,38 @@ def cmd_metrics(args, outputs: dict) -> dict:
             }
 
     outputs["metrics.json"] = results
-    return {"marker": marker, "horizons": list(horizons)}
+    return {"marker": args.marker, "horizons": list(args.horizons)}
 
 
 def cmd_train(args, outputs: dict) -> dict:
     cohort, load = _load(args)
-    target = args.target or "risk"
-    overrides = {}
-    for name, cast in (
-        ("learning_rate", float),
-        ("weight_decay", float),
-        ("batch_size", int),
-        ("epochs", int),
-        ("smooth_lambda", float),
-        ("validation_fraction", float),
-        ("pair_loss", str),
-        ("hidden", int),
-    ):
-        value = getattr(args, name, None)
-        if value is not None:
-            overrides[name] = cast(value)
-    config = trainer_mod.TrainConfig(seed=args.seed, **overrides)
+    # An unset TrainConfig flag is None and keeps TrainConfig's own default.
+    fields = dataclasses.fields(trainer_mod.TrainConfig)
+    given = {f.name: getattr(args, f.name, None) for f in fields}
+    config = trainer_mod.TrainConfig(**{k: v for k, v in given.items() if v is not None})
 
     X = cohort.embedding_matrix()
-    if target == "risk":
+    if args.target == "risk":
         result = trainer_mod.train_risk_model(X, cohort.times(), cohort.events(), config)
-        lines = ["epoch,train_loss,val_loss,train_c,val_c"]
-        lines.extend(
-            f"{s.epoch},{s.train_loss!r},{s.val_loss!r},{s.train_c!r},{s.val_c!r}"
-            for s in result.trace
-        )
-        final = (
-            {
-                "train_loss": result.trace[-1].train_loss,
-                "val_loss": result.trace[-1].val_loss,
-                "train_c": result.trace[-1].train_c,
-                "val_c": result.trace[-1].val_c,
-            }
-            if result.trace
-            else None
-        )
-    elif target == "age":
-        result = trainer_mod.train_age_model(X, cohort.chrono_age, config)
-        lines = ["epoch,train_mae,val_mae"]
-        lines.extend(f"{s.epoch},{s.train_mae!r},{s.val_mae!r}" for s in result.trace)
-        final = (
-            {"train_mae": result.trace[-1].train_mae, "val_mae": result.trace[-1].val_mae}
-            if result.trace
-            else None
-        )
+        columns = ("train_loss", "val_loss", "train_c", "val_c")
     else:
-        raise DataError(f"unknown target {target!r}")
+        result = trainer_mod.train_age_model(X, cohort.chrono_age, config)
+        columns = ("train_mae", "val_mae")
+    lines = [",".join(("epoch", *columns))]
+    lines.extend(
+        ",".join([str(s.epoch), *(repr(getattr(s, c)) for c in columns)]) for s in result.trace
+    )
+    final = {c: getattr(result.trace[-1], c) for c in columns} if result.trace else None
+
+    def model_file(model):
+        return lambda path: trainer_mod.save_model(model, path, kind=args.target, config=config)
 
     outputs["trace.csv"] = "\n".join(lines) + "\n"
-    outputs[("model.bin", "model")] = (result.model, target, config)
+    outputs["model.bin"] = model_file(result.model)
     for i, ckpt in enumerate(result.checkpoints, start=1):
-        outputs[(f"checkpoints/epoch_{i:03d}.bin", "model")] = (ckpt, target, config)
+        outputs[f"checkpoints/epoch_{i:03d}.bin"] = model_file(ckpt)
     outputs["summary.json"] = {
-        "target": target,
+        "target": args.target,
         "n_subjects": len(cohort),
         "embedding_dim": X.shape[1],
         "n_train": len(result.train_indices),
@@ -368,46 +382,23 @@ def cmd_train(args, outputs: dict) -> dict:
     settings = {k: getattr(config, k) for k in trainer_mod.SAVED_CONFIG_FIELDS}
     if config.hidden is not None:
         settings["hidden"] = config.hidden
-    return {"target": target, "train_config": settings}
+    return {"target": args.target, "train_config": settings}
 
 
 def cmd_simulate(args, outputs: dict) -> dict:
-    covs = []
-    if args.covariates:
-        for token in args.covariates.split(";"):
-            token = token.strip()
-            if not token:
-                continue
-            parts = token.split(":")
-            if len(parts) < 3:
-                raise DataError(
-                    f"covariate {token!r} must be field:dist:params, e.g. sex:bernoulli:0.5"
-                )
-            covs.append(
-                synth_mod.SimCovariate(parts[0], (parts[1], *[float(p) for p in parts[2:]]))
-            )
-    censor: tuple = ("none",)
-    if args.censor and args.censor != "none":
-        kind, _, param = args.censor.partition(":")
-        if not param:
-            raise DataError(f"censor model {args.censor!r} needs a parameter, e.g. uniform:730")
-        censor = (kind, float(param))
-
     spec = synth_mod.SimSpec(
         n=args.n,
-        beta_true=_parse_floats(args.beta) if args.beta else (),
+        beta_true=args.beta,
         baseline_hazard=args.baseline_hazard,
-        censor_model=censor,
-        covariate_model=tuple(covs),
+        censor_model=args.censor,
+        covariate_model=args.covariates,
         embedding_dim=args.embedding_dim,
-        embedding_weights=_parse_floats(args.embedding_weights)
-        if args.embedding_weights
-        else None,
+        embedding_weights=args.embedding_weights,
         round_days=not args.exact_times,
         seed=args.seed,
     )
     result = synth_mod.simulate(spec)
-    outputs[("cohort.csv", "cohort")] = result.cohort
+    outputs["cohort.csv"] = lambda path: save_cohort(result.cohort, path)
     outputs["truth.json"] = result.truth
     return {
         "n": spec.n,
@@ -422,15 +413,12 @@ def cmd_simulate(args, outputs: dict) -> dict:
 def cmd_balance(args, outputs: dict) -> dict:
     cohort, load = _load(args)
     ages = cohort.chrono_age
-    mode = args.mode or "bins"
-    if mode == "factors":
+    if args.mode == "factors":
         indices = trainer_mod.balance_by_factors(ages, seed=args.seed)
-    elif mode == "bins":
+    else:
         indices = trainer_mod.balance_bins(
             ages, bin_width=args.bin_width, target=args.target, seed=args.seed
         )
-    else:
-        raise DataError(f"unknown balance mode {mode!r}")
 
     ids = cohort.ids
     lines = ["index,id"]
@@ -440,7 +428,7 @@ def cmd_balance(args, outputs: dict) -> dict:
     bin_index = np.floor(ages[indices] / args.bin_width).astype(int)
     uniq, counts = np.unique(bin_index, return_counts=True)
     outputs["counts.json"] = {
-        "mode": mode,
+        "mode": args.mode,
         "n_input": len(cohort),
         "n_output": int(indices.size),
         "per_bin": {
@@ -449,12 +437,14 @@ def cmd_balance(args, outputs: dict) -> dict:
         },
         "dropped_rows": load.n_dropped,
     }
-    return {"mode": mode, "bin_width": args.bin_width, "target": args.target}
+    return {"mode": args.mode, "bin_width": args.bin_width, "target": args.target}
 
 
 def cmd_attention(args, outputs: dict) -> dict:
     if not args.mesh or not args.landmarks or not args.grid:
         raise DataError("--grid, --mesh and --landmarks are required")
+    if args.subdivide < 0:
+        raise DataError(f"--subdivide must be >= 0, got {args.subdivide}")
     mesh = attention_mod.load_mesh(args.mesh, args.landmarks)
     for _ in range(args.subdivide):
         mesh = attention_mod.subdivide_once(mesh)
@@ -482,16 +472,24 @@ def cmd_attention(args, outputs: dict) -> dict:
     }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors as DataError: ``main`` returns 2, as for any unusable input."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise DataError(f"{self.prog}: {message}")
+
+
 def _common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--cohort", help="cohort CSV path")
     parser.add_argument("--schema", help="schema-mapping JSON path")
     parser.add_argument("--out", required=True, help="output directory")
-    parser.add_argument("--seed", type=int, default=None, help="master seed (default 0)")
-    parser.add_argument("--config", help="JSON file of parameter defaults")
+    parser.add_argument("--seed", type=int, default=0, help="master seed (default %(default)s)")
+    parser.add_argument("--config", help="JSON file of option values, read before the flags")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="visage",
         description="Survival analysis for facial-image biomarkers.",
     )
@@ -500,64 +498,69 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("km", help="Kaplan-Meier curves per stratum with log-rank tests")
     _common(p)
-    p.add_argument("--group-by", dest="group_by", default=None,
-                   help=f"stratification scheme or 'none' ({', '.join(biomarkers.SCHEMES)})")
-    p.add_argument("--horizons", default=None,
-                   help="comma-separated day horizons for point estimates (default 913,1826)")
+    p.add_argument("--group-by", dest="group_by", choices=("none", *biomarkers.SCHEMES),
+                   default="none", help="stratification scheme (default %(default)s)")
+    p.add_argument("--horizons", type=_floats, default="913,1826",
+                   help="comma-separated day horizons for point estimates (default %(default)s)")
     p.set_defaults(func=cmd_km)
 
     p = sub.add_parser("cox", help="univariate and adjusted Cox fits")
     _common(p)
-    p.add_argument("--biomarker", help="covariate spec, e.g. fad:per:10 or risk_scaled:ge:0.5")
-    p.add_argument("--adjusters", default=None, help="comma-separated covariate specs")
-    p.add_argument("--screen", action="store_true", default=None,
+    p.add_argument("--biomarker", type=_checked(parse_covariate),
+                   help="covariate spec, e.g. fad:per:10 or risk_scaled:ge:0.5")
+    p.add_argument("--adjusters", type=_checked(_covariate_list), default="",
+                   help="comma-separated covariate specs")
+    p.add_argument("--screen", action="store_true",
                    help="screen adjusters univariately before the adjusted fit")
-    p.add_argument("--alpha", type=float, default=None, help="screening threshold (default 0.05)")
-    p.add_argument("--ties", choices=("efron", "breslow"), default=None)
+    p.add_argument("--alpha", type=float, default=0.05,
+                   help="screening threshold (default %(default)s)")
+    p.add_argument("--ties", choices=("efron", "breslow"), default="efron")
     p.set_defaults(func=cmd_cox)
 
     p = sub.add_parser("metrics", help="concordance and time-dependent AUC for a marker")
     _common(p)
     p.add_argument("--marker", choices=("risk", "fad", "predicted_age", "chrono_age"),
-                   default=None)
-    p.add_argument("--horizons", default=None,
-                   help="comma-separated day horizons (default 91,182,365,730)")
+                   default="risk")
+    p.add_argument("--horizons", type=_floats, default="91,182,365,730",
+                   help="comma-separated day horizons (default %(default)s)")
     p.set_defaults(func=cmd_metrics)
 
+    # The TrainConfig flags default to None: TrainConfig holds their defaults.
     p = sub.add_parser("train", help="train the risk or age head on embeddings")
     _common(p)
-    p.add_argument("--target", choices=("risk", "age"), default=None)
-    p.add_argument("--learning-rate", dest="learning_rate", type=float, default=None)
-    p.add_argument("--weight-decay", dest="weight_decay", type=float, default=None)
-    p.add_argument("--batch-size", dest="batch_size", type=int, default=None)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--smooth-lambda", dest="smooth_lambda", type=float, default=None)
-    p.add_argument("--validation-fraction", dest="validation_fraction", type=float, default=None)
-    p.add_argument("--pair-loss", dest="pair_loss", choices=("logistic", "hinge"), default=None)
-    p.add_argument("--hidden", type=int, default=None, help="hidden layer width (default none)")
+    p.add_argument("--target", choices=("risk", "age"), default="risk")
+    p.add_argument("--learning-rate", dest="learning_rate", type=float)
+    p.add_argument("--weight-decay", dest="weight_decay", type=float)
+    p.add_argument("--batch-size", dest="batch_size", type=int)
+    p.add_argument("--epochs", type=int)
+    p.add_argument("--smooth-lambda", dest="smooth_lambda", type=float)
+    p.add_argument("--validation-fraction", dest="validation_fraction", type=float)
+    p.add_argument("--pair-loss", dest="pair_loss", choices=("logistic", "hinge"))
+    p.add_argument("--hidden", type=int, help="hidden layer width (default none)")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("simulate", help="generate a synthetic cohort with ground truth")
     _common(p)
-    p.add_argument("--n", type=int, default=None, help="number of subjects")
-    p.add_argument("--beta", default=None, help="comma-separated true coefficients")
-    p.add_argument("--baseline-hazard", dest="baseline_hazard", type=float, default=None)
-    p.add_argument("--censor", default=None,
-                   help="none | uniform:T | exponential:rate | admin:T")
-    p.add_argument("--covariates", default=None,
+    p.add_argument("--n", type=int, default=1000, help="number of subjects (default %(default)s)")
+    p.add_argument("--beta", type=_floats, default="", help="comma-separated true coefficients")
+    p.add_argument("--baseline-hazard", dest="baseline_hazard", type=float, default=0.002)
+    p.add_argument("--censor", type=_censor, default="none",
+                   help="none | uniform:T | exponential:rate | admin:T (default %(default)s)")
+    p.add_argument("--covariates", type=_sim_covariates, default="",
                    help="semicolon-separated field:dist:params, e.g. sex:bernoulli:0.5")
-    p.add_argument("--embedding-dim", dest="embedding_dim", type=int, default=None)
-    p.add_argument("--embedding-weights", dest="embedding_weights", default=None,
+    p.add_argument("--embedding-dim", dest="embedding_dim", type=int)
+    p.add_argument("--embedding-weights", dest="embedding_weights", type=_floats,
                    help="comma-separated true embedding weights")
-    p.add_argument("--exact-times", dest="exact_times", action="store_true", default=None,
+    p.add_argument("--exact-times", dest="exact_times", action="store_true",
                    help="keep continuous times instead of rounding up to days")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("balance", help="age-balanced resampling indices")
     _common(p)
-    p.add_argument("--mode", choices=("factors", "bins"), default=None)
-    p.add_argument("--bin-width", dest="bin_width", type=float, default=None)
-    p.add_argument("--target", type=int, default=None, help="records per bin (default 200)")
+    p.add_argument("--mode", choices=("factors", "bins"), default="bins")
+    p.add_argument("--bin-width", dest="bin_width", type=float, default=5.0)
+    p.add_argument("--target", type=int, default=200,
+                   help="records per bin (default %(default)s)")
     p.set_defaults(func=cmd_balance)
 
     p = sub.add_parser("attention", help="project attention grids onto a face mesh")
@@ -565,55 +568,35 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", help="comma-separated attention grid CSVs (7x7 or 112x112)")
     p.add_argument("--mesh", help="mesh OBJ path")
     p.add_argument("--landmarks", help="vertex_index,x,y CSV path")
-    p.add_argument("--subdivide", type=int, default=None,
-                   help="midpoint subdivision iterations (default 1)")
+    p.add_argument("--subdivide", type=int, default=1,
+                   help="midpoint subdivision iterations (default %(default)s)")
     p.set_defaults(func=cmd_attention)
 
     return parser
 
 
-_DEFAULTS = {
-    "km": {"group_by": "none", "horizons": "913,1826"},
-    "cox": {"adjusters": "", "screen": False, "alpha": 0.05, "ties": "efron"},
-    "metrics": {"marker": "risk", "horizons": "91,182,365,730"},
-    "train": {"target": "risk"},
-    "simulate": {
-        "n": 1000,
-        "beta": "",
-        "baseline_hazard": 0.002,
-        "censor": "none",
-        "covariates": "",
-        "exact_times": False,
-    },
-    "balance": {"mode": "bins", "bin_width": 5.0, "target": 200},
-    "attention": {"subdivide": 1},
-}
-
-
-def _merge_config(args: argparse.Namespace) -> None:
-    """Fill unset options from the config file, then built-in defaults."""
-    layers = [dict(_DEFAULTS.get(args.command, {}))]
-    if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            try:
-                loaded = json.load(fh)
-            except json.JSONDecodeError as err:
-                raise DataError(f"bad config JSON: {err}") from None
-        if not isinstance(loaded, dict):
-            raise DataError("config must be a JSON object")
-        section = loaded.get(args.command, loaded)
-        if not isinstance(section, dict):
-            raise DataError(f"config section {args.command!r} must be an object")
-        layers.append(section)
-    merged: dict = {}
-    for layer in layers:
-        merged.update(layer)
-    for key, value in merged.items():
-        attr = key.replace("-", "_")
-        if getattr(args, attr, None) is None:
-            setattr(args, attr, value)
-    if args.seed is None:
-        args.seed = 0
+def _config_flags(path: str, command: str) -> list[str]:
+    """The command's section of a JSON config file as flags: ``key: v``
+    reads as ``--key=v``, ``true`` as the bare flag, and ``false`` and
+    ``null`` are left out."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            loaded = json.load(fh)
+        except json.JSONDecodeError as err:
+            raise DataError(f"bad config JSON: {err}") from None
+    if not isinstance(loaded, dict):
+        raise DataError("config must be a JSON object")
+    section = loaded.get(command, loaded)
+    if not isinstance(section, dict):
+        raise DataError(f"config section {command!r} must be an object")
+    flags = []
+    for key, value in section.items():
+        flag = "--" + key.replace("_", "-")
+        if value is True:
+            flags.append(flag)
+        elif value is not False and value is not None:
+            flags.append(f"{flag}={value}")
+    return flags
 
 
 def _render(value) -> bytes:
@@ -625,33 +608,30 @@ def _render(value) -> bytes:
 
 
 def _write_outputs(out_dir: Path, outputs: dict, manifest: dict) -> None:
+    """Write each output: bytes, str or a JSON value, or a callable that
+    writes the file at the path it is given."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-    for key, value in outputs.items():
-        if isinstance(key, tuple):
-            name, kind = key
-            path = out_dir / name
-            path.parent.mkdir(parents=True, exist_ok=True)
-            if kind == "model":
-                model, target, config = value
-                trainer_mod.save_model(model, path, kind=target, config=config)
-            elif kind == "cohort":
-                save_cohort(value, path)
-            written.append(name)
+    for name, value in outputs.items():
+        path = out_dir / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        if callable(value):
+            value(path)
         else:
-            path = out_dir / key
-            path.parent.mkdir(parents=True, exist_ok=True)
             path.write_bytes(_render(value))
-            written.append(key)
-    manifest["outputs"] = sorted(written)
+    manifest["outputs"] = sorted(outputs)
     (out_dir / "manifest.json").write_bytes(_render(manifest))
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        _merge_config(args)
+        args = parser.parse_args(argv)
+        if args.config:
+            # Unknown config keys come back unparsed and are ignored.
+            at = argv.index(args.command) + 1
+            flags = _config_flags(args.config, args.command)
+            args = parser.parse_known_args([*argv[:at], *flags, *argv[at:]])[0]
         input_paths = [
             p
             for p in (

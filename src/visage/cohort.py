@@ -376,6 +376,7 @@ def _parse_block(
         ("non-positive time", ~(np.isfinite(time) & (time > 0))),
         ("unparseable event flag", event < 0),
         ("unparseable chrono_age", bad_age),
+        ("non-finite chrono_age", ~np.isfinite(chrono_age)),
         *((f"unparseable {canonical}", bad) for canonical, (_, bad) in optional.items()),
         ("unparseable embedding value", bad_embedding),
     )
@@ -411,8 +412,8 @@ def load_cohort(
     """Read a cohort CSV, returning the cohort plus dropped-row report.
 
     A row is dropped when its follow-up time is unparseable, not finite
-    or not positive, its event flag or chrono_age is unparseable, a
-    non-blank optional value (predicted_age, risk, risk_scaled) is
+    or not positive, its event flag or chrono_age is unparseable, its
+    chrono_age is not finite, a non-blank optional value (predicted_age, risk, risk_scaled) is
     unparseable, or an e* embedding value is unparseable. Dropped rows
     are reported by (1-based data row number, reason), the reason being
     the first of those checks the row fails; kept rows are never mutated

@@ -76,6 +76,8 @@ class TrainConfig:
             raise DataError("validation_fraction must lie in (0, 1)")
         if self.pair_loss not in ("logistic", "hinge"):
             raise DataError(f"unknown pair loss {self.pair_loss!r}")
+        if self.hidden is not None and self.hidden < 0:
+            raise DataError(f"hidden width must be >= 0 (0: no hidden layer), got {self.hidden}")
 
 
 @dataclass

@@ -3,6 +3,7 @@ reproducibility, and exit codes."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -493,3 +494,167 @@ class TestEntryPoint:
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
         assert exc.value.code == 0
+
+
+@pytest.fixture(scope="module")
+def small_cohort(tmp_path_factory):
+    """A cohort every cohort command accepts: FAD, ages and an embedding."""
+    out = tmp_path_factory.mktemp("small") / "sim"
+    rc = run(
+        "simulate", "--out", out, "--seed", 2, "--n", 80, "--beta", "0.05",
+        "--covariates", "fad:normal:0:6", "--censor", "uniform:1500",
+        "--embedding-dim", 2, "--embedding-weights", "0.5,-0.5",
+    )
+    assert rc == 0
+    return out / "cohort.csv"
+
+
+# (command, flags, config section, what stderr must name)
+MALFORMED = [
+    ("train", ["--epochs", "1"], {"train": {"epochs": "x"}}, "epochs"),
+    ("balance", [], {"balance": {"target": "x"}}, "target"),
+    ("simulate", [], {"simulate": {"n": "x"}}, "--n"),
+    ("km", [], {"km": {"horizons": [913]}}, "horizons"),
+    ("simulate", ["--covariates", "sex:bernoulli:abc", "--beta", "0.1"], None, "--covariates"),
+    ("simulate", ["--censor", "uniform:abc"], None, "--censor"),
+    ("cox", ["--biomarker", "fad:per:abc"], None, "--biomarker"),
+    ("metrics", ["--horizons", "91,abc"], None, "--horizons"),
+    ("simulate", ["--beta", "0.1,x", "--covariates", "fad:normal:0:6;sex:bernoulli:0.5"],
+     None, "--beta"),
+    ("train", ["--hidden", "-3", "--epochs", "1"], None, "hidden"),
+    ("attention", ["--subdivide", "-1"], None, "--subdivide"),
+]
+
+
+class TestMalformedOptions:
+    """A bad option value, from a flag or from --config, exits 2 before
+    anything is written, and the message names the option."""
+
+    @pytest.mark.parametrize(
+        "command,flags,config,named", MALFORMED,
+        ids=[f"{m[0]}-{m[3].lstrip('-')}-{'config' if m[2] else 'flag'}" for m in MALFORMED],
+    )
+    def test_exits_two_naming_option(
+        self, tmp_path, capsys, small_cohort, command, flags, config, named
+    ):
+        argv = [command, "--out", tmp_path / "out", *flags]
+        if command == "attention":
+            grid = tmp_path / "grid.csv"
+            grid.write_text("\n".join(",".join(["0.1"] * 7) for _ in range(7)) + "\n")
+            mesh = tmp_path / "mesh.obj"
+            mesh.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n")
+            lm = tmp_path / "lm.csv"
+            lm.write_text("0,10,10\n1,50,10\n2,30,50\n")
+            argv += ["--grid", grid, "--mesh", mesh, "--landmarks", lm]
+        elif command != "simulate":
+            argv += ["--cohort", small_cohort]
+        if config is not None:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(config))
+            argv += ["--config", path]
+        assert run(*argv) == 2
+        assert not (tmp_path / "out").exists()
+        err = capsys.readouterr().err
+        assert named in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command,key,value,flag,field", [
+        ("metrics", "horizons", 91, "91", ("horizons", [91.0])),
+        ("cox", "alpha", "0.1", "0.1", ("alpha", 0.1)),
+    ])
+    def test_config_value_reads_as_its_flag(
+        self, tmp_path, small_cohort, command, key, value, flag, field
+    ):
+        """A JSON number for a list option and a JSON string for a number
+        are read as the same text on the command line would be."""
+        argv = [command, "--cohort", small_cohort]
+        if command == "cox":
+            argv += ["--biomarker", "fad:per:10", "--adjusters", "sex:cat:female", "--screen"]
+        else:
+            argv += ["--marker", "fad"]
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({command: {key: value}}))
+        assert run(*argv, "--out", tmp_path / "c", "--config", config) == 0
+        assert run(*argv, "--out", tmp_path / "f", f"--{key}", flag) == 0
+        for name in sorted(os.listdir(tmp_path / "f")):
+            if name != "manifest.json":
+                assert (tmp_path / "c" / name).read_bytes() == (tmp_path / "f" / name).read_bytes()
+        name, expected = field
+        assert read_json(tmp_path / "c" / "manifest.json")["parameters"][name] == expected
+
+
+def _as_config(argv):
+    """Split a pinned command into ``command --out DIR`` and a config
+    section holding its other flags: whole numbers become JSON numbers,
+    bare flags ``true``, and dashes in names underscores."""
+    command, *rest = argv
+    kept, section = [command], {}
+    i = 0
+    while i < len(rest):
+        flag = rest[i]
+        has_value = i + 1 < len(rest) and not rest[i + 1].startswith("--")
+        value = rest[i + 1] if has_value else True
+        i += 2 if has_value else 1
+        if flag == "--out":
+            kept += [flag, value]
+        else:
+            number = isinstance(value, str) and value.lstrip("-").isdigit()
+            section[flag[2:].replace("-", "_")] = int(value) if number else value
+    return kept, section
+
+
+class TestConfigIsFlags:
+    def test_pinned_commands_from_config(self, tmp_path):
+        """Each pinned command with every flag but --out moved into a
+        config section writes the pinned files, and its manifest records
+        the flag run's parameters and seed."""
+        from test_pinned_outputs import COMMANDS, PINS, _write_geometry, run_all
+
+        (tmp_path / "flags").mkdir()
+        run_all(tmp_path / "flags")
+        root = tmp_path / "config"
+        root.mkdir()
+        _write_geometry(root)
+        cwd = os.getcwd()
+        os.chdir(root)
+        try:
+            for argv in COMMANDS:
+                kept, section = _as_config(argv)
+                config = root / "in" / f"{argv[0]}.json"
+                config.write_text(json.dumps({argv[0]: section}))
+                assert main([*kept, "--config", str(config)]) == 0, argv
+        finally:
+            os.chdir(cwd)
+        for name, digest in PINS.items():
+            if name.endswith("manifest.json"):
+                by_config = read_json(root / name)
+                by_flags = read_json(tmp_path / "flags" / name)
+                assert by_config["parameters"] == by_flags["parameters"], name
+                assert by_config["seed"] == by_flags["seed"], name
+            else:
+                data = (root / name).read_bytes()
+                assert hashlib.sha256(data).hexdigest() == digest, name
+
+    def test_typed_flag_beats_config_and_unknown_keys_ignored(self, tmp_path):
+        config = tmp_path / "cfg.json"
+        config.write_text('{"n": 50, "seed": 7, "colour": "red", "km": {"horizons": "1"}}')
+        out = tmp_path / "sim"
+        assert run("simulate", "--out", out, "--config", config, "--n", 20) == 0
+        manifest = read_json(out / "manifest.json")
+        assert manifest["parameters"]["n"] == 20  # flag over config
+        assert manifest["seed"] == 7  # config over default
+
+    @pytest.mark.parametrize("in_config,flag,round_days", [
+        (True, True, False),
+        (False, True, False),
+        (True, False, False),
+        (False, False, True),
+        (None, False, True),
+    ])
+    def test_store_true_in_both_places(self, tmp_path, in_config, flag, round_days):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"simulate": {"n": 10, "exact_times": in_config}}))
+        out = tmp_path / "sim"
+        flags = ["--exact-times"] if flag else []
+        assert run("simulate", "--out", out, "--config", config, *flags) == 0
+        assert read_json(out / "manifest.json")["parameters"]["round_days"] is round_days

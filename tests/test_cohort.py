@@ -98,6 +98,21 @@ class TestLoad:
             "non-positive time",
         ]
 
+    def test_non_finite_chrono_age_dropped(self, tmp_path):
+        p = tmp_path / "c.csv"
+        write_csv(
+            p,
+            [
+                "a,120,1,61.5,,,,,,,,",
+                "b,130,0,nan,,,,,,,,",
+                "c,140,1,inf,,,,,,,,",
+            ],
+        )
+        result = load_cohort(p)
+        assert result.dropped == ((2, "non-finite chrono_age"), (3, "non-finite chrono_age"))
+        assert result.cohort.ids.tolist() == ["a"]
+        assert validate(result.cohort).ok()
+
     def test_embedding_columns_contiguous(self, tmp_path):
         p = tmp_path / "c.csv"
         dim = 768
@@ -476,6 +491,9 @@ def rowwise_load_cohort(path, schema=None, embedding_sidecar=None, embedding_dim
         except ValueError:
             dropped.append((row_number, "unparseable chrono_age"))
             continue
+        if not np.isfinite(chrono_age):
+            dropped.append((row_number, "non-finite chrono_age"))
+            continue
         optional, bad_optional = {}, None
         for canonical, attr in (
             ("predicted_age", "predicted_age"),
@@ -634,10 +652,10 @@ class TestRowwiseOracle:
         reasons = {reason for _, reason in result.dropped}
         assert reasons == {
             "unparseable time", "non-positive time", "unparseable event flag",
-            "unparseable chrono_age", "unparseable predicted_age", "unparseable risk",
-            "unparseable risk_scaled", "unparseable embedding value",
+            "unparseable chrono_age", "non-finite chrono_age", "unparseable predicted_age",
+            "unparseable risk", "unparseable risk_scaled", "unparseable embedding value",
         }
-        assert len(result.cohort) == 6
+        assert len(result.cohort) == 5
 
     def test_sidecar(self, tmp_path):
         path = tmp_path / "c.csv"

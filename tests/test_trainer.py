@@ -370,6 +370,13 @@ class TestRiskTraining:
         assert result.model.hidden_w.shape == (8, 16)
         assert np.isfinite(result.model.predict(X)).all()
 
+    def test_hidden_width_zero_is_linear_and_negative_rejected(self):
+        X, t, e = linear_risk_data(43, n=200)
+        result = train_risk_model(X, t, e, TrainConfig(seed=0, epochs=1, hidden=0))
+        assert result.model.hidden_w is None
+        with pytest.raises(DataError, match="hidden"):
+            TrainConfig(hidden=-3)
+
 
 class TestAgeTraining:
     def test_constant_target_bias_converges(self):
