@@ -140,11 +140,14 @@ def _covariate_list(text: str) -> list[cox_mod.Covariate]:
     return [parse_covariate(s) for s in text.split(",") if s.strip()]
 
 
-def _load(args) -> tuple:
+def _load(args, with_embedding: bool = False) -> tuple:
+    """The cohort of ``--cohort`` and its LoadResult; the embedding
+    matrix is built only when ``with_embedding`` (``train``), though
+    every e* cell passes the drop rule either way."""
     if not args.cohort:
         raise DataError("--cohort is required")
     schema = read_schema(args.schema) if args.schema else None
-    result = load_cohort(args.cohort, schema)
+    result = load_cohort(args.cohort, schema, with_embedding=with_embedding)
     return result.cohort, result
 
 
@@ -343,7 +346,7 @@ def cmd_metrics(args, outputs: dict) -> dict:
 
 
 def cmd_train(args, outputs: dict) -> dict:
-    cohort, load = _load(args)
+    cohort, load = _load(args, with_embedding=True)
     # An unset TrainConfig flag is None and keeps TrainConfig's own default.
     fields = dataclasses.fields(trainer_mod.TrainConfig)
     given = {f.name: getattr(args, f.name, None) for f in fields}
@@ -480,9 +483,11 @@ class _Parser(argparse.ArgumentParser):
         raise DataError(f"{self.prog}: {message}")
 
 
-def _common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--cohort", help="cohort CSV path")
-    parser.add_argument("--schema", help="schema-mapping JSON path")
+def _common(parser: argparse.ArgumentParser, cohort: bool = True) -> None:
+    """The options every command takes, and --cohort and --schema when it loads a cohort."""
+    if cohort:
+        parser.add_argument("--cohort", help="cohort CSV path")
+        parser.add_argument("--schema", help="schema-mapping JSON path")
     parser.add_argument("--out", required=True, help="output directory")
     parser.add_argument("--seed", type=int, default=0, help="master seed (default %(default)s)")
     parser.add_argument("--config", help="JSON file of option values, read before the flags")
@@ -540,7 +545,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("simulate", help="generate a synthetic cohort with ground truth")
-    _common(p)
+    _common(p, cohort=False)
     p.add_argument("--n", type=int, default=1000, help="number of subjects (default %(default)s)")
     p.add_argument("--beta", type=_floats, default="", help="comma-separated true coefficients")
     p.add_argument("--baseline-hazard", dest="baseline_hazard", type=float, default=0.002)
@@ -564,7 +569,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_balance)
 
     p = sub.add_parser("attention", help="project attention grids onto a face mesh")
-    _common(p)
+    _common(p, cohort=False)
     p.add_argument("--grid", help="comma-separated attention grid CSVs (7x7 or 112x112)")
     p.add_argument("--mesh", help="mesh OBJ path")
     p.add_argument("--landmarks", help="vertex_index,x,y CSV path")
@@ -635,8 +640,8 @@ def main(argv=None) -> int:
         input_paths = [
             p
             for p in (
-                args.cohort,
-                args.schema,
+                getattr(args, "cohort", None),
+                getattr(args, "schema", None),
                 args.config,
                 getattr(args, "mesh", None),
                 getattr(args, "landmarks", None),

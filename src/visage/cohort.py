@@ -23,11 +23,11 @@ import json
 import re
 from dataclasses import dataclass, fields
 from functools import cached_property, partial
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 from operator import itemgetter
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -60,6 +60,11 @@ _MANDATORY = ("time", "event", "chrono_age")
 # Data rows parsed at a time by load_cohort: it holds the cell strings of
 # one block, not of the whole file.
 _ROW_BLOCK = 512
+
+# One e* cell as repr(float) writes a finite value. Every match is a
+# number float() accepts, so a row of matching cells needs no float()
+# to pass the drop rule; any other row is checked cell by cell.
+_STRICT_CELL = r"-?[0-9]+(?:\.[0-9]+)?(?:e[-+][0-9]+)?"
 
 # Optional float columns: canonical CSV name -> Cohort attribute.
 _OPTIONAL_COLUMNS = {
@@ -339,12 +344,52 @@ def read_schema(path: str | Path) -> dict:
     return schema
 
 
+def _strict_row(dim: int) -> re.Pattern:
+    """``dim`` strict e* cells joined by commas."""
+    return re.compile(rf"{_STRICT_CELL}(?:,{_STRICT_CELL}){{{dim - 1}}}", re.ASCII)
+
+
+def _embedding_cells(
+    rows: list[list[str]], e_positions: list[int], convert: bool
+) -> tuple[np.ndarray | None, np.ndarray]:
+    """The (n, D) e* values of csv rows (None unless ``convert``) and the
+    mask of rows with an unparseable e* cell."""
+    n, dim = len(rows), len(e_positions)
+    picked = map(itemgetter(*e_positions), rows)
+    values, bad = _parse_floats(list(chain.from_iterable(picked) if dim > 1 else picked))
+    return values.reshape(n, dim) if convert else None, bad.reshape(n, dim).any(axis=1)
+
+
+def _embedding_text(
+    rows: list[list[str]], dim: int, convert: bool
+) -> tuple[np.ndarray | None, np.ndarray]:
+    """As :func:`_embedding_cells`, for rows whose last cell is the text of
+    their ``dim`` e* cells. Without ``convert`` nothing is converted: a
+    row whose text is ``dim`` strict cells passes, any other row is
+    checked with ``float()`` cell by cell."""
+    texts = list(map(itemgetter(-1), rows))
+    if convert:
+        values, bad = _parse_floats(",".join(texts).split(","))
+        return values.reshape(len(rows), dim), bad.reshape(len(rows), dim).any(axis=1)
+    match = _strict_row(dim).fullmatch
+    bad = np.array([m is None for m in map(match, texts)], dtype=bool)
+    for i in np.flatnonzero(bad).tolist():
+        bad[i] = _parse_floats(texts[i].split(","))[1].any()
+    return None, bad
+
+
 def _parse_block(
-    rows: list[list[str]], start: int, where: dict, e_positions: list[int], years: bool
+    rows: list[list[str]],
+    start: int,
+    where: dict,
+    embedding_of: Callable[[list[list[str]]], tuple] | None,
+    years: bool,
 ) -> tuple[dict, np.ndarray, list[tuple[int, str]]]:
     """The kept rows' columns of one block of data rows, the mask of kept
     rows, and the dropped rows as (1-based data row number, reason);
-    ``start`` data rows came before the block."""
+    ``start`` data rows came before the block. ``embedding_of`` reads
+    the block's e* cells (see :func:`_embedding_cells`); the kept rows'
+    matrix is the ``embedding`` column when it returns one."""
     n = len(rows)
 
     def cells(canonical: str) -> list[str]:
@@ -364,11 +409,8 @@ def _parse_block(
         for canonical in _OPTIONAL_COLUMNS
     }
     embedding, bad_embedding = None, np.zeros(n, dtype=bool)
-    if e_positions:
-        picked = map(itemgetter(*e_positions), rows)
-        values, bad = _parse_floats(list(chain.from_iterable(picked) if len(e_positions) > 1 else picked))
-        embedding = values.reshape(n, len(e_positions))
-        bad_embedding = bad.reshape(n, len(e_positions)).any(axis=1)
+    if embedding_of is not None:
+        embedding, bad_embedding = embedding_of(rows)
 
     # Each row is dropped for the first check it fails, in this order.
     checks = (
@@ -403,11 +445,59 @@ def _parse_block(
     return columns, keep, dropped
 
 
+def _csv_blocks(lines, width: int) -> Iterator[list[list[str]]]:
+    """Blocks of at most ``_ROW_BLOCK`` rows that csv.reader reads from
+    ``lines``. As csv.DictReader: blank lines are skipped, short rows padded."""
+    rows = (
+        row if len(row) >= width else row + [""] * (width - len(row))
+        for row in csv.reader(lines)
+        if row
+    )
+    return iter(lambda: list(islice(rows, _ROW_BLOCK)), [])
+
+
+def _split_lines(lines: list[str], width: int, lead: int) -> list[list[str]] | None:
+    """Each quote-free line cut at its first ``lead`` commas, or None when
+    the lines need csv.reader: a carriage return, or a line (a blank one
+    included) whose comma count is not ``width - 1``."""
+    text = "".join(lines)
+    if "\r" in text:
+        return None
+    parts = (text[:-1] if text.endswith("\n") else text).split("\n")
+    if set(map(str.count, parts, repeat(","))) != {width - 1}:
+        return None
+    return list(map(str.split, parts, repeat(","), repeat(lead)))
+
+
+def _row_blocks(fh, width: int, lead: int | None) -> Iterator[tuple[list[list[str]], bool]]:
+    """The data rows of ``fh`` in blocks, each with a flag that is True
+    for rows cut by :func:`_split_lines` (``lead`` cells, then the rest
+    of the line) and False for full csv.reader rows. A block of
+    ``_ROW_BLOCK`` lines is cut when ``lead`` is given and the block
+    allows it; from the first line with a quote on, since a quoted field
+    may span lines, csv.reader reads the rest of the file."""
+    if lead is None:
+        yield from zip(_csv_blocks(fh, width), repeat(False))
+        return
+    while lines := list(islice(fh, _ROW_BLOCK)):
+        quoted = next((i for i, line in enumerate(lines) if '"' in line), len(lines))
+        if quoted:
+            rows = _split_lines(lines[:quoted], width, lead)
+            if rows is None:
+                yield from zip(_csv_blocks(lines[:quoted], width), repeat(False))
+            else:
+                yield rows, True
+        if quoted < len(lines):
+            yield from zip(_csv_blocks(chain(lines[quoted:], fh), width), repeat(False))
+            return
+
+
 def load_cohort(
     path: str | Path,
     schema: dict | None = None,
     embedding_sidecar: str | Path | None = None,
     embedding_dim: int | None = None,
+    with_embedding: bool = True,
 ) -> LoadResult:
     """Read a cohort CSV, returning the cohort plus dropped-row report.
 
@@ -426,17 +516,30 @@ def load_cohort(
     it (``embedding_dim`` required) and any e* text columns are ignored;
     e* text columns give the cohort an embedding only when a row is kept.
 
+    With ``with_embedding`` False the cohort's embedding is None and
+    the sidecar is not read (its size is still checked). The drop rule
+    is the same in both modes: every e* cell is still checked, but a
+    row of cells in the plain form that repr writes (``-1.5e-07``) is
+    cleared without converting them, and only other rows meet
+    ``float()``.
+
     The file is parsed in blocks of rows, so memory holds the parsed
     columns plus the cell strings of one block, never the whole file as
-    text.
+    text. When there is no sidecar, the header holds no quote and the
+    e* columns are its last columns in index order, as
+    :func:`save_cohort` writes them, blocks of lines are cut at their
+    commas rather than read by csv.reader. csv.reader still reads a
+    block with a blank line, a carriage return or a line with another
+    number of commas than the header, and everything from the first
+    quote on.
     """
     schema = schema or {}
     rename = schema.get("columns", {})
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
+        first = fh.readline()
+        if not first:
             raise DataError(f"{path}: empty file")
+        header = next(csv.reader(chain([first], fh)))  # a quoted header may span lines
         position = {name: i for i, name in enumerate(header)}  # a repeated name: the last wins
         for canonical in _MANDATORY:
             if rename.get(canonical, canonical) not in position:
@@ -450,41 +553,49 @@ def load_cohort(
         }
         years = schema.get("time_unit", "days") == "years"
 
-        # As csv.DictReader: blank lines are skipped, short rows padded.
-        width = len(header)
-        rows = (
-            row if len(row) >= width else row + [""] * (width - len(row))
-            for row in reader
-            if row
+        width, dim = len(header), len(e_positions)
+        lead = width - dim
+        cut = (
+            embedding_sidecar is None
+            and '"' not in first
+            and e_positions == list(range(lead, width))
+            and all(i is None or i < lead for i in where.values())
         )
+        readers = {  # e* reader by block kind: cut lines or csv.reader rows
+            True: partial(_embedding_text, dim=dim, convert=with_embedding),
+            False: partial(_embedding_cells, e_positions=e_positions, convert=with_embedding),
+        } if dim else {}
         parts: dict[str, list[np.ndarray]] = {}
         keeps: list[np.ndarray] = []
         dropped: list[tuple[int, str]] = []
         # The kept embedding rows, grown in place block by block (realloc,
         # not a second matrix plus a copy).
-        embedding = np.empty((0, len(e_positions)))
+        embedding = np.empty((0, dim))
         n = 0
         # A first, empty block gives a file without data rows its empty columns.
-        for chunk in chain([[]], iter(lambda: list(islice(rows, _ROW_BLOCK)), [])):
-            columns, keep, chunk_dropped = _parse_block(chunk, n, where, e_positions, years)
+        blocks = chain([([], False)], _row_blocks(fh, width, lead if cut else None))
+        for chunk, is_cut in blocks:
+            columns, keep, chunk_dropped = _parse_block(chunk, n, where, readers.get(is_cut), years)
             n += len(chunk)
             del chunk  # free the block's cell strings before reading the next
             keeps.append(keep)
             dropped += chunk_dropped
-            if e_positions:
+            if "embedding" in columns:
                 values = columns.pop("embedding")
                 used = len(embedding)
-                embedding.resize((used + len(values), len(e_positions)), refcheck=False)
+                embedding.resize((used + len(values), dim), refcheck=False)
                 embedding[used:] = values
             for name, values in columns.items():
                 parts.setdefault(name, []).append(values)
 
     columns = {name: np.concatenate(values) for name, values in parts.items()}
     if embedding_sidecar is not None:
-        raw = np.fromfile(embedding_sidecar, dtype="<f4")
-        if raw.size != n * embedding_dim:
-            raise DataError(f"sidecar holds {raw.size} values, expected {n} x {embedding_dim}")
-        columns["embedding"] = raw.reshape(n, embedding_dim)[np.concatenate(keeps)].astype(float)
+        size = Path(embedding_sidecar).stat().st_size // 4
+        if size != n * embedding_dim:
+            raise DataError(f"sidecar holds {size} values, expected {n} x {embedding_dim}")
+        if with_embedding:
+            raw = np.fromfile(embedding_sidecar, dtype="<f4").reshape(n, embedding_dim)
+            columns["embedding"] = raw[np.concatenate(keeps)].astype(float)
     elif len(embedding):
         columns["embedding"] = embedding
     for values in columns.values():

@@ -658,3 +658,56 @@ class TestConfigIsFlags:
         flags = ["--exact-times"] if flag else []
         assert run("simulate", "--out", out, "--config", config, *flags) == 0
         assert read_json(out / "manifest.json")["parameters"]["round_days"] is round_days
+
+
+class TestCohortOptions:
+    """--cohort and --schema belong to the commands that load a cohort."""
+
+    @pytest.mark.parametrize("command,option", [("simulate", "--cohort"), ("attention", "--schema")])
+    def test_rejected_where_nothing_is_loaded(self, tmp_path, capsys, small_cohort, command,
+                                              option):
+        out = tmp_path / "out"
+        assert run(command, "--out", out, option, small_cohort) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert option in err and "Traceback" not in err
+
+    def test_config_cohort_key_ignored_by_simulate(self, tmp_path, small_cohort):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"simulate": {"cohort": str(small_cohort), "n": 5}}))
+        out = tmp_path / "sim"
+        assert run("simulate", "--out", out, "--config", config) == 0
+        digest = hashlib.sha256(config.read_bytes()).hexdigest()
+        assert read_json(out / "manifest.json")["inputs"] == {str(config): digest}
+
+
+class TestEmbeddingOnlyForTrain:
+    def test_only_train_builds_the_matrix(self, tmp_path, monkeypatch, small_cohort):
+        """km, cox, metrics and balance load the cohort without its
+        embedding matrix; train loads it with the matrix."""
+        import visage.cli as cli
+
+        load_cohort, loads = cli.load_cohort, []
+
+        def recording(*args, **kwargs):
+            result = load_cohort(*args, **kwargs)
+            loads.append((kwargs.get("with_embedding", True), result.cohort.embedding is not None))
+            return result
+
+        monkeypatch.setattr(cli, "load_cohort", recording)
+        commands = {
+            "km": [], "cox": ["--biomarker", "fad:per:10"], "metrics": ["--marker", "fad"],
+            "balance": ["--target", "5"], "train": ["--epochs", "1"],
+        }
+        for command, flags in commands.items():
+            assert run(command, "--cohort", small_cohort, "--out", tmp_path / command, *flags) == 0
+        assert loads == [(False, False)] * 4 + [(True, True)]
+
+    def test_km_drops_row_with_unparseable_embedding_cell(self, tmp_path, small_cohort):
+        lines = small_cohort.read_text().splitlines(keepends=True)
+        assert lines[0].rstrip().endswith(",e0,e1")
+        lines[5] = lines[5].rsplit(",", 1)[0] + ",0.5x\n"
+        path = tmp_path / "c.csv"
+        path.write_text("".join(lines))
+        assert run("km", "--cohort", path, "--out", tmp_path / "km") == 0
+        assert read_json(tmp_path / "km" / "results.json")["dropped_rows"] == 1

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import re
 import tracemalloc
+from itertools import product
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from visage.cohort import (
     PatientRecord,
     Violation,
     _normalize_category,
+    _strict_row,
     load_cohort,
     read_schema,
     save_cohort,
@@ -631,18 +634,78 @@ ALL_BLANK_CSV = HEADER_ONLY_CSV + "\n\n\n"
 ALL_DROPPED_CSV = EDGE_CSV.split("x4,")[0]
 
 
+# The save_cohort layout (e* last, in order), whose quote-free blocks
+# are cut at commas instead of read by csv.reader. LAYOUT_CLEAN cuts
+# every block: padded, 1_0, inf, nan, fullwidth, 1e500 and subnormal e*
+# cells are kept, an empty or non-numeric one drops the row, as do
+# earlier checks. LAYOUT_MESSY adds a blank line, short and long rows,
+# CRLF and lone CR line ends, a quoted id and a quoted newline. In
+# LAYOUT_RAGGED a short and a long row have a whole row's commas on
+# average; in LAYOUT_LONE_CR a lone CR splits a row into two halves
+# whose commas add up to a whole row's. Neither may be read as whole rows.
+LAYOUT_HEADER = HEADER + ",risk_scaled,e0,e1,e2"
+LAYOUT_CLEAN = LAYOUT_HEADER + """
+a1,100,1,61.5,FEMALE,white,lung,Curative,pre2016,imrt,63.0,0.4,0.5,0.1,0.2,0.3
+a2,200,0,70.0,male,black,breast,palliative,post2016,sbrt,,,, 1.5 ,2\t,3
+a3,300,yes,55.0,,,,,,,,,,1_0,inf,nan
+a4,400,1,60.0,,,,,,,,,,1,abc,3
+a5,500,1,60.0,,,,,,,,,,1,,3
+a6,oops,1,60.0,,,,,,,,,,zz,2,3
+a7,600,1,60.0,,,,,,,,,,1e500,4.9e-324,-0.0
+a8,700,0,old,,,,,,,,,,1,2,3
+a9,800,0,61.0,,,,,,,,,,\uff11.5,-1E5,+2
+a10,900,1,62.0,,,,,,,,,0.25,1.0e-07,1.5e+300,-12345678901234567890.5
+"""
+LAYOUT_RAGGED = LAYOUT_CLEAN + """\
+b1,700,1,60.0,,,,,,,,,,1,2
+b2,800,0,61.0,,,,,,,,,,1,2,3,4
+"""
+LAYOUT_LONE_CR = LAYOUT_CLEAN.replace("a4,400,1,60.0,,,,,,,,", "a4,400,1,60.0,,,,,,,,\r")
+LAYOUT_MESSY = LAYOUT_CLEAN + """
+b1,700,1,60.0,,,,,,,,,,1,2
+b2,800,0,61.0,,,,,,,,,,1,2,3,4,extra
+b3,900,1,62.0,,,,,,,,,,1,2,3\r
+b4,950,0,63.0,,,,,,,,,,1,x,3\r
+b5,960,0,63.5,,,,,,,,,,1,2,3\rb5x,970,1,64.0,,,,,,,,,,1,2,3
+"b,6",1000,1,64.0,,,,,,,,,,1,2,3
+b7,1100,1,65.0,,,,,,"two
+lines",,,,1,2,3
+b8,1200,0,66.0,,,,,,,,,,1,2,zz
+b9,1300,0,67.0,,,,,,,,,,1,2,3
+"""
+
+
+def long_layout(rows_before_quote: int) -> str:
+    """Clean rows, every 50th with a bad e* cell, then a row whose quoted
+    newline runs from data line ``rows_before_quote + 1`` into the next,
+    then clean rows again."""
+    def row(i, e1="2.5"):
+        return f"r{i},{100 + i},{i % 2},{50 + i % 30}.0,,,,,,,,,,-1.25,{e1},{i}.0"
+
+    lines = [row(i, "bad" if i % 50 == 7 else "2.5") for i in range(rows_before_quote)]
+    lines.append('q,5,1,60.0,,,,,,"across\nthe edge",,,,1,2,3')
+    lines += [row(i) for i in range(rows_before_quote, rows_before_quote + 5)]
+    return LAYOUT_HEADER + "\n" + "\n".join(lines) + "\n"
+
+
 class TestRowwiseOracle:
     """The columnar loader and writer against the row-by-row originals."""
 
-    def check(self, path, tmp_path, **kwargs):
-        records, dropped, dim = rowwise_load_cohort(path, ORACLE_SCHEMA, **kwargs)
-        result = load_cohort(path, ORACLE_SCHEMA, **kwargs)
+    def check(self, path, tmp_path, schema=ORACLE_SCHEMA, **kwargs):
+        """Both loading modes against the oracle; returns the converting load."""
+        records, dropped, dim = rowwise_load_cohort(path, schema, **kwargs)
+        result = load_cohort(path, schema, **kwargs)
         assert result.dropped == dropped
         assert result.cohort == Cohort.from_records(records, embedding_dim=dim)
         old, new = tmp_path / "old.csv", tmp_path / "new.csv"
         rowwise_save_cohort(records, dim, old)
         save_cohort(result.cohort, new)
         assert new.read_bytes() == old.read_bytes()
+        checked = load_cohort(path, schema, with_embedding=False, **kwargs)
+        assert checked.dropped == dropped
+        assert checked.cohort == Cohort.from_records(
+            [dataclasses.replace(r, embedding=None) for r in records]
+        )
         return result
 
     def test_text_embedding(self, tmp_path):
@@ -684,6 +747,104 @@ class TestRowwiseOracle:
         sidecar = tmp_path / "c.f32"
         np.arange(n_rows * 4, dtype="<f4").tofile(sidecar)
         self.check(path, tmp_path, embedding_sidecar=sidecar, embedding_dim=4)
+
+    @pytest.mark.parametrize("row_block", [1, 2, 3, 512])
+    @pytest.mark.parametrize(
+        "text,cut",
+        [(LAYOUT_CLEAN, all), (LAYOUT_MESSY, lambda cuts: True), (long_layout(511), any),
+         (LAYOUT_CLEAN.replace("\n", "\r\n"), lambda cuts: not any(cuts)),
+         (LAYOUT_RAGGED, lambda cuts: not all(cuts)),
+         (LAYOUT_LONE_CR, lambda cuts: not all(cuts))],
+        ids=["clean", "messy", "long", "crlf", "ragged", "lone_cr"],
+    )
+    def test_save_layout(self, tmp_path, monkeypatch, text, cut, row_block):
+        """The save_cohort layout reads as the row-by-row loader does,
+        whether its blocks are cut at commas or read by csv.reader;
+        ``cut`` holds for the list of which blocks were cut."""
+        monkeypatch.setattr(cohort_mod, "_ROW_BLOCK", row_block)
+        split_lines, cuts = cohort_mod._split_lines, []
+
+        def recording(*args):
+            rows = split_lines(*args)
+            cuts.append(rows is not None)
+            return rows
+
+        monkeypatch.setattr(cohort_mod, "_split_lines", recording)
+        path = tmp_path / "c.csv"
+        path.write_bytes(text.encode("utf-8"))
+        result = self.check(path, tmp_path, schema=None)
+        assert result.dropped and len(result.cohort)
+        assert cuts and cut(cuts)
+
+
+def grammar_strings() -> list[str]:
+    """Strings near the float grammar: every short string over signs,
+    ASCII, Arabic-Indic and fullwidth digits, underscore, padding, . and
+    e; structured numbers with padding and each exponent form; inf and
+    nan spellings; 17-20 digit mantissas, overflow and subnormals."""
+    alphabet = ["-", "+", "0", "7", "\u0663", "\uff17", "_", " ", ".", "e", "E"]
+    strings = {"".join(p) for k in range(1, 5) for p in product(alphabet, repeat=k)}
+    pads = ["", " ", "\t", "\x0c", "\x1c", "\xa0", "\u2028", "\u3000"]
+    numbers = [
+        f"{sign}{mantissa}{exponent}"
+        for sign in ("", "-", "+")
+        for mantissa in ("1", "12", "1.5", "1.", ".5", "0.0", "1_0", "1__0", "_1", "1_",
+                         "1._5", "\u0663.5", "\uff11\uff12", "1\u0663")
+        for exponent in ("", "e5", "e+5", "e-5", "E-5", "e", "e+", "e-+5", "e5.0", "e_5",
+                         "e1_0", "e\u0663", "ee5")
+    ]
+    strings.update(f"{a}{x}{b}" for x in numbers for a in pads for b in pads[:3])
+    strings.update(
+        f"{sign}{word}" for sign in ("", "-", "+", " -")
+        for word in ("inf", "INF", "Inf", "infinity", "Infinity", "iNfInItY", "infinit",
+                     "nan", "NaN", "NAN", "nan(1)", "in f", "na")
+    )
+    strings.update([
+        "12345678901234567", "123456789012345678", "1234567890123456789",
+        "12345678901234567890", "-1.2345678901234567890", "0.12345678901234567891e-3",
+        "1e500", "-1e500", "1e-500", "4.9e-324", "5e-324", "2.4703282292062327e-324",
+        "2.2250738585072014e-308", "1.7976931348623157e+308", "1.8e308", "",
+    ])
+    return sorted(strings)
+
+
+def float_ok(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+class TestStrictGrammar:
+    """The strict e* grammar of the check-only load is a subset of float()."""
+
+    def test_accepted_strings_parse(self):
+        strings = grammar_strings()
+        match = _strict_row(1).fullmatch
+        accepted = [s for s in strings if match(s)]
+        assert accepted and len(accepted) < len(strings)
+        assert [s for s in accepted if not float_ok(s)] == []
+        assert all(s.isascii() for s in accepted)
+        two = _strict_row(2).fullmatch
+        assert two("1.5,-2e-07") and not two("1.5") and not two("1.5,2,3")
+
+    def test_file_drops_same_in_both_modes(self, tmp_path):
+        """Each string as an e* cell of its own row drops the row in both
+        loading modes exactly when float() rejects it."""
+        strings = grammar_strings()
+        rows = [f"s{i},10,1,60,,,,,,,,,{text},0.5" for i, text in enumerate(strings)]
+        path = tmp_path / "c.csv"
+        write_csv(path, rows, header=HEADER + ",e0,e1")
+        converted = load_cohort(path)
+        checked = load_cohort(path, with_embedding=False)
+        expected = tuple(
+            (i, "unparseable embedding value")
+            for i, text in enumerate(strings, 1) if not float_ok(text)
+        )
+        assert converted.dropped == checked.dropped == expected
+        assert checked.cohort.embedding is None
+        assert checked.cohort == dataclasses.replace(converted.cohort, embedding=None)
 
 
 class TestMissingValues:
@@ -740,15 +901,24 @@ class TestNoRecordObjects:
         assert len(built) == 1000
 
 
+N_MEMORY, DIM_MEMORY = 20_000, 32
+
+
+@pytest.fixture(scope="module")
+def memory_cohort(tmp_path_factory):
+    """A saved N_MEMORY x DIM_MEMORY cohort."""
+    spec = SimSpec(n=N_MEMORY, censor_model=("uniform", 1500.0), embedding_dim=DIM_MEMORY,
+                   embedding_weights=(0.0,) * DIM_MEMORY, seed=11)
+    path = tmp_path_factory.mktemp("memory") / "c.csv"
+    save_cohort(simulate(spec).cohort, path)
+    return path
+
+
 class TestMemory:
-    def test_load_peak_bounded_by_matrix(self, tmp_path):
+    def test_load_peak_bounded_by_matrix(self, memory_cohort):
         """Loading holds the embedding matrix once plus one block of rows,
         not every cell of the file as a str (about 14 matrices)."""
-        n, dim = 20_000, 32
-        spec = SimSpec(n=n, censor_model=("uniform", 1500.0), embedding_dim=dim,
-                       embedding_weights=(0.0,) * dim, seed=11)
-        path = tmp_path / "c.csv"
-        save_cohort(simulate(spec).cohort, path)
+        n, dim, path = N_MEMORY, DIM_MEMORY, memory_cohort
         tracemalloc.start()
         try:
             cohort = load_cohort(path).cohort
@@ -757,6 +927,19 @@ class TestMemory:
             tracemalloc.stop()
         assert cohort.embedding.shape == (n, dim)
         assert peak < 2 * n * dim * 8 + 8 * 2**20
+
+    def test_check_only_peak_below_one_matrix(self, memory_cohort):
+        """A load without the embedding holds no matrix: its peak stays
+        below the size of the one it does not build plus 4 MiB."""
+        n, dim, path = N_MEMORY, DIM_MEMORY, memory_cohort
+        tracemalloc.start()
+        try:
+            result = load_cohort(path, with_embedding=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(result.cohort) == n and result.cohort.embedding is None
+        assert peak < n * dim * 8 + 4 * 2**20
 
     def test_read_only_column_shared(self):
         time = np.array([1.0, 2.0])
