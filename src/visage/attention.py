@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import AnalysisError, DataError
+from .errors import AnalysisError, DataError, reading
 
 log = logging.getLogger(__name__)
 
@@ -337,9 +337,11 @@ def load_obj(source) -> tuple[np.ndarray, np.ndarray]:
     an out-of-range index, raises DataError.
     """
     if isinstance(source, (str, Path)) and "\n" not in str(source):
-        text = Path(source).read_text(encoding="utf-8")
+        name = str(source)
+        with reading(source):
+            text = Path(source).read_text(encoding="utf-8")
     else:
-        text = str(source)
+        name, text = "OBJ text", str(source)
     vertices: list[list[float]] = []
     faces: list[list[int]] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -347,23 +349,30 @@ def load_obj(source) -> tuple[np.ndarray, np.ndarray]:
         if not line or line.startswith(("#", "o ", "g ", "s ", "usemtl", "mtllib", "vn ", "vt ")):
             continue
         parts = line.split()
+        where = f"{name}: line {line_no}"
         if parts[0] == "v":
             if len(parts) not in (4, 7):
-                raise DataError(f"line {line_no}: vertex needs 3 coordinates (+ optional color)")
-            vertices.append([float(p) for p in parts[1:4]])
+                raise DataError(f"{where}: vertex needs 3 coordinates (+ optional color)")
+            try:
+                vertices.append([float(p) for p in parts[1:4]])
+            except ValueError as err:
+                raise DataError(f"{where}: {err}") from None
         elif parts[0] == "f":
             if len(parts) != 4:
-                raise DataError(f"line {line_no}: only triangle faces are supported")
+                raise DataError(f"{where}: only triangle faces are supported")
             idx = []
             for token in parts[1:]:
                 head = token.split("/")[0]
-                value = int(head)
+                try:
+                    value = int(head)
+                except ValueError:
+                    raise DataError(f"{where}: face index {head!r} is not an integer") from None
                 if value <= 0:
-                    raise DataError(f"line {line_no}: indices must be positive")
+                    raise DataError(f"{where}: indices must be positive")
                 idx.append(value - 1)
             faces.append(idx)
         else:
-            raise DataError(f"line {line_no}: unsupported directive {parts[0]!r}")
+            raise DataError(f"{where}: unsupported directive {parts[0]!r}")
     verts = np.array(vertices, dtype=float).reshape(-1, 3)
     tris = np.array(faces, dtype=int).reshape(-1, 3)
     if tris.size and tris.max() >= len(verts):
@@ -374,20 +383,24 @@ def load_obj(source) -> tuple[np.ndarray, np.ndarray]:
 def load_landmarks(path, n_vertices: int) -> np.ndarray:
     """Read a ``vertex_index,x,y`` CSV covering every vertex exactly once."""
     out = np.full((n_vertices, 2), np.nan)
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8", newline="") as fh, reading(path):
         for row_no, row in enumerate(csv.reader(fh), start=1):
             if not row or not row[0].strip():
                 continue
             if row_no == 1 and not row[0].strip().lstrip("-").isdigit():
                 continue  # header
+            where = f"{path}: landmark row {row_no}"
             if len(row) < 3:
-                raise DataError(f"landmark row {row_no}: need vertex_index,x,y")
-            idx = int(row[0])
+                raise DataError(f"{where}: need vertex_index,x,y")
+            try:
+                idx, xy = int(row[0]), (float(row[1]), float(row[2]))
+            except ValueError as err:
+                raise DataError(f"{where}: {err}") from None
             if not (0 <= idx < n_vertices):
-                raise DataError(f"landmark row {row_no}: vertex {idx} out of range")
+                raise DataError(f"{where}: vertex {idx} out of range")
             if np.isfinite(out[idx]).any():
-                raise DataError(f"landmark row {row_no}: vertex {idx} repeated")
-            out[idx] = (float(row[1]), float(row[2]))
+                raise DataError(f"{where}: vertex {idx} repeated")
+            out[idx] = xy
     if not np.all(np.isfinite(out)):
         missing = int(np.nonzero(~np.isfinite(out[:, 0]))[0][0])
         raise DataError(f"no landmark for vertex {missing}")
@@ -403,9 +416,16 @@ def load_mesh(obj_path, landmarks_path) -> FaceMesh:
 def load_grid(path) -> np.ndarray:
     """Read a square attention grid from CSV."""
     rows = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        for row in csv.reader(fh):
+    with open(path, "r", encoding="utf-8", newline="") as fh, reading(path):
+        reader = csv.reader(fh)
+        for row in reader:
             if not row or not any(cell.strip() for cell in row):
                 continue
-            rows.append([float(cell) for cell in row])
+            where = f"{path}: line {reader.line_num}"
+            if rows and len(row) != len(rows[0]):
+                raise DataError(f"{where}: {len(row)} cells, the first row has {len(rows[0])}")
+            try:
+                rows.append([float(cell) for cell in row])
+            except ValueError as err:
+                raise DataError(f"{where}: {err}") from None
     return validate_grid(np.array(rows))

@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import AnalysisError, DataError, VisageError
+from .errors import AnalysisError, DataError, VisageError, reading
 from . import attention as attention_mod
 from . import biomarkers
 from . import cox as cox_mod
@@ -584,11 +584,8 @@ def _config_flags(path: str, command: str) -> list[str]:
     """The command's section of a JSON config file as flags: ``key: v``
     reads as ``--key=v``, ``true`` as the bare flag, and ``false`` and
     ``null`` are left out."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            loaded = json.load(fh)
-        except json.JSONDecodeError as err:
-            raise DataError(f"bad config JSON: {err}") from None
+    with open(path, "r", encoding="utf-8") as fh, reading(path):
+        loaded = json.load(fh)
     if not isinstance(loaded, dict):
         raise DataError("config must be a JSON object")
     section = loaded.get(command, loaded)

@@ -31,7 +31,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, reading
 
 DAYS_PER_YEAR = 365.25
 
@@ -326,7 +326,7 @@ def read_schema(path: str | Path) -> dict:
     an object of strings) and ``time_unit`` ("days", the default, or
     "years").
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8") as fh, reading(path):
         schema = json.load(fh)
     if not isinstance(schema, dict):
         raise DataError("schema file must contain a JSON object")
@@ -535,7 +535,7 @@ def load_cohort(
     """
     schema = schema or {}
     rename = schema.get("columns", {})
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8", newline="") as fh, reading(path):
         first = fh.readline()
         if not first:
             raise DataError(f"{path}: empty file")

@@ -4,7 +4,13 @@ Two broad classes matter to callers: problems with the data or its files
 (DataError, mapped to exit code 2 by the command line tool) and problems
 arising inside an estimation or training procedure (AnalysisError, exit
 code 1). Everything raised on purpose derives from VisageError.
+:func:`reading` turns the decode and parse errors of a file reader into
+DataError.
 """
+
+import csv
+import json
+from contextlib import contextmanager
 
 
 class VisageError(Exception):
@@ -37,3 +43,15 @@ class NoComparablePairsError(AnalysisError):
 
 class ConstantInputError(AnalysisError):
     """An input that must vary is constant."""
+
+
+@contextmanager
+def reading(path):
+    """Raise a decode or CSV/JSON parse error met inside the block as a
+    DataError that names ``path`` (and the line, where JSON knows it)."""
+    try:
+        yield
+    except UnicodeDecodeError as err:
+        raise DataError(f"{path}: not UTF-8 text ({err.reason})") from None
+    except (csv.Error, json.JSONDecodeError) as err:
+        raise DataError(f"{path}: {err}") from None

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._inputs import vectors
-from .errors import AnalysisError, DataError, NoComparablePairsError
+from .errors import AnalysisError, DataError, NoComparablePairsError, reading
 from .metrics import harrell_c
 from .rng import substream
 
@@ -257,19 +257,17 @@ class _AdamW:
             self.params[key] = p - c.learning_rate * update
 
 
-def _init_model(dim: int, config: TrainConfig) -> tuple[RiskModel, dict[str, np.ndarray]]:
+def _init_params(dim: int, config: TrainConfig) -> dict[str, np.ndarray]:
     rng = substream(config.seed, "trainer/init")
     if config.hidden:
         h = config.hidden
-        params = {
+        return {
             "hidden_w": rng.normal(0.0, 1e-2, (h, dim)),
             "hidden_b": np.zeros(h),
             "w": rng.normal(0.0, 1e-4, h),
             "b": np.zeros(1),
         }
-    else:
-        params = {"w": rng.normal(0.0, 1e-4, dim), "b": np.zeros(1)}
-    return _params_to_model(params), params
+    return {"w": rng.normal(0.0, 1e-4, dim), "b": np.zeros(1)}
 
 
 def _params_to_model(params: dict[str, np.ndarray]) -> RiskModel:
@@ -289,13 +287,9 @@ def _forward(params: dict[str, np.ndarray], X: np.ndarray):
 
 
 def _backward(params, X, hidden, grad_r) -> dict[str, np.ndarray]:
-    grads: dict[str, np.ndarray] = {}
-    if hidden is None:
-        grads["w"] = X.T @ grad_r
-        grads["b"] = np.array([grad_r.sum()])
-    else:
-        grads["w"] = hidden.T @ grad_r
-        grads["b"] = np.array([grad_r.sum()])
+    inputs = X if hidden is None else hidden  # what the output layer sees
+    grads = {"w": inputs.T @ grad_r, "b": np.array([grad_r.sum()])}
+    if hidden is not None:
         d_pre = (grad_r[:, None] * params["w"]) * (1.0 - hidden**2)
         grads["hidden_w"] = d_pre.T @ X
         grads["hidden_b"] = d_pre.sum(axis=0)
@@ -341,6 +335,50 @@ def _safe_c(risks, t, e) -> float:
         return float("nan")
 
 
+def _train(X: np.ndarray, config: TrainConfig, batch_grad, epoch_row) -> TrainResult:
+    """The training procedure both heads share.
+
+    A seeded train/validation split, a seeded initialization, AdamW, and
+    per epoch the seed-shuffled batches of the training split. For each
+    batch, ``batch_grad(outputs, batch)`` returns the gradient of the
+    loss with respect to the batch outputs and whether the batch held no
+    comparable pair. Such a batch counts as skipped, and it takes no
+    step only when its gradient is zero as well. At each epoch's end
+    ``epoch_row(epoch, r_train, train_idx, r_val, val_idx, skipped)``
+    builds the trace row, and the model is kept as a checkpoint.
+    """
+    train_idx, val_idx = _split(X.shape[0], config)
+    params = _init_params(X.shape[1], config)
+    optimizer = _AdamW(params, config)
+    shuffle_rng = substream(config.seed, "trainer/shuffle")
+
+    trace = []
+    checkpoints: list[RiskModel] = []
+    for epoch in range(1, config.epochs + 1):
+        skipped = 0
+        for batch in _epoch_batches(train_idx, config, shuffle_rng):
+            outputs, hidden = _forward(params, X[batch])
+            grad, no_pairs = batch_grad(outputs, batch)
+            if no_pairs:
+                skipped += 1
+                if not np.any(grad):
+                    continue
+            optimizer.step(_backward(params, X[batch], hidden, grad))
+
+        r_train, _ = _forward(params, X[train_idx])
+        r_val, _ = _forward(params, X[val_idx])
+        trace.append(epoch_row(epoch, r_train, train_idx, r_val, val_idx, skipped))
+        checkpoints.append(_params_to_model(params))
+
+    return TrainResult(
+        _params_to_model(params),
+        tuple(trace),
+        tuple(checkpoints),
+        tuple(int(i) for i in train_idx),
+        tuple(int(i) for i in val_idx),
+    )
+
+
 def train_risk_model(embeddings, times, events, config: TrainConfig | None = None) -> TrainResult:
     """Fit the ranking risk head.
 
@@ -356,54 +394,24 @@ def train_risk_model(embeddings, times, events, config: TrainConfig | None = Non
     if int(e.sum()) < 2:
         raise AnalysisError("need at least two events to form training pairs")
 
-    train_idx, val_idx = _split(X.shape[0], config)
-    model, params = _init_model(X.shape[1], config)
-    optimizer = _AdamW(params, config)
-    shuffle_rng = substream(config.seed, "trainer/shuffle")
+    def loss(risks, idx) -> RankLoss:
+        return pairwise_rank_loss(risks, t[idx], e[idx], config.smooth_lambda, config.pair_loss)
 
-    trace: list[EpochStats] = []
-    checkpoints: list[RiskModel] = []
-    for epoch in range(1, config.epochs + 1):
-        skipped = 0
-        for batch in _epoch_batches(train_idx, config, shuffle_rng):
-            risks, hidden = _forward(params, X[batch])
-            result = pairwise_rank_loss(
-                risks, t[batch], e[batch], config.smooth_lambda, config.pair_loss
-            )
-            if result.no_pairs:
-                skipped += 1
-                if not np.any(result.grad):
-                    continue
-            optimizer.step(_backward(params, X[batch], hidden, result.grad))
+    def batch_grad(risks, batch):
+        result = loss(risks, batch)
+        return result.grad, result.no_pairs
 
-        model = _params_to_model(params)
-        r_train, _ = _forward(params, X[train_idx])
-        r_val, _ = _forward(params, X[val_idx])
-        train_eval = pairwise_rank_loss(
-            r_train, t[train_idx], e[train_idx], config.smooth_lambda, config.pair_loss
+    def epoch_row(epoch, r_train, train_idx, r_val, val_idx, skipped):
+        return EpochStats(
+            epoch,
+            loss(r_train, train_idx).loss,
+            loss(r_val, val_idx).loss,
+            _safe_c(r_train, t[train_idx], e[train_idx]),
+            _safe_c(r_val, t[val_idx], e[val_idx]),
+            skipped,
         )
-        val_eval = pairwise_rank_loss(
-            r_val, t[val_idx], e[val_idx], config.smooth_lambda, config.pair_loss
-        )
-        trace.append(
-            EpochStats(
-                epoch,
-                train_eval.loss,
-                val_eval.loss,
-                _safe_c(r_train, t[train_idx], e[train_idx]),
-                _safe_c(r_val, t[val_idx], e[val_idx]),
-                skipped,
-            )
-        )
-        checkpoints.append(model.copy())
 
-    return TrainResult(
-        model,
-        tuple(trace),
-        tuple(checkpoints),
-        tuple(int(i) for i in train_idx),
-        tuple(int(i) for i in val_idx),
-    )
+    return _train(X, config, batch_grad, epoch_row)
 
 
 def train_age_model(embeddings, ages, config: TrainConfig | None = None) -> TrainResult:
@@ -416,39 +424,17 @@ def train_age_model(embeddings, ages, config: TrainConfig | None = None) -> Trai
     (y,) = vectors(ages=ages)
     X = _embeddings(embeddings, y.size)
 
-    train_idx, val_idx = _split(X.shape[0], config)
-    model, params = _init_model(X.shape[1], config)
-    optimizer = _AdamW(params, config)
-    shuffle_rng = substream(config.seed, "trainer/shuffle")
+    def batch_grad(pred, batch):
+        return np.sign(pred - y[batch]) / batch.size, False
 
-    trace: list[AgeEpochStats] = []
-    checkpoints: list[RiskModel] = []
-    for epoch in range(1, config.epochs + 1):
-        for batch in _epoch_batches(train_idx, config, shuffle_rng):
-            pred, hidden = _forward(params, X[batch])
-            residual = pred - y[batch]
-            grad_r = np.sign(residual) / batch.size
-            optimizer.step(_backward(params, X[batch], hidden, grad_r))
-
-        model = _params_to_model(params)
-        r_train, _ = _forward(params, X[train_idx])
-        r_val, _ = _forward(params, X[val_idx])
-        trace.append(
-            AgeEpochStats(
-                epoch,
-                float(np.mean(np.abs(r_train - y[train_idx]))),
-                float(np.mean(np.abs(r_val - y[val_idx]))),
-            )
+    def epoch_row(epoch, r_train, train_idx, r_val, val_idx, skipped):
+        return AgeEpochStats(
+            epoch,
+            float(np.mean(np.abs(r_train - y[train_idx]))),
+            float(np.mean(np.abs(r_val - y[val_idx]))),
         )
-        checkpoints.append(model.copy())
 
-    return TrainResult(
-        model,
-        tuple(trace),
-        tuple(checkpoints),
-        tuple(int(i) for i in train_idx),
-        tuple(int(i) for i in val_idx),
-    )
+    return _train(X, config, batch_grad, epoch_row)
 
 
 def balance_by_factors(ages, table=DEFAULT_FACTOR_TABLE, seed: int = 0) -> np.ndarray:
@@ -547,17 +533,26 @@ def load_model(path) -> tuple[RiskModel, dict]:
     with open(path, "rb") as fh:
         header_line = fh.readline()
         blob = fh.read()
-    try:
+    with reading(path):
         header = json.loads(header_line.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as err:
-        raise DataError(f"bad model header: {err}") from None
+    if not isinstance(header, dict):
+        raise DataError("model header must be a JSON object")
     if header.get("format") != MODEL_FORMAT:
         raise DataError(f"unsupported model format {header.get('format')!r}")
+    try:
+        dim, hidden, n_weights = (header[key] for key in ("dim", "hidden", "n_weights"))
+    except KeyError as err:
+        raise DataError(f"model header lacks {err}") from None
+    hidden = hidden or 0  # null: a linear head
+    if not (isinstance(dim, int) and isinstance(hidden, int) and dim > 0 and hidden >= 0):
+        raise DataError(f"model header needs dim >= 1 and hidden >= 0, got {dim!r}, {hidden!r}")
+    implied = hidden * (dim + 2) + 1 if hidden else dim + 1
     flat = np.frombuffer(blob, dtype="<f4").astype(float)
-    if flat.size != header["n_weights"]:
-        raise DataError("model payload does not match its header")
-    dim = header["dim"]
-    hidden = header["hidden"]
+    if not flat.size == n_weights == implied:
+        raise DataError(
+            f"model payload holds {flat.size} values, its header n_weights {n_weights!r}, "
+            f"and dim {dim} with hidden {hidden} imply {implied}"
+        )
     if hidden:
         hw = flat[: hidden * dim].reshape(hidden, dim)
         hb = flat[hidden * dim : hidden * dim + hidden]

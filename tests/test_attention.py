@@ -544,7 +544,7 @@ class TestLoaders:
     def test_load_grid_rejects_ragged(self, tmp_path):
         path = tmp_path / "g.csv"
         path.write_text("0.1,0.2\n0.3\n")
-        with pytest.raises((DataError, ValueError)):
+        with pytest.raises(DataError, match="line 2"):
             load_grid(path)
 
 

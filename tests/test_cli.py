@@ -711,3 +711,54 @@ class TestEmbeddingOnlyForTrain:
         path.write_text("".join(lines))
         assert run("km", "--cohort", path, "--out", tmp_path / "km") == 0
         assert read_json(tmp_path / "km" / "results.json")["dropped_rows"] == 1
+
+
+
+def _attention_files(root: Path) -> dict:
+    """A valid mesh, landmarks and 7 x 7 grid for ``attention``, by option."""
+    files = {
+        "grid": root / "grid.csv",
+        "mesh": root / "mesh.obj",
+        "landmarks": root / "landmarks.csv",
+    }
+    files["grid"].write_text("\n".join(",".join(["0.3"] * 7) for _ in range(7)) + "\n")
+    files["mesh"].write_text("v 0 0 0\nv 1 0 0\nv 1 1 0\nv 0 1 0\nf 1 2 4\nf 2 3 4\n")
+    files["landmarks"].write_text("0,10,10\n1,100,10\n2,100,100\n3,10,100\n")
+    return files
+
+
+# (case, the option that names the unusable file, the file's bytes)
+UNUSABLE_FILES = [
+    ("cohort-latin1", "cohort",
+     "id,time,event,chrono_age\nJosé,100,1,60\np2,200,0,70\n".encode("latin-1")),
+    ("cohort-long-field", "cohort",
+     ('id,time,event,chrono_age,technique\np1,100,1,60,"' + "x" * 140_000 + '"\n').encode()),
+    ("schema-json", "schema", b'{"columns": {'),
+    ("config-latin1", "config", '{"km": {"horizons": "91,365", "x": "é"}}'.encode("latin-1")),
+    ("grid-cell", "grid", b"0.1,0.2\n0.3,abc\n"),
+    ("grid-ragged", "grid", b"0.1,0.2\n0.3\n"),
+    ("obj-vertex", "mesh", b"v 0 0 0\nv 1 x 0\nv 0 1 0\nf 1 2 3\n"),
+    ("obj-face", "mesh", b"v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 z\n"),
+    ("landmark", "landmarks", b"0,10,10\n1,100,abc\n2,100,100\n3,10,100\n"),
+]
+
+
+@pytest.mark.parametrize(
+    "option,payload", [case[1:] for case in UNUSABLE_FILES], ids=[case[0] for case in UNUSABLE_FILES]
+)
+def test_unusable_file_exits_two_naming_it(tmp_path, capsys, small_cohort, option, payload):
+    """A file that cannot be decoded or parsed exits 2, writes nothing
+    and names the file, with no traceback."""
+    bad = tmp_path / f"bad-{option}"
+    bad.write_bytes(payload)
+    if option in ("grid", "mesh", "landmarks"):
+        command, files = "attention", {**_attention_files(tmp_path), option: bad}
+    else:
+        command, files = "km", {"cohort": small_cohort, option: bad}
+    flags = [arg for name, path in files.items() for arg in (f"--{name}", path)]
+    out = tmp_path / "out"
+    assert run(command, *flags, "--out", out) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert str(bad) in err

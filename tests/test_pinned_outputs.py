@@ -28,6 +28,14 @@ COMMANDS = (
      "--beta", "0.05,0.3,0.02", "--covariates", _COVARIATES, "--censor", "uniform:1500",
      "--embedding-dim", "8", "--embedding-weights", "0.3,-0.3,0.2,0,0,0,0,0"),
     ("train", "--cohort", "sim/cohort.csv", "--out", "train", "--seed", "4", "--epochs", "2"),
+    ("train", "--cohort", "sim/cohort.csv", "--out", "train_age", "--seed", "4", "--epochs", "2",
+     "--target", "age"),
+    ("train", "--cohort", "sim/cohort.csv", "--out", "train_hinge", "--seed", "4", "--epochs", "2",
+     "--hidden", "4", "--pair-loss", "hinge"),
+    ("train", "--cohort", "sim/cohort.csv", "--out", "train_b2_s0", "--seed", "4", "--epochs", "2",
+     "--batch-size", "2", "--smooth-lambda", "0"),
+    ("train", "--cohort", "sim/cohort.csv", "--out", "train_b2", "--seed", "4", "--epochs", "2",
+     "--batch-size", "2"),
     ("metrics", "--cohort", "sim/cohort.csv", "--out", "metrics", "--marker", "fad"),
     ("cox", "--cohort", "sim/cohort.csv", "--out", "cox", "--biomarker", "fad:per:10",
      "--adjusters", "sex:cat:female,chrono_age:per:10", "--screen"),
@@ -67,6 +75,30 @@ PINS = {
     "train/model.bin": "69bad8be2de8cdf968af8b242e812a271dc4dfab1e16efabebdf4e717337cd8d",
     "train/summary.json": "2c900d04fdc42b99ce0eaec7891413f3cb74552fa14fe53faf090ffd486d0d7c",
     "train/trace.csv": "9ba7e28b9bbd3af88f72669d9e0d6b288fced4582d8953a86ec1e7f04da0c38c",
+    "train_age/checkpoints/epoch_001.bin": "f5ec74bad3d1bdeb65f83cc3758919cc892358638b2e4b5a596963d14d1e0305",
+    "train_age/checkpoints/epoch_002.bin": "4fd314ca76071901ed777be295e6eeec9c2c60337640fd972ffc9b4d0cc13797",
+    "train_age/manifest.json": "825032e09d8f3af5a573d7ebbf90616b3cfdbb1151696d01fa6e9a1f5b4ff12a",
+    "train_age/model.bin": "4fd314ca76071901ed777be295e6eeec9c2c60337640fd972ffc9b4d0cc13797",
+    "train_age/summary.json": "77507af6828c10aeb5e26fcd6a631d19ffb0667c2aa6a35f3c456ecf8725a735",
+    "train_age/trace.csv": "7177e38ced2636efdad6d136d4c30660c1c1a74e7af9249f357ee5ba0ad36a2d",
+    "train_b2/checkpoints/epoch_001.bin": "3f84fc5825839cdb1fa904c983300d49d4071807a7a0252df4dd61ba561509ea",
+    "train_b2/checkpoints/epoch_002.bin": "50e9db11d9625b7177d13d2cc78e0db2a63d4d9e1d9a9d8880c66a1302611f9e",
+    "train_b2/manifest.json": "4541191472b3903d8c104afebe5223de49430067a8ab8257c8995adea8edc90b",
+    "train_b2/model.bin": "50e9db11d9625b7177d13d2cc78e0db2a63d4d9e1d9a9d8880c66a1302611f9e",
+    "train_b2/summary.json": "1588c049cbce439244ce68dea50f5622070ee6a62f82b2a02613f32cb184ff69",
+    "train_b2/trace.csv": "ef88cc335f60fc382cf1d60509640e5d897d2f011db67547c2293897925a919f",
+    "train_b2_s0/checkpoints/epoch_001.bin": "27a06ec0b8db426084bf013658cdb5eb18a35de283732eaeaa16c41fa33b505c",
+    "train_b2_s0/checkpoints/epoch_002.bin": "21bfc66726c0da7e74fecc03919d9a3834d514512a4b575b94c3bb171f8d7806",
+    "train_b2_s0/manifest.json": "e166d548a0a48215e1f545142e3dd6754b94f4b293c37e325bcd2b10625a073e",
+    "train_b2_s0/model.bin": "21bfc66726c0da7e74fecc03919d9a3834d514512a4b575b94c3bb171f8d7806",
+    "train_b2_s0/summary.json": "378fe266e81ca85de5818733306628c608a4441dc09172aec4d9957d1b4e6aa3",
+    "train_b2_s0/trace.csv": "98b6fd3966eb05d8169b8731d58876b3a4d8ee6995cc028e65ced92144edcf80",
+    "train_hinge/checkpoints/epoch_001.bin": "2ffeae2b20f9c2a57dc6f2c60f85d4752ca6b47e3d430bf897532c9ec25c888c",
+    "train_hinge/checkpoints/epoch_002.bin": "853106ad1d3ffc32d7cb21daded1c3d3aa76f592f0af7395a47233874b484fb1",
+    "train_hinge/manifest.json": "616bf54674dc3ca92224a765767f2c4c1b3aa78af374c6099190164bb9505bc8",
+    "train_hinge/model.bin": "853106ad1d3ffc32d7cb21daded1c3d3aa76f592f0af7395a47233874b484fb1",
+    "train_hinge/summary.json": "a24a4333814a12e4063e9ffc05459160635105ed46db260b090bc132785b272f",
+    "train_hinge/trace.csv": "892fd8bbc96607028f4d94b39aefe634ab5f395c5045f8ec21ea01c2892be443",
 }
 
 

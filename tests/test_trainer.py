@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from visage.errors import AnalysisError, DataError
 from visage.metrics import harrell_c
 from visage.trainer import (
     DEFAULT_FACTOR_TABLE,
+    MODEL_FORMAT,
     TrainConfig,
     _ROW_BLOCK,
     _AdamW,
@@ -370,6 +373,27 @@ class TestRiskTraining:
         assert result.model.hidden_w.shape == (8, 16)
         assert np.isfinite(result.model.predict(X)).all()
 
+    def test_batch_without_pairs_steps_only_on_a_smoothness_gradient(self):
+        """Every event shares the latest time, so no batch holds a pair:
+        all batches count as skipped. Without the smoothness term their
+        gradient is zero and the model stays at its initial weights; with
+        it, each batch still steps."""
+        rng = np.random.default_rng(79)
+        n = 40
+        X = rng.normal(size=(n, 4))
+        e = np.arange(n) % 2 == 0
+        t = np.where(e, 100.0, rng.uniform(1.0, 99.0, n))
+        config = TrainConfig(seed=4, epochs=2, batch_size=4, learning_rate=1e-3)
+        initial = train_risk_model(X, t, e, TrainConfig(seed=4, epochs=0)).model
+        skipped = train_risk_model(X, t, e, TrainConfig(**{**vars(config), "smooth_lambda": 0.0}))
+        stepped = train_risk_model(X, t, e, config)
+        n_batches = -(-len(skipped.train_indices) // config.batch_size)
+        for result in (skipped, stepped):
+            assert [s.skipped_batches for s in result.trace] == [n_batches] * 2
+        assert np.array_equal(skipped.model.weights, initial.weights)
+        assert skipped.model.bias == initial.bias
+        assert not np.array_equal(stepped.model.weights, skipped.model.weights)
+
     def test_hidden_width_zero_is_linear_and_negative_rejected(self):
         X, t, e = linear_risk_data(43, n=200)
         result = train_risk_model(X, t, e, TrainConfig(seed=0, epochs=1, hidden=0))
@@ -522,4 +546,26 @@ class TestModelIO:
         path = tmp_path / "bad.bin"
         path.write_bytes(b'{"format": "something-else/9"}\n')
         with pytest.raises(DataError):
+            load_model(path)
+
+    def test_non_object_header_rejected(self, tmp_path):
+        path = tmp_path / "bad.bin"
+        path.write_bytes(b"[1]\n")
+        with pytest.raises(DataError, match="JSON object"):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "header,n_values",
+        [
+            ({"dim": 3, "hidden": None, "n_weights": 9}, 9),  # 4 values used, 5 ignored
+            ({"dim": 3, "hidden": 4, "n_weights": 4}, 4),  # too few for a hidden layer
+            ({"hidden": None, "n_weights": 4}, 4),  # no dim
+        ],
+        ids=["linear-extra-values", "hidden-short", "no-dim"],
+    )
+    def test_header_disagreeing_with_payload_rejected(self, tmp_path, header, n_values):
+        path = tmp_path / "bad.bin"
+        head = json.dumps({"format": MODEL_FORMAT, "dtype": "<f4", **header}).encode()
+        path.write_bytes(head + b"\n" + np.ones(n_values, dtype="<f4").tobytes())
+        with pytest.raises(DataError, match="dim"):
             load_model(path)
