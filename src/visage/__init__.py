@@ -15,6 +15,17 @@ cli         command line entry points
 
 __version__ = "0.1.0"
 
+# The stratification schemes of ``biomarkers.stratify``, kept here so that
+# the command line can list them without executing numpy.
+SCHEMES = (
+    "fad_bands",
+    "fad_ge5",
+    "fad_le_minus5",
+    "risk_quartiles",
+    "risk_deciles",
+    "risk_half",
+)
+
 from .errors import (
     AnalysisError,
     ConstantInputError,
@@ -27,6 +38,7 @@ from .errors import (
 
 __all__ = [
     "__version__",
+    "SCHEMES",
     "AnalysisError",
     "ConstantInputError",
     "DataError",

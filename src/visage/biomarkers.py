@@ -13,19 +13,12 @@ from typing import Sequence
 
 import numpy as np
 
+from . import SCHEMES
 from ._inputs import vectors
+from .cohort import _csv_fields
 from .errors import AnalysisError, ConstantInputError, DataError
 
 FAD_BAND_CUTS = (-10.0, -5.0, 0.0, 5.0, 10.0, 20.0)
-
-SCHEMES = (
-    "fad_bands",
-    "fad_ge5",
-    "fad_le_minus5",
-    "risk_quartiles",
-    "risk_deciles",
-    "risk_half",
-)
 
 _RISK_SCHEMES = {"risk_quartiles", "risk_deciles", "risk_half"}
 
@@ -186,6 +179,6 @@ def strata_to_csv(ids: Sequence[str], assignment: StrataAssignment) -> str:
     lines = ["id,scheme,label"]
     lines.extend(
         f"{sid},{assignment.scheme},{label}"
-        for sid, label in zip(ids, assignment.labels)
+        for sid, label in zip(_csv_fields(ids), assignment.labels)
     )
     return "\n".join(lines) + "\n"

@@ -19,25 +19,45 @@ converge), 2 input/usage error with no partial outputs.
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import hashlib
+import importlib.util
 import itertools
 import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from . import __version__
+from . import SCHEMES, __version__
 from .errors import AnalysisError, DataError, VisageError, reading
-from . import attention as attention_mod
-from . import biomarkers
-from . import cox as cox_mod
-from . import metrics as metrics_mod
-from . import survival
-from . import synth as synth_mod
-from . import trainer as trainer_mod
-from .cohort import load_cohort, read_schema, save_cohort
+
+
+def _lazy(name: str):
+    """Module ``name``, registered in ``sys.modules`` now and executed the
+    first time one of its attributes is read (Scientific Python SPEC 1)."""
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    parent, _, child = name.rpartition(".")
+    if parent:  # as an import binds a submodule on its package
+        setattr(sys.modules[parent], child, module)
+    return module
+
+
+# A command executes only the modules it reaches, so library functions are
+# looked up through these module objects when they are called.
+dataclasses = _lazy("dataclasses")
+hashlib = _lazy("hashlib")
+np = _lazy("numpy")
+attention_mod = _lazy("visage.attention")
+biomarkers = _lazy("visage.biomarkers")
+cohort_mod = _lazy("visage.cohort")
+cox_mod = _lazy("visage.cox")
+metrics_mod = _lazy("visage.metrics")
+survival = _lazy("visage.survival")
+synth_mod = _lazy("visage.synth")
+trainer_mod = _lazy("visage.trainer")
 
 
 def _sha256(path: Path) -> str:
@@ -146,8 +166,8 @@ def _load(args, with_embedding: bool = False) -> tuple:
     every e* cell passes the drop rule either way."""
     if not args.cohort:
         raise DataError("--cohort is required")
-    schema = read_schema(args.schema) if args.schema else None
-    result = load_cohort(args.cohort, schema, with_embedding=with_embedding)
+    schema = cohort_mod.read_schema(args.schema) if args.schema else None
+    result = cohort_mod.load_cohort(args.cohort, schema, with_embedding=with_embedding)
     return result.cohort, result
 
 
@@ -401,7 +421,7 @@ def cmd_simulate(args, outputs: dict) -> dict:
         seed=args.seed,
     )
     result = synth_mod.simulate(spec)
-    outputs["cohort.csv"] = lambda path: save_cohort(result.cohort, path)
+    outputs["cohort.csv"] = lambda path: cohort_mod.save_cohort(result.cohort, path)
     outputs["truth.json"] = result.truth
     return {
         "n": spec.n,
@@ -423,9 +443,9 @@ def cmd_balance(args, outputs: dict) -> dict:
             ages, bin_width=args.bin_width, target=args.target, seed=args.seed
         )
 
-    ids = cohort.ids
     lines = ["index,id"]
-    lines.extend(f"{int(i)},{ids[int(i)]}" for i in indices)
+    ids = cohort_mod._csv_fields(cohort.ids[indices].tolist())
+    lines.extend(f"{i},{sid}" for i, sid in zip(indices.tolist(), ids))
     outputs["indices.csv"] = "\n".join(lines) + "\n"
 
     bin_index = np.floor(ages[indices] / args.bin_width).astype(int)
@@ -503,7 +523,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("km", help="Kaplan-Meier curves per stratum with log-rank tests")
     _common(p)
-    p.add_argument("--group-by", dest="group_by", choices=("none", *biomarkers.SCHEMES),
+    p.add_argument("--group-by", dest="group_by", choices=("none", *SCHEMES),
                    default="none", help="stratification scheme (default %(default)s)")
     p.add_argument("--horizons", type=_floats, default="913,1826",
                    help="comma-separated day horizons for point estimates (default %(default)s)")

@@ -603,7 +603,7 @@ def load_cohort(
     return LoadResult(Cohort(**columns), tuple(dropped))
 
 
-def _csv_fields(values: np.ndarray) -> list[str]:
+def _csv_fields(values: Sequence[str]) -> list[str]:
     """Each value as csv.writer writes it in a row, quoted where needed."""
     lines: list[str] = []
     writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\n")
@@ -612,7 +612,7 @@ def _csv_fields(values: np.ndarray) -> list[str]:
         writer.writerow((value, ""))  # a lone "" would be quoted
         return lines.pop()[:-2]
 
-    return _per_distinct(values.tolist(), field)
+    return _per_distinct(values, field)
 
 
 def save_cohort(cohort: Cohort, path: str | Path) -> None:
@@ -626,11 +626,11 @@ def save_cohort(cohort: Cohort, path: str | Path) -> None:
     # flag and an empty cell never do, so rows are joined directly.
     header = list(_CANONICAL_COLUMNS)
     columns = [
-        _csv_fields(cohort.ids),
+        _csv_fields(cohort.ids.tolist()),
         map(repr, cohort.time.tolist()),
         np.where(cohort.event, "1", "0").tolist(),
         map(repr, cohort.chrono_age.tolist()),
-        *(_csv_fields(getattr(cohort, name)) for name in CATEGORY_FIELDS),
+        *(_csv_fields(getattr(cohort, name).tolist()) for name in CATEGORY_FIELDS),
         optional(cohort.predicted_age),
         optional(cohort.risk_raw),
     ]

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-import visage.cli  # noqa: F401  (loads every visage module the tracer looks in)
+import visage.cli  # noqa: F401  (registers every visage module the tracer looks in)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -37,6 +37,17 @@ def test_layer_bound(layer):
     module = sys.modules[f"visage.{module_name}"]
     owner = module.Cohort if func_name == "embedding_matrix" else module
     assert callable(getattr(owner, func_name))
+
+
+def test_cli_import_registers_every_layer_module():
+    """``install`` finds each layer's module in ``sys.modules`` right after
+    ``import visage.cli``; the command line registers them there lazily."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    code = "import sys, visage.cli; print(' '.join(sys.modules))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True)
+    layer_modules = {f"visage.{layer.split('.')[0]}" for layer in _tracer().LAYERS}
+    assert layer_modules <= set(proc.stdout.split())
 
 
 def test_peak_probe_names_bound():

@@ -3,6 +3,7 @@ reproducibility, and exit codes."""
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import os
@@ -685,16 +686,16 @@ class TestEmbeddingOnlyForTrain:
     def test_only_train_builds_the_matrix(self, tmp_path, monkeypatch, small_cohort):
         """km, cox, metrics and balance load the cohort without its
         embedding matrix; train loads it with the matrix."""
-        import visage.cli as cli
+        import visage.cohort as cohort_mod
 
-        load_cohort, loads = cli.load_cohort, []
+        load_cohort, loads = cohort_mod.load_cohort, []
 
         def recording(*args, **kwargs):
             result = load_cohort(*args, **kwargs)
             loads.append((kwargs.get("with_embedding", True), result.cohort.embedding is not None))
             return result
 
-        monkeypatch.setattr(cli, "load_cohort", recording)
+        monkeypatch.setattr(cohort_mod, "load_cohort", recording)
         commands = {
             "km": [], "cox": ["--biomarker", "fad:per:10"], "metrics": ["--marker", "fad"],
             "balance": ["--target", "5"], "train": ["--epochs", "1"],
@@ -762,3 +763,87 @@ def test_unusable_file_exits_two_naming_it(tmp_path, capsys, small_cohort, optio
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert str(bad) in err
+
+
+class TestQuotedIds:
+    def test_balance_and_km_ids_read_back_whole(self, tmp_path):
+        """Ids holding a comma or a quote are written as csv.writer
+        writes them, so csv.reader gets each row's fields back."""
+        from visage.cohort import Cohort, save_cohort
+
+        ids = ["a,b", "p1", 'd"q', "p3", "p4", "p5"]
+        cohort = Cohort(
+            ids=ids,
+            time=[100.0, 200.0, 300.0, 400.0, 500.0, 600.0],
+            event=[True, False, True, True, False, True],
+            chrono_age=[45.0, 52.0, 58.0, 63.0, 67.0, 72.0],
+            predicted_age=[50.0, 50.0, 66.0, 60.0, 75.0, 70.0],
+        )
+        path = tmp_path / "cohort.csv"
+        save_cohort(cohort, path)
+        assert run("balance", "--cohort", path, "--out", tmp_path / "bal", "--mode", "factors") == 0
+        assert run("km", "--cohort", path, "--out", tmp_path / "km", "--group-by", "fad_ge5") == 0
+
+        with open(tmp_path / "bal" / "indices.csv", newline="", encoding="utf-8") as fh:
+            header, *rows = csv.reader(fh)
+        assert header == ["index", "id"]
+        assert {len(row) for row in rows} == {2}
+        assert all(sid == ids[int(i)] for i, sid in rows)
+        assert {sid for _, sid in rows} == set(ids)
+
+        with open(tmp_path / "km" / "strata.csv", newline="", encoding="utf-8") as fh:
+            header, *rows = csv.reader(fh)
+        assert header == ["id", "scheme", "label"]
+        assert [row[:2] for row in rows] == [[sid, "fad_ge5"] for sid in ids]
+
+
+# Runs the command line on its own arguments, then prints on its last line
+# which of numpy and the visage modules have executed. A module that the
+# command line registered lazily keeps its lazy class until an attribute of
+# it is read, and type() reads the class without reading an attribute.
+_EXECUTED = """
+import sys, types
+from visage.cli import main
+try:
+    main(sys.argv[1:])
+except SystemExit:
+    pass
+print(" ".join(sorted(
+    name for name, module in list(sys.modules.items())
+    if (name == "numpy" or name.startswith("visage.")) and type(module) is types.ModuleType
+)))
+"""
+
+
+def executed_by(*argv) -> set[str]:
+    """The numpy and visage modules that a command line run executes."""
+    proc = run_child("-c", _EXECUTED, *map(str, argv))
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+class TestStartup:
+    """Each command executes only the modules that it uses."""
+
+    @pytest.mark.parametrize("argv", [["--version"], ["--help"], ["km", "--help"]])
+    def test_version_and_help_execute_no_numpy(self, argv):
+        assert executed_by(*argv) == {"visage.cli", "visage.errors"}
+
+    def test_lazy_module_is_bound_on_the_package(self):
+        proc = run_child("-c", "import visage.cli, visage.cohort; visage.cohort.load_cohort")
+        assert proc.returncode == 0, proc.stderr
+
+    def test_attention_executes_no_cohort_module(self, tmp_path):
+        files = _attention_files(tmp_path)
+        flags = [arg for name, path in files.items() for arg in (f"--{name}", path)]
+        executed = executed_by("attention", *flags, "--out", tmp_path / "att")
+        assert {"numpy", "visage.attention"} <= executed
+        unused = {"cohort", "cox", "trainer", "synth", "metrics", "survival", "biomarkers"}
+        assert not executed & {f"visage.{name}" for name in unused}
+
+    def test_km_executes_no_model_module(self, tmp_path, small_cohort):
+        executed = executed_by(
+            "km", "--cohort", small_cohort, "--out", tmp_path / "km", "--group-by", "fad_bands"
+        )
+        assert {"visage.cohort", "visage.survival", "visage.biomarkers"} <= executed
+        assert not executed & {f"visage.{name}" for name in ("trainer", "attention", "synth", "cox")}
