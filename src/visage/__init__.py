@@ -2,7 +2,7 @@
 
 Modules
 -------
-cohort      subject records, CSV ingestion, validation
+cohort      columnar cohorts, CSV ingestion, validation
 survival    Kaplan-Meier, log-rank, reverse-KM follow-up, early mortality
 cox         proportional hazards fitting, screening, AIC comparison
 metrics     concordance, time-dependent AUC, age accuracy, rank tests

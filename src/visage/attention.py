@@ -29,7 +29,6 @@ from .errors import AnalysisError, DataError, reading
 
 log = logging.getLogger(__name__)
 
-GRID_SIZE = 7
 IMAGE_SIZE = 112
 
 # Perceptually uniform ramp (viridis), 33 anchors, linearly interpolated.

@@ -1,4 +1,4 @@
-"""Subject records, cohorts, and delimited-text ingestion.
+"""Cohorts, delimited-text ingestion, and validation.
 
 The canonical on-disk form is a CSV with one row per subject::
 
@@ -12,8 +12,7 @@ through a schema mapping, and a flat binary sidecar may carry the
 embedding instead of text columns. Text is canonical; the sidecar is a
 convenience for bulk transfer.
 
-In memory a :class:`Cohort` holds one array per field; a
-:class:`PatientRecord` is a per-subject view of it.
+In memory a :class:`Cohort` holds one array per field.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ import csv
 import json
 import re
 from dataclasses import dataclass, fields
-from functools import cached_property, partial
+from functools import partial
 from itertools import chain, islice, repeat
 from operator import itemgetter
 from pathlib import Path
@@ -78,33 +77,6 @@ _EVENT_CODES = {
 }
 
 
-@dataclass(frozen=True)
-class PatientRecord:
-    """One subject, as :attr:`Cohort.records` yields it.
-
-    ``time`` is days of follow-up (> 0), ``event`` True when the subject
-    died at ``time`` and False when censored there. ``predicted_age``,
-    ``risk_raw``, ``risk_scaled`` and ``embedding`` are model outputs and
-    may be absent (None). Build a cohort from records with
-    :meth:`Cohort.from_records`.
-    """
-
-    id: str
-    time: float
-    event: bool
-    chrono_age: float
-    sex: str = "unknown"
-    race: str = "unknown"
-    cancer_site: str = "unknown"
-    intent: str = "unknown"
-    year_group: str = "unknown"
-    technique: str = "unknown"
-    predicted_age: float | None = None
-    risk_raw: float | None = None
-    risk_scaled: float | None = None
-    embedding: tuple[float, ...] | None = None
-
-
 # Cohort column -> (dtype, value of a column given as None); categoricals
 # are str columns missing as "unknown", and a None embedding stays None.
 _COLUMN_TYPES = {
@@ -138,8 +110,10 @@ class Cohort:
     matrix or None. The constructor copies each column, except an array
     of the column's dtype, C-ordered, that neither it nor any array it
     views is writeable: that one is shared, since no one can change it.
-    An optional column passed as None is all missing. Invalid values
-    are representable and surfaced by :func:`validate`.
+    An optional column passed as None is all missing. A column that
+    cannot be converted to its dtype, or does not align with ``ids``,
+    raises DataError naming it. Invalid values are representable and
+    surfaced by :func:`validate`.
     """
 
     ids: np.ndarray
@@ -169,52 +143,14 @@ class Cohort:
             elif _frozen(value, dtype):
                 col = value
             else:
-                col = np.array(value, dtype, order="C")
+                try:
+                    col = np.array(value, dtype, order="C")
+                except (TypeError, ValueError) as exc:
+                    raise DataError(f"{f.name} cannot be read as {np.dtype(dtype)}: {exc}") from None
             if col.shape[:1] != (n,) or col.ndim != 1 + (f.name == "embedding"):
                 raise DataError(f"{f.name} of shape {col.shape} does not align with {n} subjects")
             col.flags.writeable = False
             object.__setattr__(self, f.name, col)
-
-    @classmethod
-    def from_records(
-        cls, records: Sequence[PatientRecord], embedding_dim: int | None = None
-    ) -> Cohort:
-        """Build a cohort from per-subject records.
-
-        Every record has an embedding of one length (``embedding_dim``
-        when given, else the first record's), or none has; otherwise
-        DataError names the first record that breaks the rule.
-        """
-        records = tuple(records)
-        if embedding_dim is None and records and records[0].embedding is not None:
-            embedding_dim = len(records[0].embedding)
-        for r in records:
-            length = None if r.embedding is None else len(r.embedding)
-            if length != embedding_dim:
-                raise DataError(
-                    f"record {r.id!r}: embedding length {length}, expected {embedding_dim}"
-                )
-        columns = {f.name: [getattr(r, f.name) for r in records] for f in fields(PatientRecord)}
-        embeddings = columns.pop("embedding")
-        shape = (len(records), embedding_dim)
-        embedding = None if embedding_dim is None else np.array(embeddings, float).reshape(shape)
-        return cls(ids=columns.pop("id"), embedding=embedding, **columns)
-
-    @cached_property
-    def records(self) -> tuple[PatientRecord, ...]:
-        """Per-subject view: Python scalars, None for a missing value."""
-
-        def listed(name: str) -> list:
-            values = getattr(self, name)
-            if values is None:  # no embedding
-                return [None] * len(self)
-            if name == "embedding":
-                return list(map(tuple, values.tolist()))
-            if name in _OPTIONAL_COLUMNS.values():
-                return [None if v != v else v for v in values.tolist()]
-            return values.tolist()
-
-        return tuple(PatientRecord(*row) for row in zip(*(listed(f.name) for f in fields(self))))
 
     @property
     def embedding_dim(self) -> int | None:
@@ -222,9 +158,6 @@ class Cohort:
 
     def __len__(self) -> int:
         return len(self.ids)
-
-    def __iter__(self) -> Iterator[PatientRecord]:
-        return iter(self.records)
 
     def __eq__(self, other) -> bool:
         """Column equality, NaN equal to NaN."""

@@ -67,9 +67,9 @@ class Covariate:
 
 @dataclass(frozen=True)
 class DesignMatrix:
-    """Expanded model matrix aligned to cohort record order.
+    """Expanded model matrix aligned to the cohort's row order.
 
-    ``matrix`` has one row per cohort record (zeros on excluded rows)
+    ``matrix`` has one row per cohort subject (zeros on excluded rows)
     and ``included`` flags the rows that enter the fit: a row is
     excluded when any declared covariate is unknown or missing for it,
     which reproduces the per-model subject counts of a table built from
@@ -82,10 +82,6 @@ class DesignMatrix:
     included: np.ndarray
     spans: tuple[tuple[int, int], ...] = ()
     notes: tuple[str, ...] = ()
-
-    @property
-    def n_included(self) -> int:
-        return int(np.sum(self.included))
 
 
 @dataclass(frozen=True)

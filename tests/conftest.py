@@ -6,39 +6,15 @@ are only used by the loader and CLI tests.
 
 from __future__ import annotations
 
-import numpy as np
-
-from visage.cohort import Cohort, PatientRecord
+from visage.cohort import Cohort
 
 
 def make_cohort(times, events, **columns) -> Cohort:
-    """Build a cohort from parallel arrays.
+    """Build a cohort from parallel arrays, with ids ``p0000``, ``p0001``, ….
 
-    Keyword columns map to PatientRecord fields; an ``embedding``
-    column takes an (n, d) array.
+    Keyword columns are Cohort fields; ``chrono_age`` defaults to 60.0
+    and an ``embedding`` column takes an (n, d) array.
     """
-    times = np.asarray(times, dtype=float)
-    events = np.asarray(events, dtype=bool)
-    n = times.size
-    embedding = columns.pop("embedding", None)
-    records = []
-    for i in range(n):
-        kwargs = {}
-        for name, values in columns.items():
-            value = values[i]
-            if isinstance(value, (np.floating, np.integer)):
-                value = float(value)
-            kwargs[name] = value
-        if embedding is not None:
-            kwargs["embedding"] = tuple(float(v) for v in embedding[i])
-        records.append(
-            PatientRecord(
-                id=f"p{i:04d}",
-                time=float(times[i]),
-                event=bool(events[i]),
-                chrono_age=float(kwargs.pop("chrono_age", 60.0)),
-                **kwargs,
-            )
-        )
-    dim = None if embedding is None else int(np.asarray(embedding).shape[1])
-    return Cohort.from_records(records, embedding_dim=dim)
+    n = len(times)
+    columns.setdefault("chrono_age", [60.0] * n)
+    return Cohort(ids=[f"p{i:04d}" for i in range(n)], time=times, event=events, **columns)

@@ -12,11 +12,9 @@ import numpy as np
 import pytest
 
 from visage import cohort as cohort_mod
-from visage.biomarkers import fad_for_cohort
 from visage.cohort import (
     DAYS_PER_YEAR,
     Cohort,
-    PatientRecord,
     Violation,
     _normalize_category,
     _strict_row,
@@ -26,9 +24,8 @@ from visage.cohort import (
     save_embedding_sidecar,
     validate,
 )
-from visage.cox import Covariate, build_design
 from visage.errors import DataError
-from visage.synth import SimCovariate, SimSpec, simulate
+from visage.synth import SimSpec, simulate
 
 
 HEADER = (
@@ -55,14 +52,13 @@ class TestLoad:
         result = load_cohort(p)
         assert len(result.cohort) == 3
         assert result.n_dropped == 0
-        a = result.cohort.records[0]
-        assert a.id == "a"
-        assert a.time == 120.0
-        assert a.event is True
-        assert a.predicted_age == 63.0
-        assert a.risk_raw == 0.4
-        b = result.cohort.records[1]
-        assert b.predicted_age is None and b.risk_raw is None
+        cohort = result.cohort
+        assert cohort.ids[0] == "a"
+        assert cohort.time[0] == 120.0
+        assert cohort.event[0].item() is True
+        assert cohort.predicted_age[0] == 63.0
+        assert cohort.risk_raw[0] == 0.4
+        assert np.isnan(cohort.predicted_age[1]) and np.isnan(cohort.risk_raw[1])
 
     def test_zero_time_row_dropped(self, tmp_path):
         p = tmp_path / "c.csv"
@@ -124,7 +120,7 @@ class TestLoad:
         write_csv(p, [f"a,120,1,61.5,,,,,,,,,{values}"], header=header)
         result = load_cohort(p)
         assert result.cohort.embedding_dim == 768
-        assert len(result.cohort.records[0].embedding) == 768
+        assert len(result.cohort.embedding[0]) == 768
 
     def test_embedding_gap_rejected(self, tmp_path):
         p = tmp_path / "c.csv"
@@ -149,9 +145,9 @@ class TestLoad:
             ],
         )
         cohort = load_cohort(p).cohort
-        assert cohort.records[0].sex == "female"  # case-normalized
-        assert cohort.records[0].race == "unknown"  # not in the universe
-        assert cohort.records[1].sex == "unknown"  # empty cell
+        assert cohort.sex[0] == "female"  # case-normalized
+        assert cohort.race[0] == "unknown"  # not in the universe
+        assert cohort.sex[1] == "unknown"  # empty cell
 
     def test_event_flag_tokens(self, tmp_path):
         p = tmp_path / "c.csv"
@@ -169,7 +165,7 @@ class TestLoad:
     def test_blank_id_gets_row_number(self, tmp_path):
         p = tmp_path / "c.csv"
         write_csv(p, [",120,1,61.5,,,,,,,,"])
-        assert load_cohort(p).cohort.records[0].id == "row1"
+        assert load_cohort(p).cohort.ids[0] == "row1"
 
     def test_deterministic(self, tmp_path):
         p = tmp_path / "c.csv"
@@ -192,14 +188,14 @@ class TestSchema:
             }
         }
         cohort = load_cohort(p, schema=schema).cohort
-        r = cohort.records[0]
-        assert (r.id, r.time, r.event, r.chrono_age) == ("x1", 200.0, True, 58.2)
+        first = (cohort.ids[0], cohort.time[0], cohort.event[0], cohort.chrono_age[0])
+        assert first == ("x1", 200.0, True, 58.2)
 
     def test_years_converted_to_days(self, tmp_path):
         p = tmp_path / "c.csv"
         write_csv(p, ["a,2.0,1,61.5,,,,,,,,"])
         cohort = load_cohort(p, schema={"time_unit": "years"}).cohort
-        assert cohort.records[0].time == 730.5  # 2 x 365.25
+        assert cohort.time[0] == 730.5  # 2 x 365.25
 
     def test_read_schema_rejects_bad_unit(self, tmp_path):
         p = tmp_path / "s.json"
@@ -233,36 +229,29 @@ class TestSchema:
 
 class TestRoundTrip:
     def test_save_load_equal_fieldwise(self, tmp_path):
-        records = (
-            PatientRecord(
-                id="a",
-                time=120.0,
-                event=True,
-                chrono_age=61.5,
-                sex="female",
-                race="white",
-                cancer_site="breast",
-                intent="curative",
-                year_group="pre2016",
-                technique="imrt",
-                predicted_age=63.25,
-                risk_raw=0.123456789012345,
-                risk_scaled=0.5,
-                embedding=(0.1, -0.2, 0.3),
-            ),
-            PatientRecord(id="b", time=365.0, event=False, chrono_age=70.0,
-                          embedding=(1.0, 2.0, 3.0)),
+        cohort = Cohort(
+            ids=["a", "b"],
+            time=[120.0, 365.0],
+            event=[True, False],
+            chrono_age=[61.5, 70.0],
+            sex=["female", "unknown"],
+            race=["white", "unknown"],
+            cancer_site=["breast", "unknown"],
+            intent=["curative", "unknown"],
+            year_group=["pre2016", "unknown"],
+            technique=["imrt", "unknown"],
+            predicted_age=[63.25, None],
+            risk_raw=[0.123456789012345, None],
+            risk_scaled=[0.5, None],
+            embedding=[(0.1, -0.2, 0.3), (1.0, 2.0, 3.0)],
         )
-        cohort = Cohort.from_records(records, embedding_dim=3)
         p = tmp_path / "c.csv"
         save_cohort(cohort, p)
         back = load_cohort(p).cohort
         assert back == cohort
 
     def test_save_bytes_stable(self, tmp_path):
-        cohort = Cohort.from_records(
-            (PatientRecord(id="a", time=1.5, event=True, chrono_age=60.0),)
-        )
+        cohort = Cohort(ids=["a"], time=[1.5], event=[True], chrono_age=[60.0])
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         save_cohort(cohort, p1)
         save_cohort(cohort, p2)
@@ -271,21 +260,13 @@ class TestRoundTrip:
     def test_sidecar_roundtrip(self, tmp_path):
         rng = np.random.default_rng(3)
         emb = rng.normal(size=(4, 6)).astype(np.float32).astype(float)
-        records = tuple(
-            PatientRecord(
-                id=f"s{i}", time=10.0 + i, event=bool(i % 2), chrono_age=60.0,
-                embedding=tuple(emb[i]),
-            )
-            for i in range(4)
-        )
-        cohort = Cohort.from_records(records, embedding_dim=6)
+        columns = dict(ids=[f"s{i}" for i in range(4)], time=10.0 + np.arange(4),
+                       event=np.arange(4) % 2 == 1, chrono_age=[60.0] * 4)
+        cohort = Cohort(**columns, embedding=emb)
         csv_path = tmp_path / "c.csv"
         bin_path = tmp_path / "c.f32"
         # save CSV without embeddings so the sidecar is the only source
-        save_cohort(Cohort.from_records(tuple(
-            PatientRecord(id=r.id, time=r.time, event=r.event, chrono_age=r.chrono_age)
-            for r in records
-        )), csv_path)
+        save_cohort(Cohort(**columns), csv_path)
         save_embedding_sidecar(cohort, bin_path)
         back = load_cohort(csv_path, embedding_sidecar=bin_path, embedding_dim=6)
         np.testing.assert_allclose(back.cohort.embedding_matrix(), emb, rtol=1e-6)
@@ -309,65 +290,49 @@ class TestRoundTrip:
 
 class TestValidate:
     def test_all_valid_empty_report(self):
-        cohort = Cohort.from_records(
-            (
-                PatientRecord(id="a", time=10.0, event=True, chrono_age=60.0,
-                              risk_scaled=0.0),
-                PatientRecord(id="b", time=20.0, event=False, chrono_age=0.0,
-                              risk_scaled=1.0),
-            )
-        )
+        cohort = Cohort(ids=["a", "b"], time=[10.0, 20.0], event=[True, False],
+                        chrono_age=[60.0, 0.0], risk_scaled=[0.0, 1.0])
         assert validate(cohort).ok()
 
     def test_risk_scaled_out_of_range(self):
-        cohort = Cohort.from_records(
-            (PatientRecord(id="bad", time=10.0, event=True, chrono_age=60.0,
-                           risk_scaled=1.3),)
-        )
+        cohort = Cohort(ids=["bad"], time=[10.0], event=[True], chrono_age=[60.0],
+                        risk_scaled=[1.3])
         report = validate(cohort)
         assert not report.ok()
         assert report.violations[0].record_id == "bad"
         assert report.violations[0].field == "risk_scaled"
 
     def test_duplicate_ids_named(self):
-        cohort = Cohort.from_records(
-            (
-                PatientRecord(id="dup", time=10.0, event=True, chrono_age=60.0),
-                PatientRecord(id="dup", time=20.0, event=False, chrono_age=61.0),
-            )
-        )
+        cohort = Cohort(ids=["dup", "dup"], time=[10.0, 20.0], event=[True, False],
+                        chrono_age=[60.0, 61.0])
         report = validate(cohort)
         assert [v.field for v in report.violations] == ["id"]
         assert report.violations[0].record_id == "dup"
 
     def test_time_and_age_bounds(self):
-        cohort = Cohort.from_records(
-            (
-                PatientRecord(id="t", time=-1.0, event=True, chrono_age=60.0),
-                PatientRecord(id="g", time=10.0, event=True, chrono_age=-2.0),
-            )
-        )
+        cohort = Cohort(ids=["t", "g"], time=[-1.0, 10.0], event=[True, True],
+                        chrono_age=[60.0, -2.0])
         fields = {v.field for v in validate(cohort).violations}
         assert fields == {"time", "chrono_age"}
 
-    def test_embedding_length_mismatch(self):
-        with pytest.raises(DataError, match="'b'"):
-            Cohort.from_records(
-                (
-                    PatientRecord(id="a", time=10.0, event=True, chrono_age=60.0,
-                                  embedding=(0.1, 0.2)),
-                    PatientRecord(id="b", time=20.0, event=False, chrono_age=60.0,
-                                  embedding=(0.1, 0.2, 0.3)),
-                ),
-                embedding_dim=2,
-            )
+    @pytest.mark.parametrize(
+        "field, value",
+        [("time", ["oops", 20.0]), ("chrono_age", [60.0, "old"]),
+         ("embedding", [(0.1, 0.2), (0.1, 0.2, 0.3)])],
+        ids=["time", "chrono_age", "ragged_embedding"],
+    )
+    def test_malformed_column_rejected(self, field, value):
+        """A column that cannot be converted to its dtype (text in a float
+        column, a ragged embedding) raises DataError naming the field."""
+        columns = dict(ids=["a", "b"], time=[10.0, 20.0], event=[True, False],
+                       chrono_age=[60.0, 60.0])
+        columns[field] = value
+        with pytest.raises(DataError, match=rf"^{field}\b"):
+            Cohort(**columns)
 
     def test_nonfinite_embedding_flagged(self):
-        cohort = Cohort.from_records(
-            (PatientRecord(id="a", time=10.0, event=True, chrono_age=60.0,
-                           embedding=(0.1, float("nan"))),),
-            embedding_dim=2,
-        )
+        cohort = Cohort(ids=["a"], time=[10.0], event=[True], chrono_age=[60.0],
+                        embedding=[(0.1, float("nan"))])
         report = validate(cohort)
         assert report.violations[0].field == "embedding"
 
@@ -385,25 +350,53 @@ class TestValidate:
             ("a", inf, 60.0, 0.0, (-inf, 0.2)),
             ("c", 3.0, 61.0, None, (0.1, 0.2)),
         ]
-        cohort = Cohort.from_records(
-            [
-                PatientRecord(id=i, time=t, event=True, chrono_age=age,
-                              risk_scaled=scaled, embedding=emb)
-                for i, t, age, scaled, emb in rows
-            ]
-        )
-        expected = looped_validate(cohort)
+        records = [
+            Record(id=i, time=t, event=True, chrono_age=age, risk_scaled=scaled, embedding=emb)
+            for i, t, age, scaled, emb in rows
+        ]
+        cohort = records_cohort(records, dim=2)
+        expected = looped_validate(records)
         assert {v.field for v in expected} == {
             "id", "time", "chrono_age", "risk_scaled", "embedding"
         }
         assert validate(cohort).violations == expected
 
 
-def looped_validate(cohort: Cohort) -> tuple:
+@dataclasses.dataclass(frozen=True)
+class Record:
+    """One subject as the row-wise oracles below see it: Python scalars,
+    None where a value is missing."""
+
+    id: str
+    time: float
+    event: bool
+    chrono_age: float
+    sex: str = "unknown"
+    race: str = "unknown"
+    cancer_site: str = "unknown"
+    intent: str = "unknown"
+    year_group: str = "unknown"
+    technique: str = "unknown"
+    predicted_age: float | None = None
+    risk_raw: float | None = None
+    risk_scaled: float | None = None
+    embedding: tuple[float, ...] | None = None
+
+
+def records_cohort(records, dim=None) -> Cohort:
+    """The Cohort holding ``records``, built with the column constructor;
+    ``dim`` is their embedding length, None when they have none."""
+    columns = {f.name: [getattr(r, f.name) for r in records] for f in dataclasses.fields(Record)}
+    embedding = columns.pop("embedding")
+    embedding = None if dim is None else np.reshape(embedding, (len(records), dim))
+    return Cohort(ids=columns.pop("id"), embedding=embedding, **columns)
+
+
+def looped_validate(records) -> tuple:
     """The per-record validation loop that the vectorised one replaced."""
     violations = []
     seen = set()
-    for r in cohort:
+    for r in records:
         if r.id in seen:
             violations.append(Violation(r.id, "id", "duplicate id"))
         seen.add(r.id)
@@ -424,7 +417,7 @@ def looped_validate(cohort: Cohort) -> tuple:
 
 def rowwise_load_cohort(path, schema=None, embedding_sidecar=None, embedding_dim=None):
     """The row-by-row loader that the columnar one replaced, through
-    csv.DictReader and one PatientRecord per row. Returns the records,
+    csv.DictReader and one Record per row. Returns the records,
     the dropped rows and the embedding dimension."""
     schema = schema or {}
     rename = schema.get("columns", {})
@@ -526,7 +519,7 @@ def rowwise_load_cohort(path, schema=None, embedding_sidecar=None, embedding_dim
         else:
             embedding = None
         records.append(
-            PatientRecord(
+            Record(
                 id=cell("id").strip() or f"row{row_number}",
                 time=time_value,
                 event=event,
@@ -696,14 +689,14 @@ class TestRowwiseOracle:
         records, dropped, dim = rowwise_load_cohort(path, schema, **kwargs)
         result = load_cohort(path, schema, **kwargs)
         assert result.dropped == dropped
-        assert result.cohort == Cohort.from_records(records, embedding_dim=dim)
+        assert result.cohort == records_cohort(records, dim)
         old, new = tmp_path / "old.csv", tmp_path / "new.csv"
         rowwise_save_cohort(records, dim, old)
         save_cohort(result.cohort, new)
         assert new.read_bytes() == old.read_bytes()
         checked = load_cohort(path, schema, with_embedding=False, **kwargs)
         assert checked.dropped == dropped
-        assert checked.cohort == Cohort.from_records(
+        assert checked.cohort == records_cohort(
             [dataclasses.replace(r, embedding=None) for r in records]
         )
         return result
@@ -854,51 +847,15 @@ class TestMissingValues:
         p = tmp_path / "c.csv"
         write_csv(p, ["a,120,1,61.5,,,,,,,nan,NaN", "b,130,0,62.0,,,,,,,,"])
         cohort = load_cohort(p).cohort
-        a, b = cohort.records
-        assert a.predicted_age is None and a.risk_raw is None
-        assert a == PatientRecord(id="a", time=120.0, event=True, chrono_age=61.5)
-        assert b == PatientRecord(id="b", time=130.0, event=False, chrono_age=62.0)
+        assert np.isnan(cohort.predicted_age[0]) and np.isnan(cohort.risk_raw[0])
+        assert cohort == Cohort(ids=["a", "b"], time=[120.0, 130.0], event=[True, False],
+                                chrono_age=[61.5, 62.0])
         out = tmp_path / "out.csv"
         save_cohort(cohort, out)
         assert out.read_text().splitlines()[1] == "a,120.0,1,61.5" + ",unknown" * 6 + ",,"
-        scaled = Cohort.from_records(
-            [PatientRecord(id="a", time=1.0, event=True, chrono_age=60.0,
-                           risk_scaled=float("nan"))]
-        )
+        scaled = Cohort(ids=["a"], time=[1.0], event=[True], chrono_age=[60.0],
+                        risk_scaled=[float("nan")])
         assert validate(scaled).ok()
-
-
-class TestNoRecordObjects:
-    def test_column_paths_build_no_records(self, tmp_path, monkeypatch):
-        """Simulating, writing, reading, validating and the Cox design and
-        FAD columns of a 1k cohort construct no PatientRecord."""
-        built = []
-        original = PatientRecord.__init__
-
-        def counting_init(self, *args, **kwargs):
-            built.append(1)
-            original(self, *args, **kwargs)
-
-        monkeypatch.setattr(PatientRecord, "__init__", counting_init)
-        spec = SimSpec(
-            n=1000, beta_true=(0.05, 0.3),
-            covariate_model=(SimCovariate("fad", ("normal", 0.0, 6.0)),
-                             SimCovariate("sex", ("bernoulli", 0.5))),
-            censor_model=("uniform", 1500.0), embedding_dim=8,
-            embedding_weights=(0.0,) * 8, seed=5,
-        )
-        path = tmp_path / "c.csv"
-        save_cohort(simulate(spec).cohort, path)
-        cohort = load_cohort(path).cohort
-        assert validate(cohort).ok()
-        build_design(cohort, [Covariate("fad", per=10.0),
-                              Covariate("sex", kind="categorical", reference="female"),
-                              Covariate("chrono_age", kind="threshold", threshold=60.0)])
-        fad_for_cohort(cohort)
-        save_cohort(cohort, tmp_path / "again.csv")
-        assert built == []
-        assert cohort.records[0].id == "s00000"
-        assert len(built) == 1000
 
 
 N_MEMORY, DIM_MEMORY = 20_000, 32

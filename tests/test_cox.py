@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from visage._stats import Z95
-from visage.cohort import Cohort, PatientRecord
+from visage.cohort import Cohort
 from visage.cox import (
     Covariate,
     build_design,
@@ -532,8 +532,7 @@ class TestAdjustedAndAic:
     def test_aic_comparison_rejects_different_rows(self):
         design = build_design(toy_cohort(), [Covariate("risk_scaled")])
         fit_full = fit_cox(design, TOY_T, TOY_E)
-        sub = toy_cohort().records[:10]
-        cohort_sub = Cohort.from_records(sub)
+        cohort_sub = make_cohort(TOY_T[:10], TOY_E[:10], risk_scaled=TOY_X[:10])
         design_sub = build_design(cohort_sub, [Covariate("risk_scaled")])
         fit_sub = fit_cox(design_sub, TOY_T[:10], TOY_E[:10])
         with pytest.raises(DataError):

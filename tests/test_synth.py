@@ -122,7 +122,7 @@ class TestCensoringModels:
         spec = SimSpec(n=500, censor_model=("none",), seed=19)
         result = simulate(spec)
         assert result.truth["censored_fraction"] == 0.0
-        assert all(r.event for r in result.cohort)
+        assert result.cohort.event.all()
 
     def test_admin_below_all_events_km_flat_one(self):
         """Administrative cutoff far below any plausible event time:
@@ -172,7 +172,7 @@ class TestRecovery:
                 seed=seed,
             )
             cohort = simulate(spec).cohort
-            sexes = np.array([r.sex for r in cohort])
+            sexes = cohort.sex
             t, e = cohort.times(), cohort.events()
             male = sexes == "male"
             if male.all() or not male.any():
@@ -209,10 +209,9 @@ class TestFieldMapping:
             seed=37,
         )
         cohort = simulate(spec).cohort
-        for record in cohort:
-            assert record.predicted_age is not None
-            assert 40.0 <= record.chrono_age <= 80.0
-        fads = np.array([r.predicted_age - r.chrono_age for r in cohort])
+        assert not np.isnan(cohort.predicted_age).any()
+        assert np.all((40.0 <= cohort.chrono_age) & (cohort.chrono_age <= 80.0))
+        fads = cohort.predicted_age - cohort.chrono_age
         assert np.std(fads) > 0.5  # the normal draw, not a constant
 
     def test_risk_scaled_in_unit_interval(self):
@@ -223,13 +222,13 @@ class TestFieldMapping:
             seed=41,
         )
         cohort = simulate(spec).cohort
-        risks = np.array([r.risk_scaled for r in cohort])
+        risks = cohort.risk_scaled
         assert np.all((risks >= 0.0) & (risks <= 1.0))
 
     def test_sex_bernoulli_maps_to_labels(self):
         spec = SimSpec(n=200, beta_true=(0.0,), covariate_model=(BINARY,), seed=43)
         cohort = simulate(spec).cohort
-        labels = {r.sex for r in cohort}
+        labels = set(cohort.sex)
         assert labels == {"male", "female"}
 
     def test_truth_sidecar_fields(self):
