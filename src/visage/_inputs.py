@@ -37,8 +37,13 @@ def vectors(positive=(), **arrays) -> tuple[np.ndarray, ...]:
         if name in positive and not (a > 0).all():
             raise DataError(f"{name} must be > 0")
         if name == "events":
-            if not ((a == 0) | (a == 1)).all():
-                raise DataError("events must hold 0/1 flags")
-            a = a == 1
+            a = as_flags(name, a)
         out.append(a)
     return tuple(out)
+
+
+def as_flags(name: str, a: np.ndarray) -> np.ndarray:
+    """Float ``a`` as bool; DataError naming ``name`` unless every value is 0 or 1."""
+    if not ((a == 0) | (a == 1)).all():
+        raise DataError(f"{name} must hold 0/1 flags")
+    return a == 1

@@ -9,7 +9,7 @@ datasets of different score distributions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -19,8 +19,6 @@ from .cohort import _csv_fields
 from .errors import AnalysisError, ConstantInputError, DataError
 
 FAD_BAND_CUTS = (-10.0, -5.0, 0.0, 5.0, 10.0, 20.0)
-
-_RISK_SCHEMES = {"risk_quartiles", "risk_deciles", "risk_half"}
 
 
 @dataclass(frozen=True)
@@ -81,64 +79,51 @@ def minmax_scale(raw) -> np.ndarray:
     return (x - lo) / (hi - lo)
 
 
-def _band_labels(cuts: Sequence[float]) -> list[str]:
-    labels = [f"<{cuts[0]:g}"]
-    labels.extend(f"{lo:g} to {hi:g}" for lo, hi in zip(cuts[:-1], cuts[1:]))
-    labels.append(f"{cuts[-1]:g}+")
-    return labels
+class _Bins(NamedTuple):
+    cuts: tuple[float, ...]
+    labels: tuple[str, ...]  # one per bin, lowest bin first
+    side: str = "right"  # "right": a value on a cut joins the upper bin; "left": the lower
+    order: tuple[str, ...] | None = None  # display order, when it is not bin order
 
 
-def _assign_bands(values: np.ndarray, cuts: Sequence[float]) -> list[str]:
-    names = _band_labels(cuts)
-    idx = np.searchsorted(np.asarray(cuts, dtype=float), values, side="right")
-    return [names[i] for i in idx]
+_BINS = {
+    "fad_ge5": _Bins((5.0,), ("<5", "≥5")),
+    "fad_le_minus5": _Bins((-5.0,), ("≤-5", ">-5"), "left", (">-5", "≤-5")),
+    "risk_half": _Bins((0.5,), ("<0.5", "≥0.5")),
+    "risk_quartiles": _Bins((0.25, 0.5, 0.75), ("<0.25", "0.25-0.49", "0.5-0.74", "≥0.75")),
+    "risk_deciles": _Bins(
+        tuple(np.round(np.arange(0.1, 1.0, 0.1), 10)),
+        tuple(f"{lo:.1f}-{lo + 0.1:.1f}" for lo in np.arange(0.0, 1.0, 0.1)),
+    ),
+}
 
 
 def stratify(column, scheme: str, fad_cuts: Sequence[float] | None = None) -> StrataAssignment:
     """Assign every subject to a stratum by fixed cuts.
 
-    Intervals are left-closed, right-open, with the final interval
-    closed, so a risk of exactly 0.25 lands in the second quartile and
-    a risk of 1.0 in the top one. Risk schemes require values inside
-    [0, 1]; apply :func:`minmax_scale` first. ``fad_cuts`` overrides
-    the default FAD band boundaries.
+    Each bin runs from one cut to the next. A value equal to a cut goes
+    to the bin above it, so a risk of exactly 0.25 lands in the second
+    quartile; the top bin is closed, so a risk of 1.0 lands in the top
+    one. ``fad_le_minus5`` is the exception: its cut belongs to the bin
+    below, so a FAD of exactly -5 is "≤-5". Risk schemes require values
+    inside [0, 1]; apply :func:`minmax_scale` first. ``fad_cuts``
+    overrides the default FAD band boundaries.
     """
     (values,) = vectors(column=getattr(column, "values", column))
     if scheme not in SCHEMES:
         raise DataError(f"unknown scheme {scheme!r}; valid: {', '.join(SCHEMES)}")
-    if scheme in _RISK_SCHEMES and (values.min() < 0.0 or values.max() > 1.0):
+    if scheme.startswith("risk_") and (values.min() < 0.0 or values.max() > 1.0):
         raise DataError("risk scheme requires values in [0, 1]")
-
     if scheme == "fad_bands":
         cuts = tuple(float(c) for c in (fad_cuts or FAD_BAND_CUTS))
         if list(cuts) != sorted(set(cuts)):
             raise DataError("band cuts must be strictly increasing")
-        labels = _assign_bands(values, cuts)
-        order = tuple(_band_labels(cuts))
-    elif scheme == "fad_ge5":
-        labels = ["≥5" if v >= 5.0 else "<5" for v in values]
-        cuts = (5.0,)
-        order = ("<5", "≥5")
-    elif scheme == "fad_le_minus5":
-        labels = ["≤-5" if v <= -5.0 else ">-5" for v in values]
-        cuts = (-5.0,)
-        order = (">-5", "≤-5")
-    elif scheme == "risk_half":
-        labels = ["≥0.5" if v >= 0.5 else "<0.5" for v in values]
-        cuts = (0.5,)
-        order = ("<0.5", "≥0.5")
-    elif scheme == "risk_quartiles":
-        cuts = (0.25, 0.5, 0.75)
-        order = ("<0.25", "0.25-0.49", "0.5-0.74", "≥0.75")
-        idx = np.minimum(np.searchsorted(cuts, values, side="right"), 3)
-        labels = [order[i] for i in idx]
-    else:  # risk_deciles
-        cuts = tuple(np.round(np.arange(0.1, 1.0, 0.1), 10))
-        order = tuple(f"{lo:.1f}-{lo + 0.1:.1f}" for lo in np.arange(0.0, 1.0, 0.1))
-        idx = np.minimum(np.searchsorted(cuts, values, side="right"), 9)
-        labels = [order[i] for i in idx]
-
-    return StrataAssignment(scheme, tuple(labels), tuple(cuts), order)
+        inner = (f"{lo:g} to {hi:g}" for lo, hi in zip(cuts[:-1], cuts[1:]))
+        bins = _Bins(cuts, (f"<{cuts[0]:g}", *inner, f"{cuts[-1]:g}+"))
+    else:
+        bins = _BINS[scheme]
+    labels = np.array(bins.labels, dtype=object)[np.searchsorted(bins.cuts, values, bins.side)]
+    return StrataAssignment(scheme, tuple(labels), bins.cuts, bins.order or bins.labels)
 
 
 def group_indices(assignment: StrataAssignment) -> dict[str, np.ndarray]:

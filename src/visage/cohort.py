@@ -30,6 +30,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
+from ._inputs import as_flags
 from .errors import DataError, reading
 
 DAYS_PER_YEAR = 365.25
@@ -112,8 +113,9 @@ class Cohort:
     views is writeable: that one is shared, since no one can change it.
     An optional column passed as None is all missing. A column that
     cannot be converted to its dtype, or does not align with ``ids``,
-    raises DataError naming it. Invalid values are representable and
-    surfaced by :func:`validate`.
+    raises DataError naming it, as does an ``event`` value other than a
+    bool or a number equal to 0 or 1. Other invalid values are
+    representable and surfaced by :func:`validate`.
     """
 
     ids: np.ndarray
@@ -144,9 +146,11 @@ class Cohort:
                 col = value
             else:
                 try:
-                    col = np.array(value, dtype, order="C")
+                    col = np.array(value, float if f.name == "event" else dtype, order="C")
                 except (TypeError, ValueError) as exc:
                     raise DataError(f"{f.name} cannot be read as {np.dtype(dtype)}: {exc}") from None
+                if f.name == "event":
+                    col = as_flags(f.name, col)
             if col.shape[:1] != (n,) or col.ndim != 1 + (f.name == "embedding"):
                 raise DataError(f"{f.name} of shape {col.shape} does not align with {n} subjects")
             col.flags.writeable = False

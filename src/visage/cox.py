@@ -81,7 +81,6 @@ class DesignMatrix:
     matrix: np.ndarray
     included: np.ndarray
     spans: tuple[tuple[int, int], ...] = ()
-    notes: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -185,7 +184,6 @@ def build_design(cohort: Cohort, covariates: Sequence[Covariate]) -> DesignMatri
     included = np.ones(n, dtype=bool)
     columns: list[np.ndarray] = []
     names: list[str] = []
-    notes: list[str] = []
     spans: list[tuple[int, int]] = []
 
     for cov in covariates:
@@ -197,7 +195,6 @@ def build_design(cohort: Cohort, covariates: Sequence[Covariate]) -> DesignMatri
             included &= np.isfinite(vals)
             columns.append(vals / cov.per)
             names.append(cov.base_name())
-            notes.append(f"{cov.field} per {cov.per:g} unit(s)")
         elif cov.kind == "threshold":
             if cov.threshold is None or cov.op not in (">=", "<="):
                 raise DataError(f"{cov.field}: threshold kind needs threshold and op >=/<=")
@@ -206,7 +203,6 @@ def build_design(cohort: Cohort, covariates: Sequence[Covariate]) -> DesignMatri
             included &= np.isfinite(vals)
             columns.append(hit.astype(float))
             names.append(cov.base_name())
-            notes.append(f"indicator of {cov.field} {cov.op} {cov.threshold:g}")
         elif cov.kind == "categorical":
             if cov.field not in CATEGORY_FIELDS:
                 raise DataError(f"unknown categorical field {cov.field!r}")
@@ -224,7 +220,6 @@ def build_design(cohort: Cohort, covariates: Sequence[Covariate]) -> DesignMatri
                     continue
                 columns.append((values == level).astype(float))
                 names.append(f"{cov.base_name()}={level}")
-            notes.append(f"{cov.field} vs reference {cov.reference!r}")
         else:
             raise DataError(f"unknown covariate kind {cov.kind!r}")
         spans.append((start, len(columns)))
@@ -239,7 +234,7 @@ def build_design(cohort: Cohort, covariates: Sequence[Covariate]) -> DesignMatri
             raise DataError(f"column {name!r} is constant across included rows")
     matrix.flags.writeable = False
     included.flags.writeable = False
-    return DesignMatrix(tuple(names), matrix, included, tuple(spans), tuple(notes))
+    return DesignMatrix(tuple(names), matrix, included, tuple(spans))
 
 
 class _SortedFitData:
@@ -272,16 +267,22 @@ class _SortedFitData:
         phi = np.exp(eta - shift)
         return eta, shift, phi
 
-    def loglik(self, beta: np.ndarray, ties: str) -> float:
+    def _loglik_terms(self, beta: np.ndarray, ties: str):
+        """Log partial likelihood with its phi, Efron fractions and
+        per-death denominators; -inf when a denominator is not positive."""
         eta, shift, phi = self._common(beta)
         risk_phi = np.cumsum(phi[::-1])[::-1]
         tie_phi = np.add.reduceat(phi[self.e], self.group_first)
-        frac = self.efron_frac if ties == "efron" else 0.0
-        denom = risk_phi[self.risk_start][self.group_of_death] - frac * tie_phi[self.group_of_death]
+        g = self.group_of_death
+        frac = self.efron_frac if ties == "efron" else np.zeros_like(self.efron_frac)
+        denom = risk_phi[self.risk_start][g] - frac * tie_phi[g]
         if np.any(denom <= 0):
-            return -np.inf
-        n_deaths = self.group_of_death.size
-        return float(np.sum(eta[self.e]) - np.sum(np.log(denom)) - n_deaths * shift)
+            return -np.inf, phi, frac, denom
+        ll = float(np.sum(eta[self.e]) - np.sum(np.log(denom)) - g.size * shift)
+        return ll, phi, frac, denom
+
+    def loglik(self, beta: np.ndarray, ties: str) -> float:
+        return self._loglik_terms(beta, ties)[0]
 
     def derivatives(self, beta: np.ndarray, ties: str):
         """Log partial likelihood with its analytic gradient and Hessian.
@@ -294,31 +295,23 @@ class _SortedFitData:
         weights when it is a death. So no per-row or per-time k x k
         array is formed.
         """
-        eta, shift, phi = self._common(beta)
-        phi_d = phi[self.e]
-        phi_x = phi[:, None] * self.X
-
-        risk_phi = np.cumsum(phi[::-1])[::-1]
-        risk_phi_x = np.cumsum(phi_x[::-1], axis=0)[::-1]
-        tie_phi = np.add.reduceat(phi_d, self.group_first)
-        tie_phi_x = np.add.reduceat(phi_x[self.e], self.group_first, axis=0)
-
-        g = self.group_of_death
-        frac = self.efron_frac if ties == "efron" else np.zeros_like(self.efron_frac)
-        denom = risk_phi[self.risk_start][g] - frac * tie_phi[g]
-        if np.any(denom <= 0):
+        ll, phi, frac, denom = self._loglik_terms(beta, ties)
+        if ll == -np.inf:
             return -np.inf, np.zeros(self.k), np.zeros((self.k, self.k))
+        g = self.group_of_death
+        phi_x = phi[:, None] * self.X
+        risk_phi_x = np.cumsum(phi_x[::-1], axis=0)[::-1]
+        tie_phi_x = np.add.reduceat(phi_x[self.e], self.group_first, axis=0)
         num = risk_phi_x[self.risk_start][g] - frac[:, None] * tie_phi_x[g]
 
         inv = 1.0 / denom
-        ll = float(np.sum(eta[self.e]) - np.sum(np.log(denom)) - g.size * shift)
         score = self.x_death_total - np.einsum("e,ei->i", inv, num)
         ratio = num * inv[:, None]
 
         entering = np.zeros(self.n)  # a tie group's 1 / denom, from its risk set's first row
         entering[self.risk_start] = np.bincount(g, inv)
         weight = phi * np.cumsum(entering)
-        weight[self.e] -= phi_d * np.bincount(g, frac * inv)[g]
+        weight[self.e] -= phi[self.e] * np.bincount(g, frac * inv)[g]
         second = np.einsum("ia,ib->ab", self.X * weight[:, None], self.X)
         hess = -(second - np.einsum("ei,ej->ij", ratio, ratio))
         return ll, score, hess

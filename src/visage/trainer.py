@@ -96,14 +96,6 @@ class RiskModel:
         h = np.tanh(X @ self.hidden_w.T + self.hidden_b)
         return h @ self.weights + self.bias
 
-    def copy(self) -> "RiskModel":
-        return RiskModel(
-            self.weights.copy(),
-            float(self.bias),
-            None if self.hidden_w is None else self.hidden_w.copy(),
-            None if self.hidden_b is None else self.hidden_b.copy(),
-        )
-
 
 @dataclass(frozen=True)
 class RankLoss:

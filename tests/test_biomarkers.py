@@ -84,7 +84,53 @@ class TestMinmax:
             minmax_scale([5.0, 5.0])
 
 
+def looped_stratify(values, scheme, fad_cuts=None):
+    """The strata rules applied one value at a time, as ``stratify``
+    once did scheme by scheme: (labels, display order, boundaries)."""
+    if scheme == "fad_ge5":
+        return ["≥5" if v >= 5.0 else "<5" for v in values], ("<5", "≥5"), (5.0,)
+    if scheme == "fad_le_minus5":
+        return ["≤-5" if v <= -5.0 else ">-5" for v in values], (">-5", "≤-5"), (-5.0,)
+    if scheme == "risk_half":
+        return ["≥0.5" if v >= 0.5 else "<0.5" for v in values], ("<0.5", "≥0.5"), (0.5,)
+    if scheme == "fad_bands":
+        cuts = tuple(float(c) for c in (fad_cuts or FAD_BAND_CUTS))
+        order = (f"<{cuts[0]:g}", *(f"{lo:g} to {hi:g}" for lo, hi in zip(cuts, cuts[1:])),
+                 f"{cuts[-1]:g}+")
+    elif scheme == "risk_quartiles":
+        cuts = (0.25, 0.5, 0.75)
+        order = ("<0.25", "0.25-0.49", "0.5-0.74", "≥0.75")
+    else:  # risk_deciles
+        cuts = tuple(np.round(np.arange(0.1, 1.0, 0.1), 10))
+        order = tuple(f"{lo:.1f}-{lo + 0.1:.1f}" for lo in np.arange(0.0, 1.0, 0.1))
+    labels = [order[sum(v >= c for c in cuts)] for v in values]
+    return labels, order, cuts
+
+
 class TestStratify:
+    @pytest.mark.parametrize(
+        "scheme, fad_cuts",
+        [(scheme, None) for scheme in SCHEMES] + [("fad_bands", (-2.5, 0.0, 7.0))],
+    )
+    def test_matches_looped_rules(self, scheme, fad_cuts):
+        """Every scheme agrees with the per-value rules on each cut, one
+        float step either side of it, the ends of [0, 1] and random values."""
+        cuts = np.array(looped_stratify([], scheme, fad_cuts)[2], dtype=float)
+        rng = np.random.default_rng(29)
+        if scheme.startswith("risk"):
+            extra = np.concatenate([[0.0, 1.0], rng.random(300)])
+        else:
+            extra = rng.uniform(-30.0, 30.0, 300)
+        values = np.concatenate(
+            [cuts, np.nextafter(cuts, -np.inf), np.nextafter(cuts, np.inf), extra]
+        )
+        labels, order, boundaries = looped_stratify(values, scheme, fad_cuts)
+        assignment = stratify(values, scheme, fad_cuts=fad_cuts)
+        assert list(assignment.labels) == labels
+        assert assignment.order == order
+        assert assignment.boundaries == boundaries
+        assert [type(b) for b in assignment.boundaries] == [type(b) for b in boundaries]
+
     def test_fad_ge5_labels(self):
         assignment = stratify(np.array([7.0, 4.9, 5.0, -2.0]), "fad_ge5")
         assert list(assignment.labels) == ["≥5", "<5", "≥5", "<5"]

@@ -330,6 +330,25 @@ class TestValidate:
         with pytest.raises(DataError, match=rf"^{field}\b"):
             Cohort(**columns)
 
+    @pytest.mark.parametrize(
+        "event, expected",
+        [(["0", "no"], None), ([2.0, float("nan")], None), ([0.5, 1], None),
+         ([1, 0], [True, False]), (["1", "0"], [True, False]),
+         ([True, False], [True, False]), (np.array([1, 0], dtype=np.int8), [True, False])],
+        ids=["words", "two_nan", "half", "ints", "digit_strings", "bools", "int8"],
+    )
+    def test_event_flags(self, event, expected):
+        """``event`` takes what the numeric functions take as events:
+        bools, or numbers equal to 0 or 1; anything else raises
+        DataError naming it instead of reading as a death."""
+        columns = dict(ids=["a", "b"], time=[10.0, 20.0], chrono_age=[60.0, 60.0])
+        if expected is None:
+            with pytest.raises(DataError, match=r"^event\b"):
+                Cohort(event=event, **columns)
+        else:
+            col = Cohort(event=event, **columns).event
+            assert col.dtype == bool and col.tolist() == expected
+
     def test_nonfinite_embedding_flagged(self):
         cohort = Cohort(ids=["a"], time=[10.0], event=[True], chrono_age=[60.0],
                         embedding=[(0.1, float("nan"))])
@@ -632,10 +651,11 @@ ALL_DROPPED_CSV = EDGE_CSV.split("x4,")[0]
 # every block: padded, 1_0, inf, nan, fullwidth, 1e500 and subnormal e*
 # cells are kept, an empty or non-numeric one drops the row, as do
 # earlier checks. LAYOUT_MESSY adds a blank line, short and long rows,
-# CRLF and lone CR line ends, a quoted id and a quoted newline. In
-# LAYOUT_RAGGED a short and a long row have a whole row's commas on
-# average; in LAYOUT_LONE_CR a lone CR splits a row into two halves
-# whose commas add up to a whole row's. Neither may be read as whole rows.
+# CRLF and lone CR line ends, a quoted id, a quoted newline and a quoted
+# "2,5" e* cell, one unparseable cell to csv.reader. In LAYOUT_RAGGED a
+# short and a long row have a whole row's commas on average; in
+# LAYOUT_LONE_CR a lone CR splits a row into two halves whose commas
+# add up to a whole row's. Neither may be read as whole rows.
 LAYOUT_HEADER = HEADER + ",risk_scaled,e0,e1,e2"
 LAYOUT_CLEAN = LAYOUT_HEADER + """
 a1,100,1,61.5,FEMALE,white,lung,Curative,pre2016,imrt,63.0,0.4,0.5,0.1,0.2,0.3
@@ -665,6 +685,7 @@ b7,1100,1,65.0,,,,,,"two
 lines",,,,1,2,3
 b8,1200,0,66.0,,,,,,,,,,1,2,zz
 b9,1300,0,67.0,,,,,,,,,,1,2,3
+b10,1400,1,68.0,,,,,,,,,,1,"2,5",3
 """
 
 
@@ -900,12 +921,14 @@ class TestMemory:
 
     def test_read_only_column_shared(self):
         time = np.array([1.0, 2.0])
+        event = np.array([True, False])
         embedding = np.ones((2, 3))
-        for column in (time, embedding):
+        for column in (time, event, embedding):
             column.flags.writeable = False
-        cohort = Cohort(ids=["a", "b"], time=time, event=[True, False],
+        cohort = Cohort(ids=["a", "b"], time=time, event=event,
                         chrono_age=[60.0, 61.0], embedding=embedding)
         assert np.shares_memory(cohort.time, time)
+        assert np.shares_memory(cohort.event, event)
         assert np.shares_memory(cohort.embedding, embedding)
 
     def test_writeable_column_copied(self):
