@@ -42,6 +42,13 @@ def vectors(positive=(), **arrays) -> tuple[np.ndarray, ...]:
     return tuple(out)
 
 
+def positive(name: str, value: float) -> float:
+    """``value`` if it is finite and > 0 (NaN is not); DataError naming ``name`` otherwise."""
+    if not 0.0 < value < np.inf:
+        raise DataError(f"{name} must be finite and > 0, got {value}")
+    return value
+
+
 def as_flags(name: str, a: np.ndarray) -> np.ndarray:
     """Float ``a`` as bool; DataError naming ``name`` unless every value is 0 or 1."""
     if not ((a == 0) | (a == 1)).all():

@@ -126,12 +126,12 @@ def bilinear_sample(grid, x, y, frame: float = IMAGE_SIZE) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     sx = np.clip(x * size / frame - 0.5, 0.0, size - 1.0)
     sy = np.clip(y * size / frame - 0.5, 0.0, size - 1.0)
-    x0 = np.clip(np.floor(sx).astype(int), 0, size - 2) if size > 1 else np.zeros_like(sx, dtype=int)
-    y0 = np.clip(np.floor(sy).astype(int), 0, size - 2) if size > 1 else np.zeros_like(sy, dtype=int)
-    fx = sx - x0
-    fy = sy - y0
     if size == 1:
         return np.full(np.broadcast(sx, sy).shape, float(g[0, 0]))
+    x0 = np.clip(np.floor(sx).astype(int), 0, size - 2)
+    y0 = np.clip(np.floor(sy).astype(int), 0, size - 2)
+    fx = sx - x0
+    fy = sy - y0
     top = g[y0, x0] * (1 - fx) + g[y0, x0 + 1] * fx
     bottom = g[y0 + 1, x0] * (1 - fx) + g[y0 + 1, x0 + 1] * fx
     return top * (1 - fy) + bottom * fy

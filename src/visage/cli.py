@@ -54,6 +54,7 @@ attention_mod = _lazy("visage.attention")
 biomarkers = _lazy("visage.biomarkers")
 cohort_mod = _lazy("visage.cohort")
 cox_mod = _lazy("visage.cox")
+inputs_mod = _lazy("visage._inputs")
 metrics_mod = _lazy("visage.metrics")
 survival = _lazy("visage.survival")
 synth_mod = _lazy("visage.synth")
@@ -583,7 +584,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("balance", help="age-balanced resampling indices")
     _common(p)
     p.add_argument("--mode", choices=("factors", "bins"), default="bins")
-    p.add_argument("--bin-width", dest="bin_width", type=float, default=5.0)
+    p.add_argument("--bin-width", dest="bin_width", default=5.0,
+                   type=_option_type(lambda text: inputs_mod.positive("bin_width", float(text))))
     p.add_argument("--target", type=int, default=200,
                    help="records per bin (default %(default)s)")
     p.set_defaults(func=cmd_balance)

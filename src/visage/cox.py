@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._inputs import vectors
+from ._inputs import positive, vectors
 from ._stats import Z95, chi2_sf, norm_sf
 from .cohort import CATEGORY_FIELDS, Cohort
 from .errors import AnalysisError, DataError, SingularDesignError, VisageError
@@ -189,8 +189,7 @@ def build_design(cohort: Cohort, covariates: Sequence[Covariate]) -> DesignMatri
     for cov in covariates:
         start = len(columns)
         if cov.kind == "continuous":
-            if cov.per <= 0:
-                raise DataError(f"{cov.field}: per must be positive")
+            positive(f"{cov.field}: per", cov.per)
             vals = _continuous_values(cohort, cov.field)
             included &= np.isfinite(vals)
             columns.append(vals / cov.per)
@@ -462,8 +461,10 @@ def univariate_screen(
     a categorical term is judged as a block by the likelihood-ratio
     test against the null model, on its own exclusion-adjusted rows.
     Candidates whose fit fails are recorded with the error and skipped.
-    Input order is preserved in ``retained``.
+    Input order is preserved in ``retained``. ``alpha`` must lie in (0, 1).
     """
+    if not 0.0 < alpha < 1.0:
+        raise DataError(f"alpha must lie in (0, 1), got {alpha!r}")
     times = cohort.times()
     events = cohort.events()
     entries: list[ScreenEntry] = []

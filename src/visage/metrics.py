@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._inputs import vectors
+from ._inputs import positive, vectors
 from ._stats import norm_sf
 from .errors import AnalysisError, ConstantInputError, DataError, NoComparablePairsError
 from .survival import kaplan_meier
@@ -148,8 +148,7 @@ def time_dependent_auc(marker, times, events, horizon: float) -> TimeAUCResult:
     the statistic reduces to the empirical ROC area.
     """
     m, t, e = vectors(("times",), marker=marker, times=times, events=events)
-    if not 0 < horizon < np.inf:
-        raise DataError(f"horizon must be finite and > 0, got {horizon}")
+    positive("horizon", horizon)
 
     cases = e & (t <= horizon)
     controls = t > horizon

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._inputs import positive
 from .cohort import Cohort
 from .errors import DataError
 from .rng import substream
@@ -66,19 +67,23 @@ class SimSpec:
     def __post_init__(self):
         if self.n <= 0:
             raise DataError("n must be positive")
-        if self.baseline_hazard <= 0:
-            raise DataError("baseline_hazard must be positive")
+        positive("baseline_hazard", self.baseline_hazard)
         if len(self.beta_true) != len(self.covariate_model):
             raise DataError("beta_true must align with covariate_model")
-        for cov in self.covariate_model:
+        numbers = {"beta_true": self.beta_true, "embedding_weights": self.embedding_weights or ()}
+        for i, cov in enumerate(self.covariate_model):
             if cov.field not in _COVARIATE_FIELDS:
                 raise DataError(f"unsupported covariate field {cov.field!r}")
+            numbers[f"covariate_model[{i}] ({cov.field}) dist"] = cov.dist[1:]
+        for name, values in numbers.items():
+            if not np.isfinite(np.asarray(values, dtype=float)).all():
+                raise DataError(f"{name} must hold finite numbers, got {list(values)!r}")
         kind = self.censor_model[0]
         if kind not in ("none", "uniform", "exponential", "admin"):
             raise DataError(f"unknown censor model {kind!r}")
         if kind != "none":
-            if len(self.censor_model) != 2 or float(self.censor_model[1]) <= 0:
-                raise DataError(f"censor model {kind!r} needs one positive parameter")
+            if len(self.censor_model) != 2 or not 0.0 < float(self.censor_model[1]) < np.inf:
+                raise DataError(f"censor_model {kind!r} needs one finite parameter > 0")
         if (self.embedding_weights is None) != (self.embedding_dim is None):
             raise DataError("embedding_weights and embedding_dim go together")
         if self.embedding_dim is not None and len(self.embedding_weights) != self.embedding_dim:

@@ -13,11 +13,12 @@ update are pure numpy driven by named substreams.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._inputs import vectors
+from ._inputs import positive, vectors
 from .errors import AnalysisError, DataError, NoComparablePairsError, reading
 from .metrics import harrell_c
 from .rng import substream
@@ -64,16 +65,18 @@ class TrainConfig:
     shuffle: bool = True
 
     def __post_init__(self):
-        if self.learning_rate <= 0 or self.beta1 <= 0 or self.beta2 <= 0:
-            raise DataError("rates and betas must be positive")
-        if not (self.beta1 < 1 and self.beta2 < 1):
-            raise DataError("betas must be below 1")
-        if self.weight_decay < 0 or self.smooth_lambda < 0:
-            raise DataError("decay terms must be non-negative")
+        # NaN and inf lie in none of these ranges.
+        for name, high in (("learning_rate", math.inf), ("beta1", 1.0), ("beta2", 1.0),
+                           ("validation_fraction", 1.0)):
+            value = getattr(self, name)
+            if not 0.0 < value < high:
+                raise DataError(f"{name} must lie in (0, {high:g}), got {value!r}")
+        for name in ("weight_decay", "smooth_lambda"):
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:
+                raise DataError(f"{name} must lie in [0, inf), got {value!r}")
         if self.batch_size <= 0 or self.epochs < 0:
             raise DataError("batch_size must be positive and epochs non-negative")
-        if not (0.0 < self.validation_fraction < 1.0):
-            raise DataError("validation_fraction must lie in (0, 1)")
         if self.pair_loss not in ("logistic", "hinge"):
             raise DataError(f"unknown pair loss {self.pair_loss!r}")
         if self.hidden is not None and self.hidden < 0:
@@ -82,19 +85,16 @@ class TrainConfig:
 
 @dataclass
 class RiskModel:
-    """A linear head, optionally behind one tanh hidden layer."""
+    """A linear head, optionally behind one tanh hidden layer.
 
-    weights: np.ndarray          # (d,) linear, (h,) as output layer when hidden
-    bias: float
-    hidden_w: np.ndarray | None = None  # (h, d)
-    hidden_b: np.ndarray | None = None  # (h,)
+    ``params`` maps each parameter's name to its array in the order of
+    :func:`_layout`, which is the order of a model file's payload.
+    """
+
+    params: dict[str, np.ndarray]
 
     def predict(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        if self.hidden_w is None:
-            return X @ self.weights + self.bias
-        h = np.tanh(X @ self.hidden_w.T + self.hidden_b)
-        return h @ self.weights + self.bias
+        return _forward(self.params, np.asarray(X, dtype=float))[0]
 
 
 @dataclass(frozen=True)
@@ -249,26 +249,21 @@ class _AdamW:
             self.params[key] = p - c.learning_rate * update
 
 
+def _layout(dim: int, hidden: int | None) -> dict[str, tuple[int, ...]]:
+    """Each parameter's name and shape, in save order: the hidden layer
+    first when there is one, then the output weights and bias."""
+    if not hidden:
+        return {"w": (dim,), "b": (1,)}
+    return {"hidden_w": (hidden, dim), "hidden_b": (hidden,), "w": (hidden,), "b": (1,)}
+
+
 def _init_params(dim: int, config: TrainConfig) -> dict[str, np.ndarray]:
     rng = substream(config.seed, "trainer/init")
-    if config.hidden:
-        h = config.hidden
-        return {
-            "hidden_w": rng.normal(0.0, 1e-2, (h, dim)),
-            "hidden_b": np.zeros(h),
-            "w": rng.normal(0.0, 1e-4, h),
-            "b": np.zeros(1),
-        }
-    return {"w": rng.normal(0.0, 1e-4, dim), "b": np.zeros(1)}
-
-
-def _params_to_model(params: dict[str, np.ndarray]) -> RiskModel:
-    return RiskModel(
-        weights=params["w"].copy(),
-        bias=float(params["b"][0]),
-        hidden_w=params["hidden_w"].copy() if "hidden_w" in params else None,
-        hidden_b=params["hidden_b"].copy() if "hidden_b" in params else None,
-    )
+    sd = {"hidden_w": 1e-2, "w": 1e-4}  # of each weight's normal draw; biases start at 0
+    return {
+        name: rng.normal(0.0, sd[name], shape) if name in sd else np.zeros(shape)
+        for name, shape in _layout(dim, config.hidden).items()
+    }
 
 
 def _forward(params: dict[str, np.ndarray], X: np.ndarray):
@@ -360,10 +355,10 @@ def _train(X: np.ndarray, config: TrainConfig, batch_grad, epoch_row) -> TrainRe
         r_train, _ = _forward(params, X[train_idx])
         r_val, _ = _forward(params, X[val_idx])
         trace.append(epoch_row(epoch, r_train, train_idx, r_val, val_idx, skipped))
-        checkpoints.append(_params_to_model(params))
+        checkpoints.append(RiskModel({k: v.copy() for k, v in params.items()}))
 
     return TrainResult(
-        _params_to_model(params),
+        RiskModel(params),
         tuple(trace),
         tuple(checkpoints),
         tuple(int(i) for i in train_idx),
@@ -471,8 +466,9 @@ def balance_bins(
     sequence is shuffled deterministically by the seed.
     """
     (a,) = vectors(ages=ages)
-    if bin_width <= 0 or target <= 0:
-        raise DataError("bin_width and target must be positive")
+    positive("bin_width", bin_width)
+    if target <= 0:
+        raise DataError(f"target must be > 0, got {target!r}")
     if np.any(a < 0):
         raise DataError("ages must be >= 0")
     rng = substream(seed, "balance/bins")
@@ -492,22 +488,15 @@ def balance_bins(
 
 
 def save_model(model: RiskModel, path, *, kind: str, config: TrainConfig) -> None:
-    """Write a model as a one-line JSON header plus little-endian
-    float32 weights (hidden layer first when present)."""
-    parts = []
-    if model.hidden_w is not None:
-        parts.extend([model.hidden_w.ravel(), model.hidden_b])
-        dim = model.hidden_w.shape[1]
-        hidden = model.hidden_w.shape[0]
-    else:
-        dim = model.weights.size
-        hidden = None
-    parts.extend([model.weights, np.array([model.bias])])
-    flat = np.concatenate(parts).astype("<f4")
+    """Write a model as a one-line JSON header plus its parameters as
+    little-endian float32, in the order of :func:`_layout`."""
+    params = model.params
+    hidden = params["hidden_w"].shape[0] if "hidden_w" in params else None
+    flat = np.concatenate([p.ravel() for p in params.values()]).astype("<f4")
     header = {
         "format": MODEL_FORMAT,
         "kind": kind,
-        "dim": int(dim),
+        "dim": int(params["hidden_w" if hidden else "w"].shape[-1]),
         "hidden": hidden,
         "dtype": "<f4",
         "n_weights": int(flat.size),
@@ -538,19 +527,14 @@ def load_model(path) -> tuple[RiskModel, dict]:
     hidden = hidden or 0  # null: a linear head
     if not (isinstance(dim, int) and isinstance(hidden, int) and dim > 0 and hidden >= 0):
         raise DataError(f"model header needs dim >= 1 and hidden >= 0, got {dim!r}, {hidden!r}")
-    implied = hidden * (dim + 2) + 1 if hidden else dim + 1
+    layout = _layout(dim, hidden)
+    sizes = [math.prod(shape) for shape in layout.values()]
     flat = np.frombuffer(blob, dtype="<f4").astype(float)
-    if not flat.size == n_weights == implied:
+    if not flat.size == n_weights == sum(sizes):
         raise DataError(
             f"model payload holds {flat.size} values, its header n_weights {n_weights!r}, "
-            f"and dim {dim} with hidden {hidden} imply {implied}"
+            f"and dim {dim} with hidden {hidden} imply {sum(sizes)}"
         )
-    if hidden:
-        hw = flat[: hidden * dim].reshape(hidden, dim)
-        hb = flat[hidden * dim : hidden * dim + hidden]
-        w = flat[hidden * dim + hidden : hidden * dim + 2 * hidden]
-        b = float(flat[-1])
-        model = RiskModel(w, b, hw, hb)
-    else:
-        model = RiskModel(flat[:dim], float(flat[dim]))
-    return model, header
+    pieces = np.split(flat, np.cumsum(sizes)[:-1])
+    params = {name: p.reshape(shape) for (name, shape), p in zip(layout.items(), pieces)}
+    return RiskModel(params), header

@@ -305,8 +305,8 @@ def test_ac07_trainer_efficacy():
     Xr, tr, er = linear_risk_data(23, n=300)
     a = train_risk_model(Xr, tr, er, TrainConfig(seed=5, epochs=3))
     b = train_risk_model(Xr, tr, er, TrainConfig(seed=5, epochs=3))
-    bitwise = np.array_equal(a.model.weights, b.model.weights) and (
-        a.model.bias == b.model.bias
+    bitwise = np.array_equal(a.model.params["w"], b.model.params["w"]) and (
+        a.model.params["b"][0] == b.model.params["b"][0]
     )
 
     ok = val_c >= 0.90 and abs(perm_c - 0.5) <= 0.05 and worst_fd <= 1e-5 and bitwise

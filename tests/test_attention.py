@@ -140,6 +140,11 @@ class TestBilinear:
         assert bilinear_sample(grid, 0.0, 0.0, frame=2.0) == 0.0
         assert bilinear_sample(grid, 2.0, 2.0, frame=2.0) == 3.0
 
+    def test_one_cell_grid_is_constant(self):
+        got = bilinear_sample([[0.7]], [0.0, 50.0, 112.0], [3.0, 60.0, 100.0])
+        np.testing.assert_array_equal(got, [0.7, 0.7, 0.7])
+        assert bilinear_sample([[0.7]], 5.0, 5.0) == 0.7
+
     def test_grid_nodes_reproduced_exactly(self):
         """Cell (i, j) of a 7-grid in the 112 frame is centered at
         (16j + 8, 16i + 8); the interpolant must return the cell value

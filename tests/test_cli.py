@@ -510,6 +510,9 @@ def small_cohort(tmp_path_factory):
     return out / "cohort.csv"
 
 
+# cox flags that reach the univariate screen
+_SCREEN = ["--biomarker", "fad:per:10", "--adjusters", "sex:cat:female", "--screen"]
+
 # (command, flags, config section, what stderr must name)
 MALFORMED = [
     ("train", ["--epochs", "1"], {"train": {"epochs": "x"}}, "epochs"),
@@ -524,6 +527,20 @@ MALFORMED = [
      None, "--beta"),
     ("train", ["--hidden", "-3", "--epochs", "1"], None, "hidden"),
     ("attention", ["--subdivide", "-1"], None, "--subdivide"),
+    # NaN compares false, so a bare `x <= 0` check lets it through.
+    ("simulate", ["--baseline-hazard", "nan"], None, "baseline_hazard"),
+    ("simulate", ["--beta", "nan", "--covariates", "fad:normal:0:6"], None, "beta_true"),
+    ("simulate", ["--beta", "0.1", "--covariates", "fad:normal:0:nan"], None, "dist"),
+    ("simulate", ["--censor", "uniform:nan"], None, "censor_model"),
+    ("cox", ["--biomarker", "fad:per:nan"], None, "per"),
+    ("train", ["--learning-rate", "nan", "--epochs", "1"], None, "learning_rate"),
+    ("train", ["--weight-decay", "inf", "--epochs", "1"], None, "weight_decay"),
+    ("cox", [*_SCREEN, "--alpha", "nan"], None, "alpha"),
+    ("cox", [*_SCREEN, "--alpha", "7"], None, "alpha"),
+    ("balance", ["--mode", "factors", "--bin-width", "0"], None, "--bin-width"),
+    ("balance", ["--mode", "factors", "--bin-width", "-5"], None, "--bin-width"),
+    ("balance", ["--mode", "factors", "--bin-width", "nan"], None, "--bin-width"),
+    ("balance", ["--mode", "bins", "--bin-width", "nan"], None, "--bin-width"),
 ]
 
 

@@ -451,6 +451,12 @@ class TestScreen:
         assert result.retained == ()
         assert result.entries == ()
 
+    @pytest.mark.parametrize("alpha", [float("nan"), 0.0, 1.0, 7.0, -0.05])
+    def test_alpha_outside_unit_interval_rejected(self, alpha):
+        """NaN retained nothing and 7 everything, silently."""
+        with pytest.raises(DataError, match="alpha"):
+            univariate_screen(toy_cohort(), [Covariate("predicted_age")], alpha=alpha)
+
     def test_informative_retained_noise_dropped(self):
         rng = np.random.default_rng(19)
         n = 1000

@@ -282,6 +282,21 @@ class TestSpecValidation:
         with pytest.raises(DataError):
             SimSpec(n=10, embedding_weights=(0.1, 0.2))
 
+    @pytest.mark.parametrize("named, kwargs", [
+        ("baseline_hazard", {"baseline_hazard": float("nan")}),
+        ("baseline_hazard", {"baseline_hazard": float("inf")}),
+        ("beta_true", {"beta_true": (float("nan"),), "covariate_model": (BINARY,)}),
+        ("dist", {"beta_true": (0.1,), "covariate_model": (
+            SimCovariate("fad", ("normal", 0.0, float("nan"))),
+        )}),
+        ("embedding_weights", {"embedding_dim": 2, "embedding_weights": (0.1, float("inf"))}),
+        ("censor_model", {"censor_model": ("uniform", float("nan"))}),
+        ("censor_model", {"censor_model": ("admin", float("inf"))}),
+    ])
+    def test_non_finite_setting_rejected(self, named, kwargs):
+        with pytest.raises(DataError, match=named):
+            SimSpec(n=10, **kwargs)
+
     def test_embedding_weight_length_mismatch(self):
         with pytest.raises(DataError):
             SimSpec(n=10, embedding_dim=4, embedding_weights=(0.1, 0.2))

@@ -304,23 +304,23 @@ class TestRiskTraining:
         X, t, e = linear_risk_data(23, n=300)
         a = train_risk_model(X, t, e, TrainConfig(seed=5, epochs=3))
         b = train_risk_model(X, t, e, TrainConfig(seed=5, epochs=3))
-        assert np.array_equal(a.model.weights, b.model.weights)
-        assert a.model.bias == b.model.bias
+        assert np.array_equal(a.model.params["w"], b.model.params["w"])
+        assert a.model.params["b"][0] == b.model.params["b"][0]
         for ca, cb in zip(a.checkpoints, b.checkpoints):
-            assert np.array_equal(ca.weights, cb.weights)
+            assert np.array_equal(ca.params["w"], cb.params["w"])
 
     def test_different_seed_different_model(self):
         X, t, e = linear_risk_data(23, n=300)
         a = train_risk_model(X, t, e, TrainConfig(seed=5, epochs=2))
         b = train_risk_model(X, t, e, TrainConfig(seed=6, epochs=2))
-        assert not np.array_equal(a.model.weights, b.model.weights)
+        assert not np.array_equal(a.model.params["w"], b.model.params["w"])
 
     def test_epochs_zero_initial_model(self):
         X, t, e = linear_risk_data(29, n=100)
         result = train_risk_model(X, t, e, TrainConfig(seed=1, epochs=0))
         assert result.trace == ()
         assert result.checkpoints == ()
-        assert result.model.weights.shape == (16,)
+        assert result.model.params["w"].shape == (16,)
 
     def test_monotone_descent_fixed_order(self):
         X, t, e = linear_risk_data(31, n=400)
@@ -357,12 +357,12 @@ class TestRiskTraining:
         X, t, e = linear_risk_data(41, n=300)
         result = train_risk_model(X, t, e, TrainConfig(seed=0, epochs=2))
         model = result.model
-        j = int(np.argmax(np.abs(model.weights)))
+        j = int(np.argmax(np.abs(model.params["w"])))
         x0 = np.zeros((1, 16))
         x1 = x0.copy()
         x1[0, j] = 1.0
         lo, hi = model.predict(x0)[0], model.predict(x1)[0]
-        if model.weights[j] > 0:
+        if model.params["w"][j] > 0:
             assert hi > lo
         else:
             assert hi < lo
@@ -370,7 +370,7 @@ class TestRiskTraining:
     def test_hidden_layer_variant_runs(self):
         X, t, e = linear_risk_data(43, n=200)
         result = train_risk_model(X, t, e, TrainConfig(seed=0, epochs=2, hidden=8))
-        assert result.model.hidden_w.shape == (8, 16)
+        assert result.model.params["hidden_w"].shape == (8, 16)
         assert np.isfinite(result.model.predict(X)).all()
 
     def test_batch_without_pairs_steps_only_on_a_smoothness_gradient(self):
@@ -390,16 +390,24 @@ class TestRiskTraining:
         n_batches = -(-len(skipped.train_indices) // config.batch_size)
         for result in (skipped, stepped):
             assert [s.skipped_batches for s in result.trace] == [n_batches] * 2
-        assert np.array_equal(skipped.model.weights, initial.weights)
-        assert skipped.model.bias == initial.bias
-        assert not np.array_equal(stepped.model.weights, skipped.model.weights)
+        assert np.array_equal(skipped.model.params["w"], initial.params["w"])
+        assert skipped.model.params["b"][0] == initial.params["b"][0]
+        assert not np.array_equal(stepped.model.params["w"], skipped.model.params["w"])
 
     def test_hidden_width_zero_is_linear_and_negative_rejected(self):
         X, t, e = linear_risk_data(43, n=200)
         result = train_risk_model(X, t, e, TrainConfig(seed=0, epochs=1, hidden=0))
-        assert result.model.hidden_w is None
+        assert "hidden_w" not in result.model.params
         with pytest.raises(DataError, match="hidden"):
             TrainConfig(hidden=-3)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+    @pytest.mark.parametrize("name", [
+        "learning_rate", "beta1", "beta2", "validation_fraction", "weight_decay", "smooth_lambda",
+    ])
+    def test_float_setting_outside_its_range_rejected(self, name, value):
+        with pytest.raises(DataError, match=name):
+            TrainConfig(**{name: value})
 
 
 class TestAgeTraining:
@@ -409,7 +417,7 @@ class TestAgeTraining:
         ages = np.full(64, 5.0)
         config = TrainConfig(seed=0, learning_rate=0.1, epochs=20, batch_size=16)
         result = train_age_model(X, ages, config)
-        assert abs(result.model.bias - 5.0) < 0.5
+        assert abs(result.model.params["b"][0] - 5.0) < 0.5
         assert result.trace[-1].val_mae < 0.5
 
     def test_linear_ground_truth_low_mae(self):
@@ -428,7 +436,7 @@ class TestAgeTraining:
         ages = rng.uniform(40, 80, 80)
         a = train_age_model(X, ages, TrainConfig(seed=4, epochs=3))
         b = train_age_model(X, ages, TrainConfig(seed=4, epochs=3))
-        assert np.array_equal(a.model.weights, b.model.weights)
+        assert np.array_equal(a.model.params["w"], b.model.params["w"])
 
     def test_empty_input_rejected(self):
         with pytest.raises(DataError):
@@ -506,6 +514,16 @@ class TestBinBalancer:
         out = balance_bins(ages, target=10, seed=0)
         assert out.size == 20  # two occupied bins
 
+    @pytest.mark.parametrize("bin_width, target, named", [
+        (float("nan"), 10, "bin_width"),
+        (float("inf"), 10, "bin_width"),
+        (0.0, 10, "bin_width"),
+        (5.0, 0, "target"),
+    ])
+    def test_bad_setting_rejected(self, bin_width, target, named):
+        with pytest.raises(DataError, match=named):
+            balance_bins(np.array([20.0, 21.0, 80.0]), bin_width=bin_width, target=target)
+
 
 class TestModelIO:
     def test_roundtrip_linear(self, tmp_path):
@@ -516,7 +534,7 @@ class TestModelIO:
         save_model(result.model, path, kind="risk", config=config)
         loaded, header = load_model(path)
         np.testing.assert_allclose(
-            loaded.weights, result.model.weights.astype(np.float32), rtol=1e-7
+            loaded.params["w"], result.model.params["w"].astype(np.float32), rtol=1e-7
         )
         assert header["kind"] == "risk"
         assert header["seed"] == 2
@@ -528,10 +546,25 @@ class TestModelIO:
         path = tmp_path / "model.bin"
         save_model(result.model, path, kind="risk", config=config)
         loaded, _ = load_model(path)
-        assert loaded.hidden_w.shape == (4, 16)
+        assert loaded.params["hidden_w"].shape == (4, 16)
         ours = result.model.predict(X[:5])
         theirs = loaded.predict(X[:5])
         np.testing.assert_allclose(ours, theirs, atol=1e-5)
+
+    @pytest.mark.parametrize("hidden", [None, 4])
+    def test_loaded_model_writes_same_bytes(self, tmp_path, hidden):
+        """The payload is the parameters in layout order: a loaded model
+        saved again gives the file it was read from, and it predicts
+        through the forward pass on its parameters."""
+        X, t, e = linear_risk_data(79, n=120)
+        config = TrainConfig(seed=2, epochs=1, hidden=hidden)
+        result = train_risk_model(X, t, e, config)
+        first, second = tmp_path / "a.bin", tmp_path / "b.bin"
+        save_model(result.model, first, kind="risk", config=config)
+        loaded, _ = load_model(first)
+        save_model(loaded, second, kind="risk", config=config)
+        assert second.read_bytes() == first.read_bytes()
+        np.testing.assert_array_equal(loaded.predict(X), _forward(loaded.params, X)[0])
 
     def test_save_bytes_stable(self, tmp_path):
         X, t, e = linear_risk_data(73, n=100)
