@@ -42,10 +42,10 @@ def vectors(positive=(), **arrays) -> tuple[np.ndarray, ...]:
     return tuple(out)
 
 
-def positive(name: str, value: float) -> float:
-    """``value`` if it is finite and > 0 (NaN is not); DataError naming ``name`` otherwise."""
-    if not 0.0 < value < np.inf:
-        raise DataError(f"{name} must be finite and > 0, got {value}")
+def positive(name: str, value: float, below: float = np.inf) -> float:
+    """``value`` if 0 < value < ``below`` (NaN is not); DataError naming ``name`` otherwise."""
+    if not 0.0 < value < below:
+        raise DataError(f"{name} must lie in (0, {below:g}), got {value!r}")
     return value
 
 

@@ -30,9 +30,6 @@ class BiomarkerColumn:
     unit: str = ""
     excluded: tuple[int, ...] = ()  # indices with no computable value
 
-    def __len__(self) -> int:
-        return len(self.values)
-
 
 @dataclass(frozen=True)
 class StrataAssignment:

@@ -172,26 +172,23 @@ def _load(args, with_embedding: bool = False) -> tuple:
     return result.cohort, result
 
 
-def _marker_values(cohort, marker: str) -> tuple[np.ndarray, np.ndarray]:
-    """Return (values, included mask) for a marker name."""
-    n = len(cohort)
+def _marker_values(cohort, marker: str) -> np.ndarray:
+    """A marker's values, NaN for the subjects that have none."""
     if marker == "risk":
         scaled = cohort.risk_scaled
         if np.all(np.isfinite(scaled)):
-            return scaled, np.ones(n, dtype=bool)
+            return scaled
         raw = cohort.risk_raw
         mask = np.isfinite(raw)
         if not mask.any():
             raise DataError("no risk values in cohort")
-        values = np.full(n, np.nan)
+        values = np.full(len(cohort), np.nan)
         values[mask] = biomarkers.minmax_scale(raw[mask])
-        return values, mask
+        return values
     if marker == "fad":
-        col = biomarkers.fad_for_cohort(cohort)
-        return col.values, np.isfinite(col.values)
+        return biomarkers.fad_for_cohort(cohort).values
     if marker in ("predicted_age", "chrono_age"):
-        vals = getattr(cohort, marker)
-        return vals, np.isfinite(vals)
+        return getattr(cohort, marker)
     raise DataError(f"unknown marker {marker!r}")
 
 
@@ -212,7 +209,8 @@ def cmd_km(args, outputs: dict) -> dict:
         results["median_followup_note"] = str(err)
 
     if args.group_by != "none":
-        values, mask = _marker_values(cohort, _scheme_marker(args.group_by))
+        values = _marker_values(cohort, _scheme_marker(args.group_by))
+        mask = np.isfinite(values)
         assignment = biomarkers.stratify(values[mask], args.group_by)
         sub_times, sub_events = times[mask], events[mask]
         groups = biomarkers.group_indices(assignment)
@@ -263,8 +261,6 @@ def cmd_cox(args, outputs: dict) -> dict:
     cohort, load = _load(args)
     if not args.biomarker:
         raise DataError("--biomarker is required")
-    times = cohort.times()
-    events = cohort.events()
     biomarker = parse_covariate(args.biomarker)
     adjusters = _covariate_list(args.adjusters)
 
@@ -282,8 +278,7 @@ def cmd_cox(args, outputs: dict) -> dict:
         ]
         adjusters = list(screen.retained)
 
-    uni_design = cox_mod.build_design(cohort, [biomarker])
-    uni_fit = cox_mod.fit_cox(uni_design, times, events, args.ties)
+    uni_fit = cox_mod.fit_adjusted(cohort, biomarker, ties=args.ties).fit
     report["univariate"] = cox_mod.fit_to_dict(uni_fit)
 
     rows = [("univariate", row) for row in uni_fit.rows()]
@@ -317,7 +312,8 @@ def cmd_cox(args, outputs: dict) -> dict:
 
 def cmd_metrics(args, outputs: dict) -> dict:
     cohort, load = _load(args)
-    values, mask = _marker_values(cohort, args.marker)
+    values = _marker_values(cohort, args.marker)
+    mask = np.isfinite(values)
     times = cohort.times()[mask]
     events = cohort.events()[mask]
 
@@ -482,17 +478,16 @@ def cmd_attention(args, outputs: dict) -> dict:
     # The projection is linear: the mean of per-image scores is the
     # projection of the mean map, so one projection serves every image.
     projected = attention_mod.triangle_attention(mesh, attention_mod.mean_grids(maps))
-    averaged = attention_mod.TriangleAttention(projected.values, n_images=len(maps))
 
-    outputs["attention.obj"] = attention_mod.export_obj(mesh, averaged)
+    outputs["attention.obj"] = attention_mod.export_obj(mesh, projected)
     lines = ["triangle,score"]
-    lines.extend(f"{i},{float(v)!r}" for i, v in enumerate(averaged.values))
+    lines.extend(f"{i},{float(v)!r}" for i, v in enumerate(projected.values))
     outputs["triangle_scores.csv"] = "\n".join(lines) + "\n"
     return {
         "grids": args.grid,
         "subdivide": args.subdivide,
         "triangles": mesh.n_triangles,
-        "images": averaged.n_images,
+        "images": len(maps),
     }
 
 
@@ -538,7 +533,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated covariate specs")
     p.add_argument("--screen", action="store_true",
                    help="screen adjusters univariately before the adjusted fit")
-    p.add_argument("--alpha", type=float, default=0.05,
+    p.add_argument("--alpha", default=0.05, type=_option_type(
+                       lambda text: inputs_mod.positive("alpha", float(text), below=1.0)),
                    help="screening threshold (default %(default)s)")
     p.add_argument("--ties", choices=("efron", "breslow"), default="efron")
     p.set_defaults(func=cmd_cox)

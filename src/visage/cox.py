@@ -249,27 +249,21 @@ class _SortedFitData:
             raise AnalysisError("no events among included rows")
 
         death_times = self.t[self.e]
-        self.Xd = self.X[self.e]
         uniq, first, counts = np.unique(death_times, return_index=True, return_counts=True)
         self.group_first = first                      # first death row per tie group
-        self.group_counts = counts
         self.risk_start = np.searchsorted(self.t, uniq, side="left")
         group_of_death = np.repeat(np.arange(uniq.size), counts)
         within = np.arange(death_times.size) - first[group_of_death]
         self.efron_frac = within / counts[group_of_death]
         self.group_of_death = group_of_death
-        self.x_death_total = self.Xd.sum(axis=0)
-
-    def _common(self, beta: np.ndarray):
-        eta = self.X @ beta if self.k else np.zeros(self.n)
-        shift = float(np.max(eta)) if self.n else 0.0
-        phi = np.exp(eta - shift)
-        return eta, shift, phi
+        self.x_death_total = self.X[self.e].sum(axis=0)
 
     def _loglik_terms(self, beta: np.ndarray, ties: str):
         """Log partial likelihood with its phi, Efron fractions and
         per-death denominators; -inf when a denominator is not positive."""
-        eta, shift, phi = self._common(beta)
+        eta = self.X @ beta
+        shift = float(np.max(eta))
+        phi = np.exp(eta - shift)
         risk_phi = np.cumsum(phi[::-1])[::-1]
         tie_phi = np.add.reduceat(phi[self.e], self.group_first)
         g = self.group_of_death
@@ -351,8 +345,9 @@ def fit_cox(design: DesignMatrix, times, events, ties: str = "efron") -> CoxFit:
     the log likelihood does not decrease by more than its rounding
     (``LL_ROUNDING`` relative), keeping the ascent monotone.
     A coefficient walking past +/-50 is reported as separation with an
-    unbounded hazard ratio. Hitting the 100-iteration cap reports
-    converged=False rather than raising.
+    unbounded hazard ratio; a step whose derivatives overflow is
+    reported as separation too, and the fit stops before it. Hitting
+    the 100-iteration cap reports converged=False rather than raising.
     """
     if ties not in ("efron", "breslow"):
         raise DataError(f"unknown ties method {ties!r}")
@@ -363,16 +358,13 @@ def fit_cox(design: DesignMatrix, times, events, ties: str = "efron") -> CoxFit:
     X = design.matrix[mask]
     if not np.isfinite(X).all():
         raise DataError("design matrix holds non-finite values on included rows")
-    t = times[mask]
-    e = events[mask]
-    k = X.shape[1]
-    data = _SortedFitData(X, t, e)
+    data = _SortedFitData(X, times[mask], events[mask])
 
-    beta = np.zeros(k)
+    beta = np.zeros(data.k)
     ll, grad, hess = data.derivatives(beta, ties)
     ll_null = ll
     flags: list[str] = []
-    converged = k == 0 or float(np.max(np.abs(grad), initial=0.0)) < GRAD_TOL
+    converged = float(np.max(np.abs(grad), initial=0.0)) < GRAD_TOL
     iterations = 0
 
     while not converged and iterations < MAX_ITER:
@@ -390,31 +382,30 @@ def fit_cox(design: DesignMatrix, times, events, ties: str = "efron") -> CoxFit:
             delta = delta / 2.0
             ll_new = data.loglik(beta + delta, ties)
             halvings += 1
-        beta = beta + delta
-        if float(np.max(np.abs(beta))) > SEPARATION_BOUND:
+        with np.errstate(over="ignore", invalid="ignore"):
+            step = data.derivatives(beta + delta, ties)
+        if not all(np.isfinite(a).all() for a in step):  # exp left float range
             flags.append("separation")
-            ll, grad, hess = data.derivatives(beta, ties)
             break
         prev_ll = ll
-        ll, grad, hess = data.derivatives(beta, ties)
-        if (
+        beta = beta + delta
+        ll, grad, hess = step
+        if float(np.max(np.abs(beta))) > SEPARATION_BOUND:
+            flags.append("separation")
+            break
+        converged = (
             float(np.max(np.abs(grad), initial=0.0)) < GRAD_TOL
             or abs(ll - prev_ll) <= REL_LL_TOL * max(1.0, abs(prev_ll))
-        ):
-            converged = True
+        )
 
-    if k:
-        try:
-            covariance = np.linalg.inv(-hess)
-        except np.linalg.LinAlgError:
-            raise SingularDesignError(
-                "information matrix not invertible at the solution",
-                condition_number=float(np.linalg.cond(-hess)),
-            ) from None
-        se = np.sqrt(np.clip(np.diag(covariance), 0.0, None))
-    else:
-        covariance = np.zeros((0, 0))
-        se = np.zeros(0)
+    try:
+        covariance = np.linalg.inv(-hess)
+    except np.linalg.LinAlgError:
+        raise SingularDesignError(
+            "information matrix not invertible at the solution",
+            condition_number=float(np.linalg.cond(-hess)),
+        ) from None
+    se = np.sqrt(np.clip(np.diag(covariance), 0.0, None))
 
     with np.errstate(over="ignore"):
         hr = np.exp(beta)
@@ -438,9 +429,9 @@ def fit_cox(design: DesignMatrix, times, events, ties: str = "efron") -> CoxFit:
         ci95=ci95,
         wald_z=z,
         wald_p=p,
-        aic=float(-2.0 * ll + 2.0 * k),
+        aic=float(-2.0 * ll + 2.0 * data.k),
         n_used=int(mask.sum()),
-        n_events=int(e.sum()),
+        n_events=int(data.e.sum()),
         ties_method=ties,
         converged=bool(converged),
         iterations=iterations,
@@ -463,16 +454,12 @@ def univariate_screen(
     Candidates whose fit fails are recorded with the error and skipped.
     Input order is preserved in ``retained``. ``alpha`` must lie in (0, 1).
     """
-    if not 0.0 < alpha < 1.0:
-        raise DataError(f"alpha must lie in (0, 1), got {alpha!r}")
-    times = cohort.times()
-    events = cohort.events()
+    positive("alpha", alpha, below=1.0)
     entries: list[ScreenEntry] = []
     retained: list[Covariate] = []
     for cov in candidates:
         try:
-            design = build_design(cohort, [cov])
-            fit = fit_cox(design, times, events, ties)
+            fit = fit_adjusted(cohort, cov, ties=ties).fit
             if cov.kind == "categorical":
                 lr = 2.0 * (fit.log_pl - fit.log_pl_null)
                 p = chi2_sf(max(lr, 0.0), len(fit.names))

@@ -19,6 +19,11 @@ from ._stats import norm_sf
 from .errors import AnalysisError, ConstantInputError, DataError, NoComparablePairsError
 from .survival import kaplan_meier
 
+# Largest samples whose Wilcoxon p-value is enumerated exactly.
+SIGNED_RANK_EXACT_LIMIT = 25  # nonzero differences
+RANK_SUM_EXACT_LIMIT = 20  # both samples together, without ties
+
+
 @dataclass(frozen=True)
 class ConcordanceResult:
     c_index: float
@@ -223,7 +228,7 @@ def _signed_rank_exact_p(doubled_ranks: np.ndarray, doubled_stat: int) -> float:
     ways[0] = 1
     for w in doubled_ranks:
         w = int(w)
-        ways[w:] = ways[w:] + ways[:-w] if w else ways[w:] * 2
+        ways[w:] = ways[w:] + ways[:-w]  # w >= 2: a doubled rank of a nonzero difference
     center = total / 2.0
     dev = abs(doubled_stat - center)
     sums = np.arange(total + 1)
@@ -231,15 +236,15 @@ def _signed_rank_exact_p(doubled_ranks: np.ndarray, doubled_stat: int) -> float:
     return float(ways[tail].sum() / ways.sum())
 
 
-def wilcoxon_signed_rank(diffs, exact_limit: int = 25) -> RankTestResult:
+def wilcoxon_signed_rank(diffs) -> RankTestResult:
     """Two-sided Wilcoxon signed-rank test on paired differences.
 
-    Zero differences are dropped. With at most ``exact_limit`` nonzero
-    differences the p-value enumerates the exact sign-flip distribution
-    of the positive-rank sum (ties handled through midranks); beyond
-    that a normal approximation with tie correction and a 0.5
-    continuity correction is used. The statistic is the positive-rank
-    sum W+.
+    Zero differences are dropped. With at most ``SIGNED_RANK_EXACT_LIMIT``
+    nonzero differences the p-value enumerates the exact sign-flip
+    distribution of the positive-rank sum (ties handled through
+    midranks); beyond that a normal approximation with tie correction
+    and a 0.5 continuity correction is used. The statistic is the
+    positive-rank sum W+.
     """
     (d,) = vectors(diffs=diffs)
     d = d[d != 0]
@@ -249,7 +254,7 @@ def wilcoxon_signed_rank(diffs, exact_limit: int = 25) -> RankTestResult:
     ranks, ties = _midranks(np.abs(d))
     w_plus = float(ranks[d > 0].sum())
 
-    if n <= exact_limit:
+    if n <= SIGNED_RANK_EXACT_LIMIT:
         doubled = np.rint(2 * ranks).astype(np.int64)
         p = _signed_rank_exact_p(doubled, int(round(2 * w_plus)))
         return RankTestResult(w_plus, min(1.0, p), n, "exact")
@@ -282,14 +287,14 @@ def _rank_sum_exact_p(n_a: int, n_b: int, u_obs: float) -> float:
     return float(counts[tail].sum() / counts.sum())
 
 
-def wilcoxon_rank_sum(a, b, exact_limit: int = 20) -> RankTestResult:
+def wilcoxon_rank_sum(a, b) -> RankTestResult:
     """Two-sided Wilcoxon rank-sum (Mann-Whitney U) test.
 
-    The statistic is U for the first sample. The p-value is exact,
-    by enumeration of rank assignments, when the combined sample is no
-    larger than ``exact_limit`` and has no ties; otherwise the normal
-    approximation with tie correction and continuity correction is
-    used (reported in the method field).
+    The statistic is U for the first sample. The p-value is exact, by
+    enumeration of rank assignments, when the combined sample is no
+    larger than ``RANK_SUM_EXACT_LIMIT`` and has no ties; otherwise the
+    normal approximation with tie correction and continuity correction
+    is used (reported in the method field).
     """
     # The samples differ in length, so each is checked on its own.
     (xa,), (xb,) = vectors(a=a), vectors(b=b)
@@ -300,12 +305,12 @@ def wilcoxon_rank_sum(a, b, exact_limit: int = 20) -> RankTestResult:
     u_a = float(ranks[:n_a].sum() - n_a * (n_a + 1) / 2.0)
 
     has_ties = ties.size < n
-    if n <= exact_limit and not has_ties:
+    if n <= RANK_SUM_EXACT_LIMIT and not has_ties:
         p = _rank_sum_exact_p(n_a, n_b, u_a)
         return RankTestResult(u_a, min(1.0, p), n, "exact")
 
     mean = n_a * n_b / 2.0
-    tie_term = float(np.sum(ties**3 - ties)) / (n * (n - 1)) if n > 1 else 0.0
+    tie_term = float(np.sum(ties**3 - ties)) / (n * (n - 1))  # n >= 2: both samples are non-empty
     var = n_a * n_b / 12.0 * ((n + 1) - tie_term)
     if var <= 0:
         raise AnalysisError("zero variance in rank-sum statistic")

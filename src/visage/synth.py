@@ -36,6 +36,17 @@ _FILL_LEVELS = {
 
 _COVARIATE_FIELDS = ("sex", "chrono_age", "risk_scaled", "fad")
 
+# Each distribution's parameters and the rule they must meet; NaN and
+# inf meet none of the rules.
+_DISTS = {
+    "bernoulli": (("p",), "0 <= p <= 1", lambda p: 0.0 <= p <= 1.0),
+    "normal": (("mu", "sd"), "finite mu and 0 <= sd < inf",
+               lambda mu, sd: -np.inf < mu < np.inf and 0.0 <= sd < np.inf),
+    "uniform": (("a", "b"), "finite a <= b", lambda a, b: -np.inf < a <= b < np.inf),
+    "beta": (("a", "b"), "0 < a < inf and 0 < b < inf",
+             lambda a, b: 0.0 < a < np.inf and 0.0 < b < np.inf),
+}
+
 
 @dataclass(frozen=True)
 class SimCovariate:
@@ -45,7 +56,7 @@ class SimCovariate:
     "chrono_age" (years), "risk_scaled" (should generate within [0, 1])
     or "fad" (years; predicted_age is emitted as chrono_age + value).
     ``dist`` is ("bernoulli", p), ("normal", mu, sd), ("uniform", a, b)
-    or ("beta", a, b).
+    or ("beta", a, b); ``SimSpec`` checks each parameter's range.
     """
 
     field: str
@@ -71,19 +82,28 @@ class SimSpec:
         if len(self.beta_true) != len(self.covariate_model):
             raise DataError("beta_true must align with covariate_model")
         numbers = {"beta_true": self.beta_true, "embedding_weights": self.embedding_weights or ()}
-        for i, cov in enumerate(self.covariate_model):
-            if cov.field not in _COVARIATE_FIELDS:
-                raise DataError(f"unsupported covariate field {cov.field!r}")
-            numbers[f"covariate_model[{i}] ({cov.field}) dist"] = cov.dist[1:]
         for name, values in numbers.items():
             if not np.isfinite(np.asarray(values, dtype=float)).all():
                 raise DataError(f"{name} must hold finite numbers, got {list(values)!r}")
-        kind = self.censor_model[0]
+        for i, cov in enumerate(self.covariate_model):
+            if cov.field not in _COVARIATE_FIELDS:
+                raise DataError(f"unsupported covariate field {cov.field!r}")
+            name = f"covariate_model[{i}] ({cov.field}) dist"
+            kind, *params = cov.dist
+            if kind not in _DISTS:
+                raise DataError(f"{name}: unknown distribution {kind!r}, not one of {list(_DISTS)}")
+            args, rule, holds = _DISTS[kind]
+            if len(params) != len(args) or not holds(*map(float, params)):
+                raise DataError(
+                    f"{name} {kind} takes ({', '.join(args)}) with {rule}, got {params}"
+                )
+        kind, *params = self.censor_model
         if kind not in ("none", "uniform", "exponential", "admin"):
             raise DataError(f"unknown censor model {kind!r}")
-        if kind != "none":
-            if len(self.censor_model) != 2 or not 0.0 < float(self.censor_model[1]) < np.inf:
-                raise DataError(f"censor_model {kind!r} needs one finite parameter > 0")
+        if kind == "none" and params:
+            raise DataError(f"censor_model 'none' takes no parameter, got {params}")
+        if kind != "none" and (len(params) != 1 or not 0.0 < float(params[0]) < np.inf):
+            raise DataError(f"censor_model {kind!r} needs one finite parameter > 0")
         if (self.embedding_weights is None) != (self.embedding_dim is None):
             raise DataError("embedding_weights and embedding_dim go together")
         if self.embedding_dim is not None and len(self.embedding_weights) != self.embedding_dim:
@@ -97,16 +117,11 @@ class SimResult:
 
 
 def _draw(rng: np.random.Generator, dist: tuple, n: int) -> np.ndarray:
-    kind = dist[0]
+    kind, *params = dist
     if kind == "bernoulli":
-        return (rng.random(n) < float(dist[1])).astype(float)
-    if kind == "normal":
-        return rng.normal(float(dist[1]), float(dist[2]), n)
-    if kind == "uniform":
-        return rng.uniform(float(dist[1]), float(dist[2]), n)
-    if kind == "beta":
-        return rng.beta(float(dist[1]), float(dist[2]), n)
-    raise DataError(f"unknown distribution {kind!r}")
+        return (rng.random(n) < float(params[0])).astype(float)
+    # normal, uniform and beta: Generator methods taking the parameters in order
+    return getattr(rng, kind)(*map(float, params), n)
 
 
 def simulate(spec: SimSpec) -> SimResult:

@@ -65,12 +65,9 @@ class TrainConfig:
     shuffle: bool = True
 
     def __post_init__(self):
-        # NaN and inf lie in none of these ranges.
         for name, high in (("learning_rate", math.inf), ("beta1", 1.0), ("beta2", 1.0),
                            ("validation_fraction", 1.0)):
-            value = getattr(self, name)
-            if not 0.0 < value < high:
-                raise DataError(f"{name} must lie in (0, {high:g}), got {value!r}")
+            positive(name, getattr(self, name), below=high)
         for name in ("weight_decay", "smooth_lambda"):
             value = getattr(self, name)
             if not 0.0 <= value < math.inf:

@@ -16,6 +16,7 @@ import pytest
 
 import visage
 from visage.cli import main
+from visage.metrics import harrell_c
 
 
 def run(*argv) -> int:
@@ -96,6 +97,18 @@ class TestKm:
         assert (out / "km_lt5.csv").exists()
         assert (out / "strata.csv").exists()
 
+    def test_median_followup_not_reached(self, tmp_path):
+        """With every subject dead, the reverse-KM curve of censorings stays
+        at 1: the median follow-up is reported as missing, with the reason."""
+        cohort = tmp_path / "c.csv"
+        rows = [f"p{i},{10 * (i + 1)},1,60" for i in range(8)]
+        cohort.write_text("id,time,event,chrono_age\n" + "\n".join(rows) + "\n")
+        out = tmp_path / "km"
+        assert run("km", "--cohort", cohort, "--out", out) == 0
+        results = read_json(out / "results.json")
+        assert results["median_followup_days"] is None
+        assert "never reaches 0.5" in results["median_followup_note"]
+
     def test_custom_horizons(self, tmp_path, sim_cohort):
         out = tmp_path / "km"
         assert run(
@@ -150,6 +163,62 @@ class TestMetrics:
         acc = results["age_accuracy"]
         np.testing.assert_allclose(acc["mae"], (3 + 2 + 0) / 3)
         np.testing.assert_allclose(acc["me"], (3 - 2 + 0) / 3)
+
+
+    def test_risk_falls_back_to_scaled_raw_score(self, tmp_path):
+        """A risk_scaled column with gaps is not used: the raw ``risk`` column
+        is min-max scaled over the subjects that have it, and the rest are
+        excluded."""
+        times = [30, 60, 90, 120, 150, 200, 250, 300, 400, 500]
+        raw = [9.0, 7.5, "", 8.0, 3.0, 4.5, "", 2.0, 1.0, 2.5]
+        scaled = [0.9, "", 0.1, 0.5, 0.2, "", 0.3, 0.1, 0.0, 0.2]
+        cohort = tmp_path / "c.csv"
+        cohort.write_text("id,time,event,chrono_age,risk,risk_scaled\n" + "".join(
+            f"p{i},{t},{i % 3 != 2:d},60,{r},{sc}\n"
+            for i, (t, r, sc) in enumerate(zip(times, raw, scaled))
+        ))
+        out = tmp_path / "m"
+        assert run("metrics", "--cohort", cohort, "--out", out, "--horizons", "100") == 0
+        results = read_json(out / "metrics.json")
+        has = np.array([r != "" for r in raw])
+        values = np.array([r for r in raw if r != ""])
+        expected = harrell_c(
+            (values - 1.0) / 8.0,
+            np.array(times, dtype=float)[has],
+            np.array([i % 3 != 2 for i in range(10)])[has],
+        )
+        assert results["n_used"] == 8
+        assert results["excluded_missing_marker"] == 2
+        assert results["c_index"]["value"] == expected.c_index
+        assert results["c_index"]["comparable_pairs"] == expected.comparable_pairs
+
+    @pytest.mark.parametrize("marker", ["chrono_age", "predicted_age"])
+    def test_age_markers(self, tmp_path, marker):
+        """An age column is the marker as it stands; subjects without a
+        predicted age are excluded, and only the chrono_age marker drops
+        the age-accuracy block."""
+        times = [30, 60, 90, 120, 150, 200, 250, 300]
+        chrono = [80, 71, 77, 60, 66, 52, 58, 45]
+        predicted = [83, 70, "", 64, 61, 55, 57, ""]
+        cohort = tmp_path / "c.csv"
+        cohort.write_text("id,time,event,chrono_age,predicted_age\n" + "".join(
+            f"p{i},{t},{int(i != 3)},{c},{pr}\n"
+            for i, (t, c, pr) in enumerate(zip(times, chrono, predicted))
+        ))
+        out = tmp_path / "m"
+        assert run("metrics", "--cohort", cohort, "--out", out, "--marker", marker,
+                   "--horizons", "100") == 0
+        results = read_json(out / "metrics.json")
+        column = np.array(chrono if marker == "chrono_age" else predicted, dtype=object)
+        has = column != ""
+        expected = harrell_c(
+            column[has].astype(float),
+            np.array(times, dtype=float)[has],
+            np.array([i != 3 for i in range(8)])[has],
+        )
+        assert results["n_used"] == int(has.sum())
+        assert results["c_index"]["value"] == expected.c_index
+        assert ("age_accuracy" in results) == (marker == "predicted_age")
 
 
 class TestCox:
@@ -228,6 +297,29 @@ class TestCox:
         assert rc == 1
         report = read_json(out / "fit.json")  # outputs written before exiting
         assert "separation" in report["univariate"]["flags"]
+        assert "converge" in capsys.readouterr().err
+
+
+    def test_wide_scale_separation_exits_one_with_finite_fit(self, tmp_path, capsys):
+        """FAD separates the deaths on a 20-year spread, so exp of the linear
+        predictor overflows before the coefficient bound: the fit stops at
+        its last finite point and is flagged, with no NaN in fit.json."""
+        fad = [-11.5, -1.8, -5.8, -11.9, -3.7, 8.8]
+        rows = zip([5, 2, 4, 6, 3, 1], [1, 1, 0, 0, 0, 1], fad)
+        cohort = tmp_path / "c.csv"
+        cohort.write_text("id,time,event,chrono_age,predicted_age\n" + "".join(
+            f"p{i},{t},{e},60,{60 + x!r}\n" for i, (t, e, x) in enumerate(rows)
+        ))
+        out = tmp_path / "cox"
+        assert run("cox", "--cohort", cohort, "--out", out, "--biomarker", "fad") == 1
+        report = read_json(out / "fit.json")
+        for model in ("univariate", "adjusted"):
+            fit = report[model]
+            assert fit["flags"] == ["separation"]
+            assert fit["converged"] is False
+            row = fit["covariates"][0]
+            for value in (row["beta"], row["hr"], row["se"], row["p"], fit["aic"]):
+                assert np.isfinite(value)
         assert "converge" in capsys.readouterr().err
 
 
@@ -541,6 +633,18 @@ MALFORMED = [
     ("balance", ["--mode", "factors", "--bin-width", "-5"], None, "--bin-width"),
     ("balance", ["--mode", "factors", "--bin-width", "nan"], None, "--bin-width"),
     ("balance", ["--mode", "bins", "--bin-width", "nan"], None, "--bin-width"),
+    # A simulated distribution's name, parameter count and range.
+    ("simulate", ["--beta", "0.1", "--covariates", "fad:normal:0"], None, "fad"),
+    ("simulate", ["--beta", "0.1", "--covariates", "fad:normal:0:-1"], None, "fad"),
+    ("simulate", ["--beta", "0.1", "--covariates", "fad:beta:0:1"], None, "fad"),
+    ("simulate", ["--beta", "0.1", "--covariates", "fad:uniform:5:1"], None, "fad"),
+    ("simulate", ["--beta", "0.1", "--covariates", "sex:bernoulli:2"], None, "sex"),
+    ("simulate", ["--beta", "0.1", "--covariates", "fad:normal:0:1:5"], None, "fad"),
+    ("simulate", ["--beta", "0.1", "--covariates", "fad:gamma:1:2"], None, "fad"),
+    ("simulate", ["--censor", "none:5"], None, "censor_model 'none'"),
+    # --alpha is checked where it is parsed, with or without --screen.
+    ("cox", ["--biomarker", "fad:per:10", "--alpha", "nan"], None, "--alpha"),
+    ("cox", ["--biomarker", "fad:per:10", "--alpha", "7"], None, "--alpha"),
 ]
 
 

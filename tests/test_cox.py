@@ -16,8 +16,10 @@ import pytest
 
 from visage._stats import Z95
 from visage.cohort import Cohort
+from visage import cox
 from visage.cox import (
     Covariate,
+    DesignMatrix,
     build_design,
     compare_aic,
     fit_adjusted,
@@ -27,7 +29,7 @@ from visage.cox import (
     partial_likelihood,
     univariate_screen,
 )
-from visage.errors import DataError, SingularDesignError
+from visage.errors import AnalysisError, DataError, SingularDesignError
 from visage.synth import SimCovariate, SimSpec, simulate
 from tests.conftest import make_cohort
 
@@ -159,7 +161,9 @@ class TestDerivatives:
 def nkk_derivatives(data, beta, ties):
     """The derivatives as computed before the weighted row sum: the n x k x k
     array of phi x x' and its reversed cumulative sum over all rows."""
-    eta, shift, phi = data._common(beta)
+    eta = data.X @ beta
+    shift = float(np.max(eta))
+    phi = np.exp(eta - shift)
     phi_d = phi[data.e]
     phi_x = phi[:, None] * data.X
     phi_xx = phi_x[:, :, None] * data.X[:, None, :]
@@ -274,6 +278,49 @@ class TestFitBehavior:
         assert fit.converged
         assert fit.beta[0] > 5.0
 
+    @pytest.mark.parametrize("ties", ["efron", "breslow"])
+    def test_separation_on_a_wide_scale_stops_at_its_last_finite_point(self, ties):
+        """Every death has the largest x in its risk set and x spans 20
+        units, so exp of the linear predictor leaves the float range near
+        beta = 35, before beta reaches SEPARATION_BOUND. The fit stops at
+        the last point whose derivatives are finite and flags separation."""
+        x = np.array([-11.5, -1.8, -5.8, -11.9, -3.7, 8.8])
+        t = np.array([5, 2, 4, 6, 3, 1], dtype=float)
+        e = np.array([1, 1, 0, 0, 0, 1], dtype=bool)
+        design = build_design(make_cohort(t, e, predicted_age=60.0 + x), [Covariate("fad")])
+        fit = fit_cox(design, t, e, ties)
+        assert fit.flags == ("separation",)
+        assert not fit.converged
+        assert np.isfinite(fit.beta).all() and np.isfinite(fit.se).all()
+        assert 30.0 < fit.beta[0] < cox.SEPARATION_BOUND
+        ll, _, hess = partial_likelihood(design.matrix, t, e, fit.beta, ties)
+        assert ll == fit.log_pl
+        np.testing.assert_allclose(fit.se[0], np.sqrt(-1.0 / hess[0, 0]), rtol=1e-12)
+
+    def test_halved_step_then_converges(self, monkeypatch):
+        """The first Newton step from beta = 0 overshoots on this design and
+        is halved once; the fit still reaches the optimum."""
+        X = np.array([
+            [0.8, 0.5, 1.0, 1.7, 1.0, -2.6, 0.5, 0.2, 4.2, 1.8, -2.3, -1.7, 0.7, -0.6],
+            [0.4, -0.6, 0.3, 0.9, 1.3, 0.1, -0.2, 1.1, -6.0, -0.1, 0.7, 0.2, -1.2, 1.0],
+        ]).T
+        t = np.array([2, 4, 4, 2, 5, 1, 4, 5, 1, 1, 8, 2, 7, 5], dtype=float)
+        e = np.array([0, 1, 1, 1, 0, 0, 1, 0, 1, 1, 1, 0, 0, 0], dtype=bool)
+        trial_points = []
+        loglik = cox._SortedFitData.loglik
+
+        def counting(data, beta, ties):
+            trial_points.append(beta)
+            return loglik(data, beta, ties)
+
+        monkeypatch.setattr(cox._SortedFitData, "loglik", counting)
+        fit = fit_cox(DesignMatrix(("a", "b"), X, np.ones(14, dtype=bool)), t, e, "efron")
+        # One trial point per iteration, and one more per halving.
+        assert len(trial_points) > fit.iterations
+        assert fit.converged and fit.flags == ()
+        _, score, _ = partial_likelihood(X, t, e, fit.beta, "efron")
+        assert np.max(np.abs(score)) < 1e-6
+
     def test_fit_reaches_the_newton_point(self):
         """On this cohort the third Newton step lowers the log-likelihood
         by a few ulps of rounding; halving it (the old absolute 1e-13
@@ -316,6 +363,35 @@ class TestFitBehavior:
             fit_cox(design, t, e)
         assert time_mod.perf_counter() - start < 5.0
         del rng
+
+
+class TestRandomDesigns:
+    def test_every_fit_is_finite_or_raises(self):
+        """A seeded sweep of small designs: n 5-29 subjects, k 1-3
+        covariates on scales 0.3-30, event rates 0.1-0.9, both tie
+        methods. Wide scales separate with the linear predictor past the
+        range of exp; every fit must still return finite estimates, or
+        raise AnalysisError (no events, a singular information matrix).
+        A RuntimeWarning fails the test."""
+        rng = np.random.default_rng(5)
+        fitted = 0
+        for _ in range(300):
+            n = int(rng.integers(5, 30))
+            k = int(rng.integers(1, 4))
+            scale = rng.uniform(0.3, 30.0, k)
+            X = rng.normal(size=(n, k)) * scale
+            t = rng.permutation(n) + 1.0
+            e = rng.random(n) < rng.uniform(0.1, 0.9)
+            design = DesignMatrix(tuple(f"x{j}" for j in range(k)), X, np.ones(n, dtype=bool))
+            for ties in ("efron", "breslow"):
+                try:
+                    fit = fit_cox(design, t, e, ties)
+                except AnalysisError:
+                    continue
+                assert np.isfinite(fit.beta).all() and np.isfinite(fit.se).all(), (n, k, ties)
+                assert np.isfinite(fit.log_pl)
+                fitted += 1
+        assert fitted > 500
 
 
 class TestFitInvariants:

@@ -214,6 +214,25 @@ class TestLogRank:
         assert result.dof == 2
         assert result.p_value < 0.001
 
+    def test_group_out_of_every_risk_set_uses_the_pseudo_inverse(self, monkeypatch):
+        """The first group is censored before the first death, so its row
+        and column of the covariance are zero and the solve fails. The
+        pseudo-inverse gives the other two groups' statistic, with the
+        degrees of freedom still counting all three groups."""
+        gone = ([1, 1.5], [0, 0])
+        b = ([2, 4, 6, 8], [1, 1, 0, 1])
+        c = ([3, 5, 7, 9], [1, 0, 1, 1])
+        pinv_calls = []
+        pinv = np.linalg.pinv
+        monkeypatch.setattr(np.linalg, "pinv", lambda m: pinv_calls.append(m) or pinv(m))
+        result = log_rank([gone, b, c])
+        assert len(pinv_calls) == 1
+        assert result.dof == 2
+        np.testing.assert_allclose(
+            result.chi_square, _two_group_logrank_oracle([b, c]), rtol=1e-12
+        )
+        np.testing.assert_allclose(result.p_value, stats.chi2.sf(result.chi_square, 2), rtol=1e-12)
+
     def test_single_group_rejected(self):
         with pytest.raises(DataError):
             log_rank([([1, 2], [1, 1])])

@@ -297,6 +297,34 @@ class TestSpecValidation:
         with pytest.raises(DataError, match=named):
             SimSpec(n=10, **kwargs)
 
+    @pytest.mark.parametrize("field, dist", [
+        ("fad", ("normal", 0.0)),
+        ("fad", ("normal", 0.0, 1.0, 5.0)),
+        ("fad", ("normal", 0.0, -1.0)),
+        ("fad", ("beta", 0.0, 1.0)),
+        ("fad", ("uniform", 5.0, 1.0)),
+        ("fad", ("gamma", 1.0, 2.0)),
+        ("sex", ("bernoulli", 2.0)),
+        ("sex", ("bernoulli", -0.1)),
+    ])
+    def test_distribution_checked(self, field, dist):
+        with pytest.raises(DataError, match=rf"covariate_model\[0\] \({field}\) dist"):
+            SimSpec(n=10, beta_true=(0.1,), covariate_model=(SimCovariate(field, dist),))
+
+    def test_distribution_range_ends_accepted(self):
+        """A point mass is a valid draw: sd 0, a == b, p 0 and 1."""
+        covs = (
+            SimCovariate("fad", ("normal", 1.0, 0.0)),
+            SimCovariate("chrono_age", ("uniform", 60.0, 60.0)),
+            SimCovariate("sex", ("bernoulli", 1.0)),
+        )
+        cohort = simulate(SimSpec(n=10, beta_true=(0.1, 0.1, 0.1), covariate_model=covs)).cohort
+        assert (cohort.chrono_age == 60.0).all() and (cohort.sex == "male").all()
+
+    def test_no_censoring_takes_no_parameter(self):
+        with pytest.raises(DataError, match="censor_model 'none'"):
+            SimSpec(n=10, censor_model=("none", 5.0))
+
     def test_embedding_weight_length_mismatch(self):
         with pytest.raises(DataError):
             SimSpec(n=10, embedding_dim=4, embedding_weights=(0.1, 0.2))
