@@ -316,12 +316,17 @@ def export_obj(mesh: FaceMesh, scores: TriangleAttention | np.ndarray) -> bytes:
         "# colormap viridis\n"
         f"# triangles {mesh.n_triangles}\n"
     )
-    # One row per duplicated corner: x y z of the vertex, r g b of its face.
-    corners = np.hstack(
-        [mesh.vertices[mesh.triangles].reshape(-1, 3), np.repeat(colors, 3, axis=0)]
-    )
-    vertex_lines = ("v %.6f %.6f %.6f %.4f %.4f %.4f\n" * len(corners)) % tuple(
-        corners.ravel().tolist()
+    # One line per duplicated corner: x y z of the vertex, r g b of its face.
+    # Each distinct vertex and each face color is formatted once; equal
+    # floats format to equal text, so the bytes match per-corner formatting.
+    vertices = mesh.vertices.ravel().tolist()
+    xyz = ("%.6f %.6f %.6f\n" * len(mesh.vertices) % tuple(vertices)).split("\n")
+    rgb = ("%.4f %.4f %.4f\n" * len(colors) % tuple(colors.ravel().tolist())).split("\n")
+    vertex_lines = "".join(
+        [
+            f"v {xyz[a]} {c}\nv {xyz[b]} {c}\nv {xyz[d]} {c}\n"
+            for (a, b, d), c in zip(mesh.triangles.tolist(), rgb)
+        ]
     )
     face_lines = ("f %d %d %d\n" * mesh.n_triangles) % tuple(range(1, 3 * mesh.n_triangles + 1))
     return (header + vertex_lines + face_lines).encode("utf-8")

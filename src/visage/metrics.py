@@ -2,10 +2,9 @@
 
 Harrell's concordance for censored data, cumulative/dynamic
 time-dependent AUC with Kaplan-Meier inverse-censoring weights, age
-prediction accuracy with 5-year bin breakdown, Wilcoxon signed-rank and
-rank-sum tests with exact small-sample p-values, and Pearson
-correlation. All counts behind each statistic are reported so results
-can be serialized and audited.
+prediction accuracy with 5-year bin breakdown, and Wilcoxon signed-rank
+and rank-sum tests with exact small-sample p-values. All counts behind
+each statistic are reported so results can be serialized and audited.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ import numpy as np
 
 from ._inputs import positive, vectors
 from ._stats import norm_sf
-from .errors import AnalysisError, ConstantInputError, DataError, NoComparablePairsError
+from .errors import AnalysisError, DataError, NoComparablePairsError
 from .survival import kaplan_meier
 
 # Largest samples whose Wilcoxon p-value is enumerated exactly.
@@ -199,9 +198,8 @@ def age_accuracy(predicted, actual) -> AgeAccuracy:
     me = float(np.mean(err))
     bin_index = np.floor(act / 5.0).astype(int)
     bins = []
-    for b in np.unique(bin_index):
-        mask = bin_index == b
-        bins.append((float(b * 5.0), int(mask.sum()), float(np.mean(np.abs(err[mask])))))
+    for b, count in zip(*np.unique(bin_index, return_counts=True)):
+        bins.append((float(b * 5.0), int(count), float(np.mean(np.abs(err[bin_index == b])))))
     binwise = float(np.mean([b[2] for b in bins]))
     return AgeAccuracy(mae, me, binwise, tuple(bins))
 
@@ -319,15 +317,3 @@ def wilcoxon_rank_sum(a, b) -> RankTestResult:
     method = "normal(ties)" if has_ties else "normal"
     return RankTestResult(u_a, min(1.0, float(p)), n, method)
 
-
-def pearson_r(x, y) -> float:
-    """Pearson correlation; raises on length < 2 or zero variance."""
-    xs, ys = vectors(x=x, y=y)
-    if xs.size < 2:
-        raise DataError("need at least two observations")
-    xc = xs - xs.mean()
-    yc = ys - ys.mean()
-    denom = np.sqrt(np.sum(xc**2) * np.sum(yc**2))
-    if denom == 0:
-        raise ConstantInputError("zero variance input to correlation")
-    return float(np.sum(xc * yc) / denom)

@@ -152,11 +152,11 @@ def km_estimate_at(curve: SurvivalCurve, t: float) -> KMEstimate:
     if not 0 <= t < np.inf:
         raise DataError(f"time must be finite and >= 0, got {t}")
     idx = int(np.searchsorted(curve.times, t, side="right")) - 1
+    truncated = t > curve.max_time
     if idx < 0:
-        return KMEstimate(1.0, 1.0, 1.0, truncated=False)
+        return KMEstimate(1.0, 1.0, 1.0, truncated)
     s = float(curve.survival[idx])
     var = float(curve.variance[idx])
-    truncated = t > curve.max_time
     if s >= 1.0:
         return KMEstimate(1.0, 1.0, 1.0, truncated)
     if s <= 0.0:

@@ -97,7 +97,7 @@ class RiskModel:
 @dataclass(frozen=True)
 class RankLoss:
     loss: float
-    grad: np.ndarray
+    grad: np.ndarray | None
     n_pairs: int
     pair_loss: float
     smooth_loss: float
@@ -137,10 +137,13 @@ class TrainResult:
 _ROW_BLOCK = 16
 
 
-def _pair_terms(margin: np.ndarray, form: str) -> tuple[np.ndarray, np.ndarray]:
+def _pair_terms(
+    margin: np.ndarray, form: str, with_grad: bool
+) -> tuple[np.ndarray, np.ndarray | None]:
     """Pair losses and their slopes d loss / d margin, margin = r_event - r_longer.
 
     A margin of +inf gives a zero loss and a zero slope in both forms.
+    With ``with_grad=False`` the slope is not computed and is None.
     """
     if form == "logistic":
         # loss = log(1 + exp(-margin)) = max(-margin, 0) + log1p(exp(-|margin|))
@@ -152,16 +155,24 @@ def _pair_terms(margin: np.ndarray, form: str) -> tuple[np.ndarray, np.ndarray]:
         np.log1p(losses, out=losses)
         slope = np.minimum(margin, 0.0)
         losses -= slope
+        if not with_grad:
+            return losses, None
         np.negative(losses, out=slope)
         np.expm1(slope, out=slope)
     else:
         losses = np.maximum(0.0, 1.0 - margin)
-        slope = np.where(margin < 1.0, -1.0, 0.0)
+        slope = np.where(margin < 1.0, -1.0, 0.0) if with_grad else None
     return losses, slope
 
 
 def pairwise_rank_loss(
-    risks, times, events, smooth_lambda: float = 0.0, form: str = "logistic"
+    risks,
+    times,
+    events,
+    smooth_lambda: float = 0.0,
+    form: str = "logistic",
+    *,
+    with_grad: bool = True,
 ) -> RankLoss:
     """Ranking loss over all comparable pairs plus a smoothness term.
 
@@ -178,6 +189,9 @@ def pairwise_rank_loss(
     blocks of ``_ROW_BLOCK``, each against only the columns from the
     first subject strictly later than its earliest row, so memory is
     O(block * n) rather than O(n^2).
+
+    With ``with_grad=False`` only the losses are computed, in the same
+    order and so to the same bits, and ``grad`` is None.
     """
     r, t, e = vectors(("times",), risks=risks, times=times, events=events)
     if form not in ("logistic", "hinge"):
@@ -202,20 +216,26 @@ def pairwise_rank_loss(
             # before that get margin +inf, hence zero loss and zero slope.
             unpaired = np.arange(lo, hi)[None, :] < first_later[block, None]
             margin[:, : hi - lo][unpaired] = np.inf
-            losses, slope = _pair_terms(margin, form)
+            losses, slope = _pair_terms(margin, form, with_grad)
             total += float(losses.sum())
-            grad_sorted[rows[block]] += slope.sum(axis=1)
-            grad_sorted[lo:] -= slope.sum(axis=0)
+            if with_grad:
+                grad_sorted[rows[block]] += slope.sum(axis=1)
+                grad_sorted[lo:] -= slope.sum(axis=0)
         pair_loss = total / n_pairs
-        grad_sorted /= n_pairs
 
+    smooth = smooth_lambda > 0 and n > 1
     smooth_loss = 0.0
-    if smooth_lambda > 0 and n > 1:
+    if smooth:
         diffs = r_sorted[1:] - r_sorted[:-1]
         smooth_loss = float(smooth_lambda * np.sum(diffs**2))
+    if not with_grad:
+        return RankLoss(pair_loss + smooth_loss, None, n_pairs, pair_loss, smooth_loss)
+
+    if n_pairs:
+        grad_sorted /= n_pairs
+    if smooth:
         grad_sorted[1:] += 2.0 * smooth_lambda * diffs
         grad_sorted[:-1] -= 2.0 * smooth_lambda * diffs
-
     grad = np.empty(n)
     grad[order] = grad_sorted
     return RankLoss(pair_loss + smooth_loss, grad, n_pairs, pair_loss, smooth_loss)
@@ -378,8 +398,10 @@ def train_risk_model(embeddings, times, events, config: TrainConfig | None = Non
     if int(e.sum()) < 2:
         raise AnalysisError("need at least two events to form training pairs")
 
-    def loss(risks, idx) -> RankLoss:
-        return pairwise_rank_loss(risks, t[idx], e[idx], config.smooth_lambda, config.pair_loss)
+    def loss(risks, idx, with_grad=True) -> RankLoss:
+        return pairwise_rank_loss(
+            risks, t[idx], e[idx], config.smooth_lambda, config.pair_loss, with_grad=with_grad
+        )
 
     def batch_grad(risks, batch):
         result = loss(risks, batch)
@@ -388,8 +410,8 @@ def train_risk_model(embeddings, times, events, config: TrainConfig | None = Non
     def epoch_row(epoch, r_train, train_idx, r_val, val_idx, skipped):
         return EpochStats(
             epoch,
-            loss(r_train, train_idx).loss,
-            loss(r_val, val_idx).loss,
+            loss(r_train, train_idx, with_grad=False).loss,
+            loss(r_val, val_idx, with_grad=False).loss,
             _safe_c(r_train, t[train_idx], e[train_idx]),
             _safe_c(r_val, t[val_idx], e[val_idx]),
             skipped,

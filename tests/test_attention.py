@@ -70,6 +70,22 @@ def looped_export_obj(mesh, values):
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
+def per_corner_export_obj(mesh, values):
+    """OBJ bytes with every corner's six numbers %-formatted in place."""
+    lo, hi = float(values.min()), float(values.max())
+    normalized = (values - lo) / (hi - lo) if hi > lo else np.full(values.shape, 0.5)
+    colors = colormap_rgb(normalized)
+    header = f"# visage attention surface\n# colormap viridis\n# triangles {mesh.n_triangles}\n"
+    corners = np.hstack(
+        [mesh.vertices[mesh.triangles].reshape(-1, 3), np.repeat(colors, 3, axis=0)]
+    )
+    vertex_lines = ("v %.6f %.6f %.6f %.4f %.4f %.4f\n" * len(corners)) % tuple(
+        corners.ravel().tolist()
+    )
+    face_lines = ("f %d %d %d\n" * mesh.n_triangles) % tuple(range(1, 3 * mesh.n_triangles + 1))
+    return (header + vertex_lines + face_lines).encode("utf-8")
+
+
 def looped_subdivide_once(mesh):
     """Midpoints numbered through a dict, one triangle at a time."""
     vertices = list(mesh.vertices)
@@ -454,6 +470,23 @@ class TestObjExport:
         assert export_obj(mesh, scores) == looped_export_obj(mesh, scores)
         flat = np.full(mesh.n_triangles, 0.3)
         assert export_obj(mesh, flat) == looped_export_obj(mesh, flat)
+
+    def test_bytes_match_per_corner_formatting(self):
+        """Shared vertices, constant scores, and coordinates that are
+        negative, -0.0 or round to -0.000000."""
+        mesh = jittered_face_mesh(112.0)
+        scores = np.random.default_rng(43).random(mesh.n_triangles)
+        assert export_obj(mesh, scores) == per_corner_export_obj(mesh, scores)
+        flat = np.full(mesh.n_triangles, 0.3)
+        assert export_obj(mesh, flat) == per_corner_export_obj(mesh, flat)
+        signed = FaceMesh(
+            [(-0.0, 0.0, -1.5), (-2e-7, -0.0, 3.25), (1.0, -4e-7, -0.0), (-7.0, 2.0, 1e-9)],
+            [(0, 1, 2), (1, 3, 2), (0, 3, 1)],
+            [(0, 0), (40, 0), (0, 40), (40, 40)],
+        )
+        text = export_obj(signed, np.array([-1.0, 0.0, 2.0]))
+        assert text == per_corner_export_obj(signed, np.array([-1.0, 0.0, 2.0]))
+        assert b"v -0.000000 0.000000 -1.500000 " in text
 
     def test_roundtrip_through_strict_loader(self):
         mesh = flat_mesh(

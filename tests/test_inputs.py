@@ -62,7 +62,6 @@ CASES = {
     "age_accuracy": (metrics.age_accuracy, dict(predicted=X, actual=AGES)),
     "wilcoxon_signed_rank": (metrics.wilcoxon_signed_rank, dict(diffs=X)),
     "wilcoxon_rank_sum": (metrics.wilcoxon_rank_sum, dict(a=R[:4], b=X[:5])),
-    "pearson_r": (metrics.pearson_r, dict(x=X, y=R)),
     "compute_fad": (biomarkers.compute_fad, dict(predicted_age=AGES[::-1], chrono_age=AGES)),
     "minmax_scale": (biomarkers.minmax_scale, dict(raw=X)),
     "stratify": (lambda column: biomarkers.stratify(column, "fad_bands"), dict(column=X)),

@@ -14,16 +14,10 @@ import math
 import numpy as np
 import pytest
 
-from visage.errors import (
-    AnalysisError,
-    ConstantInputError,
-    DataError,
-    NoComparablePairsError,
-)
+from visage.errors import AnalysisError, DataError, NoComparablePairsError
 from visage.metrics import (
     age_accuracy,
     harrell_c,
-    pearson_r,
     time_dependent_auc,
     wilcoxon_rank_sum,
     wilcoxon_signed_rank,
@@ -469,22 +463,3 @@ class TestRankSum:
         with pytest.raises(DataError):
             wilcoxon_rank_sum([], [1.0])
 
-
-class TestPearson:
-    def test_affine_positive(self):
-        x = np.array([1.0, 2.0, 5.0, 9.0])
-        np.testing.assert_allclose(pearson_r(x, 2 * x + 3), 1.0, rtol=1e-12)
-
-    def test_negation(self):
-        x = np.array([1.0, 2.0, 5.0, 9.0])
-        np.testing.assert_allclose(pearson_r(x, -x), -1.0, rtol=1e-12)
-
-    def test_independent_near_zero(self):
-        rng = np.random.default_rng(103)
-        x = rng.normal(size=10000)
-        y = rng.normal(size=10000)
-        assert abs(pearson_r(x, y)) < 0.05
-
-    def test_constant_rejected(self):
-        with pytest.raises(ConstantInputError):
-            pearson_r([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])

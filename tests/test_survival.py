@@ -105,6 +105,13 @@ class TestEstimateAt:
         np.testing.assert_allclose(est.estimate, 1 / 3)
         assert est.truncated
 
+    def test_past_last_time_truncates_without_deaths(self):
+        curve = kaplan_meier([10, 20, 30], [0, 0, 0])
+        est = km_estimate_at(curve, 500.0)
+        assert (est.estimate, est.ci_low, est.ci_high) == (1.0, 1.0, 1.0)
+        assert est.truncated
+        assert not km_estimate_at(curve, 25.0).truncated
+
     def test_loglog_interval_brackets_estimate(self):
         rng = np.random.default_rng(3)
         t = rng.exponential(100, size=80)

@@ -105,6 +105,32 @@ class TestPairwiseLoss:
             np.testing.assert_allclose(result.loss, expect_loss, rtol=1e-12)
             np.testing.assert_allclose(result.grad, expect_grad, rtol=1e-10)
 
+    @pytest.mark.parametrize("form", ["logistic", "hinge"])
+    def test_loss_only_path_is_bit_equal(self, form):
+        """with_grad=False returns the default call's losses to the bit:
+        many row blocks with tied times and risks, a smoothness term, and
+        a batch with no pair."""
+        rng = np.random.default_rng(17)
+        n = 40 * _ROW_BLOCK + 7
+        r = rng.integers(0, 12, n) * 0.25
+        t = rng.integers(1, 60, n).astype(float)
+        e = rng.random(n) < 0.6
+        cases = [
+            (r, t, e, 0.0),
+            (r, t, e, 1e-3),
+            (rng.normal(size=n), rng.exponential(30.0, n), e, 0.05),
+            ([1.0, 0.0], [5.0, 5.0], [True, False], 0.1),
+        ]
+        for risks, times, events, lam in cases:
+            full = pairwise_rank_loss(risks, times, events, lam, form)
+            only = pairwise_rank_loss(risks, times, events, lam, form, with_grad=False)
+            assert only.grad is None
+            assert only.loss == full.loss
+            assert only.pair_loss == full.pair_loss
+            assert only.smooth_loss == full.smooth_loss
+            assert only.n_pairs == full.n_pairs
+        assert only.no_pairs and only.smooth_loss > 0.0
+
     @pytest.mark.parametrize(
         "risks, times",
         [
