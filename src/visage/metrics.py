@@ -58,8 +58,11 @@ class RankTestResult:
     method: str
 
 
-def _count_later_below(rank: np.ndarray, start: np.ndarray, query: np.ndarray) -> np.ndarray:
-    """For each q, the number of positions j >= start[q] with rank[j] < query[q].
+def _count_later_below(
+    rank: np.ndarray, start: np.ndarray, query: np.ndarray, weights: np.ndarray | None = None
+) -> np.ndarray:
+    """For each q, the number of positions j >= start[q] with rank[j] < query[q],
+    or with ``weights`` the sum of weights[j] over those positions.
 
     This is the prefix query of a Fenwick tree over dense ranks, taken
     after the subjects at positions start[q].. have been inserted, and
@@ -67,20 +70,27 @@ def _count_later_below(rank: np.ndarray, start: np.ndarray, query: np.ndarray) -
     of width 2**k; the prefix [0, query) is the union of block
     (query >> k) - 1 over the levels k whose bit is set in ``query``. A
     node's content at the time of a query is its members at positions
-    >= start: all members of blocks up to it, less those ordered before
-    (block, start), found by binary search on (block, position) keys.
+    >= start: the members from the first one ordered at or after
+    (block, start) on (block, position) keys, found by binary search, to
+    the node's last. Weights are summed as the difference of their
+    running sums at those two places in key order.
     """
     n = rank.size
     position = np.arange(n, dtype=np.int64)
-    counts = np.zeros(query.size, dtype=np.int64)
+    totals = np.zeros(query.size, dtype=np.int64 if weights is None else float)
     for k in range(int(query.max(initial=0)).bit_length()):
         node = rank >> k
         keys = np.sort(node * n + position)
         hit = (query >> k) & 1 == 1
         block = (query[hit] >> k) - 1
-        through = np.cumsum(np.bincount(node, minlength=block.max(initial=0) + 1))
-        counts[hit] += through[block] - np.searchsorted(keys, block * n + start[hit])
-    return counts
+        first = np.searchsorted(keys, block * n + start[hit])
+        end = np.cumsum(np.bincount(node, minlength=block.max(initial=0) + 1))[block]
+        if weights is None:
+            totals[hit] += end - first
+        else:
+            running = np.concatenate(([0.0], np.cumsum(weights[keys % n])))
+            totals[hit] += running[end] - running[first]
+    return totals
 
 
 def harrell_c(risk, times, events) -> ConcordanceResult:

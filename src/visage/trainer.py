@@ -20,7 +20,7 @@ import numpy as np
 
 from ._inputs import positive, vectors
 from .errors import AnalysisError, DataError, NoComparablePairsError, reading
-from .metrics import harrell_c
+from .metrics import _count_later_below, harrell_c
 from .rng import substream
 
 # Oversampling factors per age range. The anchors are: no oversampling
@@ -136,6 +136,140 @@ class TrainResult:
 # Event rows per block of the pairwise loss: memory is O(_ROW_BLOCK * n).
 _ROW_BLOCK = 16
 
+# Comparable pairs per subject from which a call's loss is summed
+# without visiting the pairs (see pairwise_rank_loss). In-process
+# timings put the crossover at about 10-50 for the logistic series and
+# 130-300 for the hinge Fenwick sums. n subjects hold at most (n - 1)/2
+# pairs each, so a call on fewer than 513 subjects, a training batch
+# among them, always takes the blocked sweep.
+_PAIR_FREE_MIN_PAIRS_PER_SUBJECT = 256
+
+# The logistic pair-free sum keeps at most this many even terms of its
+# series, and only when their truncation is certified to this relative
+# bound of the loss.
+_SERIES_MAX_TERMS = 16
+_SERIES_RTOL = 1e-13
+
+
+def _tangent_numbers(m: int) -> list[int]:
+    """T_1, T_3, ..., T_(2m-1), the Taylor coefficients of tan x times
+    their factorials (Brent & Zimmermann, "Modern Computer Arithmetic",
+    2010, Algorithm TangentNumbers)."""
+    t = [0, 1] + [0] * (m - 1)
+    for k in range(2, m + 1):
+        t[k] = (k - 1) * t[k - 1]
+    for k in range(2, m + 1):
+        for j in range(k, m + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    return t[1:]
+
+
+# softplus(d) = log 2 + d/2 + log cosh(d/2) = log 2 + d/2 + sum_n a_n d^(2n),
+# with a_n = (2^(2n) - 1) B_(2n) / (2n (2n)!) = (-1)^(n-1) T_(2n-1) / ((2n)! 4^n),
+# the series of tanh integrated. It converges for |d| < pi, and
+# |a_n| <= zeta(2) / (n pi^(2n)) bounds its tail.
+_SOFTPLUS_EVEN = tuple(
+    (-1) ** n * t / (math.factorial(2 * n + 2) * 4 ** (n + 1))
+    for n, t in enumerate(_tangent_numbers(_SERIES_MAX_TERMS))
+)
+
+
+def _series_terms(span: float) -> int | None:
+    """The fewest even terms of the softplus series whose truncation,
+    for every pair of risks at most ``span`` apart, is certified within
+    ``_SERIES_RTOL`` of that pair's loss; None when ``_SERIES_MAX_TERMS``
+    do not suffice.
+
+    A pair's loss is at least softplus(-span), and beyond n terms the
+    series adds at most zeta(2) q^(n+1) / ((n + 1)(1 - q)), q = (span/pi)^2.
+    """
+    q = (span / math.pi) ** 2
+    if q >= 1.0:
+        return None
+    floor = _SERIES_RTOL * math.log1p(math.exp(-span))
+    for terms in range(1, _SERIES_MAX_TERMS + 1):
+        if math.pi**2 / 6 * q ** (terms + 1) / ((terms + 1) * (1.0 - q)) <= floor:
+            return terms
+    return None
+
+
+def _logistic_series_total(
+    x: np.ndarray, rows: np.ndarray, first_later: np.ndarray
+) -> float | None:
+    """The sum of softplus(x_j - x_i) over event rows i and j >= first_later[i]
+    of time-sorted risks ``x`` centred at their midrange, or None when
+    the series is not certified for their range.
+
+    (x_j - x_i)^d expands into the powers x_j^k (-x_i)^(d - k), so the
+    sum takes the suffix sums S_k(i) of x_j^k from first_later[i] on:
+    the total is sum over (k, m) of M[k, m] sum_i S_k(i) (-x_i)^m, where
+    M holds the series coefficients times binomials. That is O(n K^2)
+    for K terms, the separable expansion of Raykar, Duraiswami &
+    Krishnapuram, IEEE TPAMI 30(7), 2008.
+    """
+    terms = _series_terms(float(x.max() - x.min()))
+    if terms is None:
+        return None
+    degree = 2 * terms
+    coefficients = np.zeros((degree + 1, degree + 1))
+    coefficients[0, 0] = math.log(2.0)
+    coefficients[1, 0] = coefficients[0, 1] = 0.5
+    for n, a in enumerate(_SOFTPLUS_EVEN[:terms], 1):
+        for k in range(2 * n + 1):
+            coefficients[k, 2 * n - k] += a * math.comb(2 * n, k)
+    suffix = np.zeros((x.size + 1, degree + 1))  # row x.size: no later subject
+    np.cumsum(np.vander(x[::-1], degree + 1, increasing=True), axis=0, out=suffix[-2::-1])
+    moments = suffix[first_later].T @ np.vander(-x[rows], degree + 1, increasing=True)
+    return float(np.sum(coefficients * moments))
+
+
+def _hinge_total(x: np.ndarray, rows: np.ndarray, first_later: np.ndarray) -> float:
+    """The sum of max(0, 1 - x_i + x_j) over event rows i and j >= first_later[i]
+    of time-sorted risks ``x``, exactly.
+
+    A pair's loss is positive when x_j > x_i - 1, and then it is
+    1 - x_i + x_j: each event row needs the count and the sum of such
+    later risks, which Fenwick prefix queries over dense risk ranks give
+    (Poelsterl, Navab & Katouzian, ECML PKDD 2015). Ranks are reversed so
+    that "at least the rank of the first value above x_i - 1" becomes a
+    prefix.
+    """
+    values, rank = np.unique(x, return_inverse=True)
+    flipped = values.size - 1 - rank
+    query = values.size - np.searchsorted(values, x[rows] - 1.0, side="right")
+    count = _count_later_below(flipped, first_later, query)
+    later_sum = _count_later_below(flipped, first_later, query, weights=x)
+    return float(np.sum(count * (1.0 - x[rows]) + later_sum))
+
+
+def _blocked_sweep(
+    r: np.ndarray, rows: np.ndarray, first_later: np.ndarray, form: str,
+    grad: np.ndarray | None,
+) -> float:
+    """The sum of pair losses over event rows i and j >= first_later[i]
+    of time-sorted risks ``r``, visiting the pairs.
+
+    Event rows are taken in blocks of ``_ROW_BLOCK``, each against only
+    the columns from the first subject strictly later than its earliest
+    row, so memory is O(block * n) rather than O(n^2). Unless ``grad``
+    is None, each pair's slope is added to it for both risks.
+    """
+    total = 0.0
+    for b in range(0, rows.size, _ROW_BLOCK):
+        block = slice(b, b + _ROW_BLOCK)
+        lo, hi = first_later[b], first_later[block][-1]
+        margin = r[rows[block], None] - r[None, lo:]
+        # Later rows of the block pair from further right; their cells
+        # before that get margin +inf, hence zero loss and zero slope.
+        unpaired = np.arange(lo, hi)[None, :] < first_later[block, None]
+        margin[:, : hi - lo][unpaired] = np.inf
+        losses, slope = _pair_terms(margin, form, grad is not None)
+        total += float(losses.sum())
+        if grad is not None:
+            grad[rows[block]] += slope.sum(axis=1)
+            grad[lo:] -= slope.sum(axis=0)
+    return total
+
 
 def _pair_terms(
     margin: np.ndarray, form: str, with_grad: bool
@@ -185,13 +319,20 @@ def pairwise_rank_loss(
     comparable pair the pair term is skipped and the result is flagged
     through ``n_pairs == 0``.
 
-    Subjects are sorted by time once; event rows are then taken in
-    blocks of ``_ROW_BLOCK``, each against only the columns from the
-    first subject strictly later than its earliest row, so memory is
-    O(block * n) rather than O(n^2).
+    Subjects are sorted by time once. Below 256 comparable pairs per
+    subject (``_PAIR_FREE_MIN_PAIRS_PER_SUBJECT``; always below 513
+    subjects) the loss is summed over the pairs in blocks of event rows,
+    in memory O(block * n). From there on it is summed without visiting
+    them: the hinge form exactly, from Fenwick counts and sums in
+    O(n log^2 n); the logistic form from a series in the risk
+    differences, in O(n K^2) for K <= 16 terms, taken only when its
+    truncation is certified within 1e-13 of the loss for the call's
+    risk range (max - min up to about 1.33). A wider range falls back
+    to the blocked sweep. The choice depends on the input alone, so
+    ``loss`` never depends on ``with_grad``.
 
-    With ``with_grad=False`` only the losses are computed, in the same
-    order and so to the same bits, and ``grad`` is None.
+    The gradient always comes from the blocked sweep. With
+    ``with_grad=False`` it is not computed, and ``grad`` is None.
     """
     r, t, e = vectors(("times",), risks=risks, times=times, events=events)
     if form not in ("logistic", "hinge"):
@@ -204,23 +345,17 @@ def pairwise_rank_loss(
     first_later = np.searchsorted(t_sorted, t_sorted[rows], side="right")
     n_pairs = int(np.sum(n - first_later))
 
-    grad_sorted = np.zeros(n)
+    grad_sorted = np.zeros(n) if with_grad else None
     pair_loss = 0.0
     if n_pairs:
-        total = 0.0
-        for b in range(0, rows.size, _ROW_BLOCK):
-            block = slice(b, b + _ROW_BLOCK)
-            lo, hi = first_later[b], first_later[block][-1]
-            margin = r_sorted[rows[block], None] - r_sorted[None, lo:]
-            # Later rows of the block pair from further right; their cells
-            # before that get margin +inf, hence zero loss and zero slope.
-            unpaired = np.arange(lo, hi)[None, :] < first_later[block, None]
-            margin[:, : hi - lo][unpaired] = np.inf
-            losses, slope = _pair_terms(margin, form, with_grad)
-            total += float(losses.sum())
-            if with_grad:
-                grad_sorted[rows[block]] += slope.sum(axis=1)
-                grad_sorted[lo:] -= slope.sum(axis=0)
+        total = None
+        if n_pairs >= _PAIR_FREE_MIN_PAIRS_PER_SUBJECT * n:
+            x = r_sorted - (r_sorted.max() + r_sorted.min()) / 2
+            pair_free = _logistic_series_total if form == "logistic" else _hinge_total
+            total = pair_free(x, rows, first_later)
+        if total is None or with_grad:
+            swept = _blocked_sweep(r_sorted, rows, first_later, form, grad_sorted)
+            total = swept if total is None else total
         pair_loss = total / n_pairs
 
     smooth = smooth_lambda > 0 and n > 1

@@ -843,6 +843,31 @@ class TestStrictGrammar:
         two = _strict_row(2).fullmatch
         assert two("1.5,-2e-07") and not two("1.5") and not two("1.5,2,3")
 
+    def test_same_language_as_the_quantifier_spelling(self):
+        """The cell pattern accepts exactly the strings that its spelling
+        with ? quantifiers accepts: the grammar strings and a seeded
+        corpus over the pattern's own alphabet as single cells, and rows
+        of three cells, each drawn from the cells that spelling accepts
+        with probability 0.8 and from all of them otherwise."""
+        oracle = r"-?[0-9]+(?:\.[0-9]+)?(?:e[-+][0-9]+)?"
+        rng = np.random.default_rng(29)
+        alphabet = np.array(list("0123456789.-+e,"))
+        cells = grammar_strings() + [
+            "".join(rng.choice(alphabet, size=k)) for k in rng.integers(1, 14, 20_000)
+        ]
+        good = [s for s in cells if re.fullmatch(oracle, s, re.ASCII)]
+
+        def cell():
+            pool = good if rng.random() < 0.8 else cells
+            return pool[rng.integers(len(pool))]
+
+        rows = [",".join(cell() for _ in range(3)) for _ in range(20_000)]
+        for dim, corpus in ((1, cells), (3, rows)):
+            ours = _strict_row(dim).fullmatch
+            theirs = re.compile(rf"{oracle}(?:,{oracle}){{{dim - 1}}}", re.ASCII).fullmatch
+            assert 100 < sum(1 for s in corpus if theirs(s)) < len(corpus) - 100
+            assert [s for s in corpus if bool(ours(s)) != bool(theirs(s))] == []
+
     def test_file_drops_same_in_both_modes(self, tmp_path):
         """Each string as an e* cell of its own row drops the row in both
         loading modes exactly when float() rejects it."""

@@ -16,6 +16,7 @@ import pytest
 
 from visage.errors import AnalysisError, DataError, NoComparablePairsError
 from visage.metrics import (
+    _count_later_below,
     age_accuracy,
     harrell_c,
     time_dependent_auc,
@@ -50,6 +51,23 @@ def oracle_concordance(risk, t, e):
             else:
                 tied += 1
     return conc, disc, tied
+
+
+class TestCountLaterBelow:
+    def test_counts_and_weighted_sums_match_a_scan(self):
+        """Tied ranks, ranks past every query, starts at 0 and at n."""
+        rng = np.random.default_rng(67)
+        for n in (1, 2, 7, 64, 301):
+            rank = rng.integers(0, max(1, n // 3), n)
+            start = rng.integers(0, n + 1, 40)
+            query = rng.integers(0, rank.max() + 3, 40)
+            weights = rng.normal(size=n)
+            below = [(np.arange(n) >= s) & (rank < q) for s, q in zip(start, query)]
+            counts = _count_later_below(rank, start, query)
+            sums = _count_later_below(rank, start, query, weights=weights)
+            assert counts.dtype == np.int64
+            assert counts.tolist() == [int(m.sum()) for m in below]
+            np.testing.assert_allclose(sums, [weights[m].sum() for m in below], atol=1e-12)
 
 
 class TestHarrellC:

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 import pytest
 
+from visage import trainer
 from visage.errors import AnalysisError, DataError
 from visage.metrics import harrell_c
 from visage.trainer import (
@@ -17,6 +19,7 @@ from visage.trainer import (
     _AdamW,
     _forward,
     _backward,
+    _series_terms,
     _split,
     balance_bins,
     balance_by_factors,
@@ -230,6 +233,130 @@ class TestPairwiseLoss:
             [0.0, 1.0, 3.0], [1.0, 2.0, 3.0], [0, 0, 0], smooth_lambda=0.01
         )
         np.testing.assert_allclose(result.smooth_loss, 0.05, rtol=1e-12)
+
+
+def swept_loss(monkeypatch, *args):
+    """The loss-only call with every input held on the blocked sweep."""
+    with monkeypatch.context() as m:
+        m.setattr(trainer, "_PAIR_FREE_MIN_PAIRS_PER_SUBJECT", math.inf)
+        return pairwise_rank_loss(*args, with_grad=False)
+
+
+def pair_free_loss(monkeypatch, *args):
+    """The loss-only call, failing if it visits the pairs."""
+
+    def no_sweep(*_):
+        raise AssertionError("the blocked sweep ran")
+
+    with monkeypatch.context() as m:
+        m.setattr(trainer, "_blocked_sweep", no_sweep)
+        return pairwise_rank_loss(*args, with_grad=False)
+
+
+def dense_cohort(rng, n, risks):
+    """Tied day times on a short scale and 90 % events: well over 256
+    comparable pairs per subject at n = 800, more than 50 row blocks."""
+    t = rng.integers(1, 120, n).astype(float)
+    e = rng.random(n) < 0.9
+    return np.asarray(risks, dtype=float), t, e
+
+
+def certified_span_limit() -> tuple[float, float]:
+    """The widest risk range the logistic series is certified for, and
+    the narrowest beyond it, by bisection to the last bits."""
+    lo, hi = 0.0, math.pi
+    while hi - lo > 4e-16 * hi:
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if _series_terms(mid) is not None else (lo, mid)
+    return lo, hi
+
+
+class TestPairFreeLoss:
+    def test_logistic_series_equals_the_sweep(self, monkeypatch):
+        """Tied times, tied risks, events at the latest time (no later
+        subject), a late block of censorings, and ranges from a freshly
+        initialised head's to just inside the certified bound."""
+        rng = np.random.default_rng(83)
+        n = 800
+        inside = certified_span_limit()[0] * (1 - 1e-9)
+        for span in (1e-3, 0.094, 0.5, inside):
+            levels = rng.integers(0, 9, n) / 8  # tied risks
+            r, t, e = dense_cohort(rng, n, 3.0 + span * levels)
+            r[:2] = 3.0, 3.0 + span  # the range exactly
+            e[t == t.max()] = True
+            late = t > 110
+            for events in (e, e & ~late):
+                for lam in (0.0, 1e-3):
+                    args = (r, t, events, lam, "logistic")
+                    free, swept = pair_free_loss(monkeypatch, *args), swept_loss(monkeypatch, *args)
+                    assert free.n_pairs == swept.n_pairs > 256 * n
+                    np.testing.assert_allclose(free.pair_loss, swept.pair_loss, rtol=1e-12)
+                    np.testing.assert_allclose(free.loss, swept.loss, rtol=1e-12)
+                    assert free.smooth_loss == swept.smooth_loss
+
+    def test_logistic_just_outside_the_bound_falls_back_to_the_sweep(self, monkeypatch):
+        rng = np.random.default_rng(89)
+        outside = certified_span_limit()[1] * (1 + 1e-9)
+        r, t, e = dense_cohort(rng, 800, rng.uniform(0.0, outside, 800))
+        r[:2] = 0.0, outside
+        args = (r, t, e, 1e-3, "logistic")
+        swept = swept_loss(monkeypatch, *args)
+        assert swept.n_pairs > 256 * r.size
+        assert pairwise_rank_loss(*args, with_grad=False) == swept
+
+    def test_no_pair_input_has_no_pair_loss(self, monkeypatch):
+        """One time for every subject: nothing pairs, on either path."""
+        r = np.linspace(0.0, 0.1, 800)
+        for form in ("logistic", "hinge"):
+            result = pair_free_loss(monkeypatch, r, np.full(800, 5.0), np.ones(800), 1e-3, form)
+            assert result.no_pairs and result.pair_loss == 0.0
+            assert result == swept_loss(monkeypatch, r, np.full(800, 5.0), np.ones(800), 1e-3, form)
+
+    def test_hinge_sums_equal_dense_matrices_on_the_kinks(self, monkeypatch):
+        """Risks on a 0.25 grid put many margins exactly at 1, where a
+        pair's hinge loss is 0 and its pair-free term 1 - margin is 0 too."""
+        rng = np.random.default_rng(97)
+        n = 800
+        r, t, e = dense_cohort(rng, n, rng.integers(0, 12, n) * 0.25)
+        e[t == t.max()] = True
+        assert np.any(np.subtract.outer(r, r) == 1.0)
+        for lam in (0.0, 1e-3):
+            expect_loss, expect_grad, n_pairs = dense_pair_loss(r, t, e, lam, "hinge")
+            free = pair_free_loss(monkeypatch, r, t, e, lam, "hinge")
+            assert free.n_pairs == n_pairs > 256 * n
+            np.testing.assert_allclose(free.loss, expect_loss, rtol=1e-12)
+            full = pairwise_rank_loss(r, t, e, lam, "hinge")
+            np.testing.assert_allclose(full.grad, expect_grad, rtol=1e-10)
+
+    @pytest.mark.parametrize("form", ["logistic", "hinge"])
+    def test_loss_never_depends_on_with_grad(self, monkeypatch, form):
+        """On the pair-free path the default call's loss is the loss-only
+        call's, and its gradient is the blocked sweep's, to the bit."""
+        rng = np.random.default_rng(101)
+        r, t, e = dense_cohort(rng, 800, rng.normal(0.0, 0.05, 800))
+        only = pair_free_loss(monkeypatch, r, t, e, 1e-3, form)
+        full = pairwise_rank_loss(r, t, e, 1e-3, form)
+        assert (full.loss, full.pair_loss, full.n_pairs) == (only.loss, only.pair_loss, only.n_pairs)
+        with monkeypatch.context() as m:
+            m.setattr(trainer, "_PAIR_FREE_MIN_PAIRS_PER_SUBJECT", math.inf)
+            assert np.array_equal(pairwise_rank_loss(r, t, e, 1e-3, form).grad, full.grad)
+
+    @pytest.mark.parametrize("event_rate", [0.64, 1.0])
+    def test_default_batch_takes_the_sweep(self, monkeypatch, event_rate):
+        """A 32-subject batch holds at most 496 pairs, under 256 per subject."""
+        rng = np.random.default_rng(103)
+        r = rng.normal(0.0, 0.01, 32)
+        t = rng.permutation(32) + 1.0
+        e = rng.random(32) < event_rate
+
+        def no_pair_free(*_):
+            raise AssertionError("a pair-free sum ran")
+
+        monkeypatch.setattr(trainer, "_logistic_series_total", no_pair_free)
+        monkeypatch.setattr(trainer, "_hinge_total", no_pair_free)
+        for form in ("logistic", "hinge"):
+            for with_grad in (True, False):
+                assert pairwise_rank_loss(r, t, e, 1e-4, form, with_grad=with_grad).n_pairs
 
 
 class TestAdamW:
