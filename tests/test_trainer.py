@@ -255,7 +255,7 @@ def pair_free_loss(monkeypatch, *args):
 
 def dense_cohort(rng, n, risks):
     """Tied day times on a short scale and 90 % events: well over 256
-    comparable pairs per subject at n = 800, more than 50 row blocks."""
+    comparable pairs per subject at n = 800, and about 45 row blocks."""
     t = rng.integers(1, 120, n).astype(float)
     e = rng.random(n) < 0.9
     return np.asarray(risks, dtype=float), t, e
