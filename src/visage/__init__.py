@@ -3,7 +3,7 @@
 Modules
 -------
 cohort      columnar cohorts, CSV ingestion, validation
-survival    Kaplan-Meier, log-rank, reverse-KM follow-up, early mortality
+survival    Kaplan-Meier, log-rank, reverse-KM follow-up
 cox         proportional hazards fitting, screening, AIC comparison
 metrics     concordance, time-dependent AUC, age accuracy, rank tests
 biomarkers  face age difference, scaling, fixed-cut stratification

@@ -84,6 +84,14 @@ class _Bins(NamedTuple):
 
 
 _BINS = {
+    "fad_bands": _Bins(
+        FAD_BAND_CUTS,
+        (
+            f"<{FAD_BAND_CUTS[0]:g}",
+            *(f"{lo:g} to {hi:g}" for lo, hi in zip(FAD_BAND_CUTS[:-1], FAD_BAND_CUTS[1:])),
+            f"{FAD_BAND_CUTS[-1]:g}+",
+        ),
+    ),
     "fad_ge5": _Bins((5.0,), ("<5", "≥5")),
     "fad_le_minus5": _Bins((-5.0,), ("≤-5", ">-5"), "left", (">-5", "≤-5")),
     "risk_half": _Bins((0.5,), ("<0.5", "≥0.5")),
@@ -95,7 +103,7 @@ _BINS = {
 }
 
 
-def stratify(column, scheme: str, fad_cuts: Sequence[float] | None = None) -> StrataAssignment:
+def stratify(column, scheme: str) -> StrataAssignment:
     """Assign every subject to a stratum by fixed cuts.
 
     Each bin runs from one cut to the next. A value equal to a cut goes
@@ -103,22 +111,14 @@ def stratify(column, scheme: str, fad_cuts: Sequence[float] | None = None) -> St
     quartile; the top bin is closed, so a risk of 1.0 lands in the top
     one. ``fad_le_minus5`` is the exception: its cut belongs to the bin
     below, so a FAD of exactly -5 is "≤-5". Risk schemes require values
-    inside [0, 1]; apply :func:`minmax_scale` first. ``fad_cuts``
-    overrides the default FAD band boundaries.
+    inside [0, 1]; apply :func:`minmax_scale` first.
     """
     (values,) = vectors(column=getattr(column, "values", column))
     if scheme not in SCHEMES:
         raise DataError(f"unknown scheme {scheme!r}; valid: {', '.join(SCHEMES)}")
     if scheme.startswith("risk_") and (values.min() < 0.0 or values.max() > 1.0):
         raise DataError("risk scheme requires values in [0, 1]")
-    if scheme == "fad_bands":
-        cuts = tuple(float(c) for c in (fad_cuts or FAD_BAND_CUTS))
-        if list(cuts) != sorted(set(cuts)):
-            raise DataError("band cuts must be strictly increasing")
-        inner = (f"{lo:g} to {hi:g}" for lo, hi in zip(cuts[:-1], cuts[1:]))
-        bins = _Bins(cuts, (f"<{cuts[0]:g}", *inner, f"{cuts[-1]:g}+"))
-    else:
-        bins = _BINS[scheme]
+    bins = _BINS[scheme]
     labels = np.array(bins.labels, dtype=object)[np.searchsorted(bins.cuts, values, bins.side)]
     return StrataAssignment(scheme, tuple(labels), bins.cuts, bins.order or bins.labels)
 

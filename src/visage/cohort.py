@@ -8,9 +8,7 @@ The canonical on-disk form is a CSV with one row per subject::
 ``time`` is follow-up in days, ``event`` is 1 for death and 0 for
 censoring, and the ``e*`` columns hold an optional image embedding.
 Unknown fields are left empty. Arbitrary column names are supported
-through a schema mapping, and a flat binary sidecar may carry the
-embedding instead of text columns. Text is canonical; the sidecar is a
-convenience for bulk transfer.
+through a schema mapping.
 
 In memory a :class:`Cohort` holds one array per field.
 """
@@ -323,12 +321,12 @@ def _parse_block(
     where: dict,
     embedding_of: Callable[[list[list[str]]], tuple] | None,
     years: bool,
-) -> tuple[dict, np.ndarray, list[tuple[int, str]]]:
-    """The kept rows' columns of one block of data rows, the mask of kept
-    rows, and the dropped rows as (1-based data row number, reason);
-    ``start`` data rows came before the block. ``embedding_of`` reads
-    the block's e* cells (see :func:`_embedding_cells`); the kept rows'
-    matrix is the ``embedding`` column when it returns one."""
+) -> tuple[dict, list[tuple[int, str]]]:
+    """The kept rows' columns of one block of data rows, and the dropped
+    rows as (1-based data row number, reason); ``start`` data rows came
+    before the block. ``embedding_of`` reads the block's e* cells (see
+    :func:`_embedding_cells`); the kept rows' matrix is the
+    ``embedding`` column when it returns one."""
     n = len(rows)
 
     def cells(canonical: str) -> list[str]:
@@ -381,7 +379,7 @@ def _parse_block(
     }
     if embedding is not None:
         columns["embedding"] = embedding[keep]
-    return columns, keep, dropped
+    return columns, dropped
 
 
 def _csv_blocks(lines, width: int) -> Iterator[list[list[str]]]:
@@ -434,8 +432,6 @@ def _row_blocks(fh, width: int, lead: int | None) -> Iterator[tuple[list[list[st
 def load_cohort(
     path: str | Path,
     schema: dict | None = None,
-    embedding_sidecar: str | Path | None = None,
-    embedding_dim: int | None = None,
     with_embedding: bool = True,
 ) -> LoadResult:
     """Read a cohort CSV, returning the cohort plus dropped-row report.
@@ -450,27 +446,23 @@ def load_cohort(
     numbered, short rows read as empty cells and extra cells are
     ignored. An empty or ``nan`` optional value is missing. ``schema``
     renames columns and may declare times in years, which are converted
-    to days at 365.25 days per year. When ``embedding_sidecar`` names a
-    flat row-major little-endian float32 file, embeddings are read from
-    it (``embedding_dim`` required) and any e* text columns are ignored;
-    e* text columns give the cohort an embedding only when a row is kept.
+    to days at 365.25 days per year. e* text columns give the cohort an
+    embedding only when a row is kept.
 
-    With ``with_embedding`` False the cohort's embedding is None and
-    the sidecar is not read (its size is still checked). The drop rule
-    is the same in both modes: every e* cell is still checked, but a
-    row of cells in the plain form that repr writes (``-1.5e-07``) is
-    cleared without converting them, and only other rows meet
-    ``float()``.
+    With ``with_embedding`` False the cohort's embedding is None. The
+    drop rule is the same in both modes: every e* cell is still
+    checked, but a row of cells in the plain form that repr writes
+    (``-1.5e-07``) is cleared without converting them, and only other
+    rows meet ``float()``.
 
     The file is parsed in blocks of rows, so memory holds the parsed
     columns plus the cell strings of one block, never the whole file as
-    text. When there is no sidecar, the header holds no quote and the
-    e* columns are its last columns in index order, as
-    :func:`save_cohort` writes them, blocks of lines are cut at their
-    commas rather than read by csv.reader. csv.reader still reads a
-    block with a blank line, a carriage return or a line with another
-    number of commas than the header, and everything from the first
-    quote on.
+    text. When the header holds no quote and the e* columns are its
+    last columns in index order, as :func:`save_cohort` writes them,
+    blocks of lines are cut at their commas rather than read by
+    csv.reader. csv.reader still reads a block with a blank line, a
+    carriage return or a line with another number of commas than the
+    header, and everything from the first quote on.
     """
     schema = schema or {}
     rename = schema.get("columns", {})
@@ -483,9 +475,7 @@ def load_cohort(
         for canonical in _MANDATORY:
             if rename.get(canonical, canonical) not in position:
                 raise DataError(f"{path}: missing mandatory column {canonical!r}")
-        if embedding_sidecar is not None and embedding_dim is None:
-            raise DataError("embedding_dim is required with a binary sidecar")
-        e_positions = [] if embedding_sidecar is not None else _embedding_positions(header)
+        e_positions = _embedding_positions(header)
         where = {
             canonical: position.get(rename.get(canonical, canonical))
             for canonical in ("id", *_MANDATORY, *CATEGORY_FIELDS, *_OPTIONAL_COLUMNS)
@@ -495,8 +485,7 @@ def load_cohort(
         width, dim = len(header), len(e_positions)
         lead = width - dim
         cut = (
-            embedding_sidecar is None
-            and '"' not in first
+            '"' not in first
             and e_positions == list(range(lead, width))
             and all(i is None or i < lead for i in where.values())
         )
@@ -505,7 +494,6 @@ def load_cohort(
             False: partial(_embedding_cells, e_positions=e_positions, convert=with_embedding),
         } if dim else {}
         parts: dict[str, list[np.ndarray]] = {}
-        keeps: list[np.ndarray] = []
         dropped: list[tuple[int, str]] = []
         # The kept embedding rows, grown in place block by block (realloc,
         # not a second matrix plus a copy).
@@ -514,10 +502,9 @@ def load_cohort(
         # A first, empty block gives a file without data rows its empty columns.
         blocks = chain([([], False)], _row_blocks(fh, width, lead if cut else None))
         for chunk, is_cut in blocks:
-            columns, keep, chunk_dropped = _parse_block(chunk, n, where, readers.get(is_cut), years)
+            columns, chunk_dropped = _parse_block(chunk, n, where, readers.get(is_cut), years)
             n += len(chunk)
             del chunk  # free the block's cell strings before reading the next
-            keeps.append(keep)
             dropped += chunk_dropped
             if "embedding" in columns:
                 values = columns.pop("embedding")
@@ -528,14 +515,7 @@ def load_cohort(
                 parts.setdefault(name, []).append(values)
 
     columns = {name: np.concatenate(values) for name, values in parts.items()}
-    if embedding_sidecar is not None:
-        size = Path(embedding_sidecar).stat().st_size // 4
-        if size != n * embedding_dim:
-            raise DataError(f"sidecar holds {size} values, expected {n} x {embedding_dim}")
-        if with_embedding:
-            raw = np.fromfile(embedding_sidecar, dtype="<f4").reshape(n, embedding_dim)
-            columns["embedding"] = raw[np.concatenate(keeps)].astype(float)
-    elif len(embedding):
+    if len(embedding):
         columns["embedding"] = embedding
     for values in columns.values():
         values.flags.writeable = False
@@ -584,11 +564,6 @@ def save_cohort(cohort: Cohort, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
         fh.writelines(",".join(row) + "\n" for row in zip(*columns))
-
-
-def save_embedding_sidecar(cohort: Cohort, path: str | Path) -> None:
-    """Write embeddings as flat row-major little-endian float32."""
-    cohort.embedding_matrix().astype("<f4").tofile(path)
 
 
 def validate(cohort: Cohort) -> ValidationReport:

@@ -53,11 +53,8 @@ class Covariate:
     reference: str | None = None
     threshold: float | None = None
     op: str = ">="
-    label: str | None = None
 
     def base_name(self) -> str:
-        if self.label:
-            return self.label
         if self.kind == "threshold":
             return f"{self.field}{self.op}{self.threshold:g}"
         if self.kind == "continuous" and self.per != 1.0:

@@ -30,7 +30,6 @@ class ConcordanceResult:
     discordant: int
     tied_risk: int
     comparable_pairs: int
-    tie_policy: str = "tied risks count half"
 
 
 @dataclass(frozen=True)
@@ -39,7 +38,6 @@ class TimeAUCResult:
     auc: float
     n_cases: int
     n_controls: int
-    weighting: str = "km-ipcw"
 
 
 @dataclass(frozen=True)

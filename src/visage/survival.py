@@ -1,11 +1,10 @@
 """Nonparametric survival estimation.
 
 Implements the product-limit estimator with Greenwood variance and
-log-log confidence bands, the k-sample log-rank test, median follow-up
-by reverse Kaplan-Meier, and early-mortality bucket tables with Wilson
-score intervals. Tied deaths and censorings at the same time are
-resolved deaths-first, so a subject censored at t is still at risk for
-the deaths at t.
+log-log confidence bands, the k-sample log-rank test, and median
+follow-up by reverse Kaplan-Meier. Tied deaths and censorings at the
+same time are resolved deaths-first, so a subject censored at t is
+still at risk for the deaths at t.
 """
 
 from __future__ import annotations
@@ -41,8 +40,6 @@ class SurvivalCurve:
     max_time : float
         Largest observed time, event or censoring; estimates beyond it
         are extrapolations and get flagged as truncated.
-    ci_method : str
-        Transform used for confidence limits ("log-log").
     """
 
     times: np.ndarray
@@ -52,7 +49,6 @@ class SurvivalCurve:
     variance: np.ndarray
     n: int
     max_time: float
-    ci_method: str = "log-log"
 
 
 @dataclass(frozen=True)
@@ -68,19 +64,6 @@ class LogRankResult:
     chi_square: float
     dof: int
     p_value: float
-
-
-@dataclass(frozen=True)
-class BucketStat:
-    """Death fraction within one (start, stop] day window of one group."""
-
-    start: float
-    stop: float
-    deaths: int
-    denominator: int
-    fraction: float
-    ci_low: float
-    ci_high: float
 
 
 def kaplan_meier(times, events) -> SurvivalCurve:
@@ -242,58 +225,6 @@ def log_rank(groups) -> LogRankResult:
             chi = float(diff @ np.linalg.pinv(v) @ diff)
     dof = k - 1
     return LogRankResult(chi, dof, chi2_sf(chi, dof))
-
-
-def wilson_interval(successes: int, n: int, z: float = Z95) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
-    if n <= 0:
-        return (float("nan"), float("nan"))
-    p = successes / n
-    denom = 1.0 + z**2 / n
-    center = (p + z**2 / (2 * n)) / denom
-    half = z * np.sqrt(p * (1 - p) / n + z**2 / (4 * n**2)) / denom
-    return (max(0.0, center - half), min(1.0, center + half))
-
-
-def early_mortality_table(
-    times, events, groups, thresholds=(30, 60, 90)
-) -> dict[str, tuple[BucketStat, ...]]:
-    """Death fractions within day windows, per group.
-
-    For each group label and each window (prev, cut], the fraction is
-    deaths inside the window over the subjects whose status at the
-    window's end is known: anyone censored before the end of the window
-    leaves that window's denominator and the denominators of all later
-    windows. Each fraction carries a Wilson 95% interval. Windows with
-    an empty denominator report fraction NaN.
-    """
-    t, e = vectors(("times",), times=times, events=events)
-    labels = np.asarray(groups, dtype=object)
-    if labels.shape != t.shape:
-        raise DataError("groups must align with times")
-    cuts = [float(c) for c in thresholds]
-    if not cuts or sorted(cuts) != cuts or len(set(cuts)) != len(cuts) or cuts[0] <= 0:
-        raise DataError("thresholds must be non-empty, positive and strictly increasing")
-
-    table: dict[str, tuple[BucketStat, ...]] = {}
-    for label in dict.fromkeys(labels):  # first-seen order
-        mask = labels == label
-        gt, ge = t[mask], e[mask]
-        stats_out = []
-        lo = 0.0
-        for hi in cuts:
-            dead = int(np.sum(ge & (gt > lo) & (gt <= hi)))
-            known = int(np.sum(ge | (gt >= hi)))
-            if known > 0:
-                frac = dead / known
-                ci_low, ci_high = wilson_interval(dead, known)
-            else:
-                frac = float("nan")
-                ci_low = ci_high = float("nan")
-            stats_out.append(BucketStat(lo, hi, dead, known, frac, ci_low, ci_high))
-            lo = hi
-        table[str(label)] = tuple(stats_out)
-    return table
 
 
 def curve_to_csv(curve: SurvivalCurve) -> str:

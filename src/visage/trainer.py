@@ -25,8 +25,7 @@ from .rng import substream
 
 # Oversampling factors per age range. The anchors are: no oversampling
 # below 50, factor 2 at 50, the top factor 20 for the oldest subjects;
-# intermediate 5-year ranges ramp through 3, 5, 8, 12, 16. The table is
-# plain data and callers may pass their own.
+# intermediate 5-year ranges ramp through 3, 5, 8, 12, 16.
 DEFAULT_FACTOR_TABLE = (
     (0.0, 50.0, 1),
     (50.0, 55.0, 2),
@@ -578,21 +577,18 @@ def train_age_model(embeddings, ages, config: TrainConfig | None = None) -> Trai
     return _train(X, config, batch_grad, epoch_row)
 
 
-def balance_by_factors(ages, table=DEFAULT_FACTOR_TABLE, seed: int = 0) -> np.ndarray:
-    """Oversample by fixed per-age-range replication factors.
+def balance_by_factors(ages, seed: int = 0) -> np.ndarray:
+    """Oversample by the replication factors of ``DEFAULT_FACTOR_TABLE``.
 
     Every subject appears ``factor`` times for its age range; the
     replicated index sequence is then shuffled deterministically by the
     seed. Ages outside the table's coverage raise DataError.
     """
     (a,) = vectors(ages=ages)
-    bands = [(float(lo), float(hi), int(f)) for lo, hi, f in table]
-    if any(f < 1 for _, _, f in bands):
-        raise DataError("factors must be >= 1")
     factors = np.zeros(a.size, dtype=int)
     assigned = np.zeros(a.size, dtype=bool)
-    last_hi = bands[-1][1]
-    for lo, hi, f in bands:
+    last_hi = DEFAULT_FACTOR_TABLE[-1][1]
+    for lo, hi, f in DEFAULT_FACTOR_TABLE:
         inside = (a >= lo) & ((a < hi) | ((hi == last_hi) & (a == hi)))
         factors[inside & ~assigned] = f
         assigned |= inside
@@ -604,9 +600,9 @@ def balance_by_factors(ages, table=DEFAULT_FACTOR_TABLE, seed: int = 0) -> np.nd
     return replicated[rng.permutation(replicated.size)]
 
 
-def factor_for_age(age: float, table=DEFAULT_FACTOR_TABLE) -> int:
+def factor_for_age(age: float) -> int:
     """The replication factor a single age would receive."""
-    return int(balance_by_factors(np.array([float(age)]), table, seed=0).size)
+    return int(balance_by_factors(np.array([float(age)]), seed=0).size)
 
 
 def balance_bins(

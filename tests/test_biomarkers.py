@@ -84,7 +84,7 @@ class TestMinmax:
             minmax_scale([5.0, 5.0])
 
 
-def looped_stratify(values, scheme, fad_cuts=None):
+def looped_stratify(values, scheme):
     """The strata rules applied one value at a time, as ``stratify``
     once did scheme by scheme: (labels, display order, boundaries)."""
     if scheme == "fad_ge5":
@@ -94,7 +94,7 @@ def looped_stratify(values, scheme, fad_cuts=None):
     if scheme == "risk_half":
         return ["≥0.5" if v >= 0.5 else "<0.5" for v in values], ("<0.5", "≥0.5"), (0.5,)
     if scheme == "fad_bands":
-        cuts = tuple(float(c) for c in (fad_cuts or FAD_BAND_CUTS))
+        cuts = FAD_BAND_CUTS
         order = (f"<{cuts[0]:g}", *(f"{lo:g} to {hi:g}" for lo, hi in zip(cuts, cuts[1:])),
                  f"{cuts[-1]:g}+")
     elif scheme == "risk_quartiles":
@@ -108,14 +108,11 @@ def looped_stratify(values, scheme, fad_cuts=None):
 
 
 class TestStratify:
-    @pytest.mark.parametrize(
-        "scheme, fad_cuts",
-        [(scheme, None) for scheme in SCHEMES] + [("fad_bands", (-2.5, 0.0, 7.0))],
-    )
-    def test_matches_looped_rules(self, scheme, fad_cuts):
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_matches_looped_rules(self, scheme):
         """Every scheme agrees with the per-value rules on each cut, one
         float step either side of it, the ends of [0, 1] and random values."""
-        cuts = np.array(looped_stratify([], scheme, fad_cuts)[2], dtype=float)
+        cuts = np.array(looped_stratify([], scheme)[2], dtype=float)
         rng = np.random.default_rng(29)
         if scheme.startswith("risk"):
             extra = np.concatenate([[0.0, 1.0], rng.random(300)])
@@ -124,8 +121,8 @@ class TestStratify:
         values = np.concatenate(
             [cuts, np.nextafter(cuts, -np.inf), np.nextafter(cuts, np.inf), extra]
         )
-        labels, order, boundaries = looped_stratify(values, scheme, fad_cuts)
-        assignment = stratify(values, scheme, fad_cuts=fad_cuts)
+        labels, order, boundaries = looped_stratify(values, scheme)
+        assignment = stratify(values, scheme)
         assert list(assignment.labels) == labels
         assert assignment.order == order
         assert assignment.boundaries == boundaries
@@ -163,10 +160,6 @@ class TestStratify:
         assert assignment.labels[1] == "-10 to -5"
         assert assignment.labels[-1] == "20+"
         assert len(set(assignment.labels)) == 7
-
-    def test_custom_fad_cuts(self):
-        assignment = stratify(np.array([-1.0, 1.0]), "fad_bands", fad_cuts=(0.0,))
-        assert len(set(assignment.labels)) == 2
 
     def test_partition_property(self):
         rng = np.random.default_rng(17)

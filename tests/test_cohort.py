@@ -21,7 +21,6 @@ from visage.cohort import (
     load_cohort,
     read_schema,
     save_cohort,
-    save_embedding_sidecar,
     validate,
 )
 from visage.errors import DataError
@@ -257,36 +256,6 @@ class TestRoundTrip:
         save_cohort(cohort, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_sidecar_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(3)
-        emb = rng.normal(size=(4, 6)).astype(np.float32).astype(float)
-        columns = dict(ids=[f"s{i}" for i in range(4)], time=10.0 + np.arange(4),
-                       event=np.arange(4) % 2 == 1, chrono_age=[60.0] * 4)
-        cohort = Cohort(**columns, embedding=emb)
-        csv_path = tmp_path / "c.csv"
-        bin_path = tmp_path / "c.f32"
-        # save CSV without embeddings so the sidecar is the only source
-        save_cohort(Cohort(**columns), csv_path)
-        save_embedding_sidecar(cohort, bin_path)
-        back = load_cohort(csv_path, embedding_sidecar=bin_path, embedding_dim=6)
-        np.testing.assert_allclose(back.cohort.embedding_matrix(), emb, rtol=1e-6)
-
-    def test_sidecar_size_mismatch(self, tmp_path):
-        csv_path = tmp_path / "c.csv"
-        write_csv(csv_path, ["a,120,1,61.5,,,,,,,,"])
-        bin_path = tmp_path / "c.f32"
-        np.zeros(5, dtype="<f4").tofile(bin_path)
-        with pytest.raises(DataError, match="sidecar"):
-            load_cohort(csv_path, embedding_sidecar=bin_path, embedding_dim=3)
-
-    def test_sidecar_requires_dim(self, tmp_path):
-        csv_path = tmp_path / "c.csv"
-        write_csv(csv_path, ["a,120,1,61.5,,,,,,,,"])
-        bin_path = tmp_path / "c.f32"
-        np.zeros(3, dtype="<f4").tofile(bin_path)
-        with pytest.raises(DataError):
-            load_cohort(csv_path, embedding_sidecar=bin_path)
-
 
 class TestValidate:
     def test_all_valid_empty_report(self):
@@ -434,7 +403,7 @@ def looped_validate(records) -> tuple:
     return tuple(violations)
 
 
-def rowwise_load_cohort(path, schema=None, embedding_sidecar=None, embedding_dim=None):
+def rowwise_load_cohort(path, schema=None):
     """The row-by-row loader that the columnar one replaced, through
     csv.DictReader and one Record per row. Returns the records,
     the dropped rows and the embedding dimension."""
@@ -472,13 +441,7 @@ def rowwise_load_cohort(path, schema=None, embedding_sidecar=None, embedding_dim
             raise DataError(f"embedding columns not contiguous, missing e{missing[0]}")
         return tuple(found[i] for i in range(dim))
 
-    sidecar_matrix = None
-    if embedding_sidecar is not None:
-        raw = np.fromfile(embedding_sidecar, dtype="<f4")
-        sidecar_matrix = raw.reshape(len(rows), embedding_dim).astype(float)
-        emb_cols = ()
-    else:
-        emb_cols = embedding_columns(header)
+    emb_cols = embedding_columns(header)
 
     records, dropped = [], []
     for row_number, row in enumerate(rows, start=1):
@@ -527,9 +490,7 @@ def rowwise_load_cohort(path, schema=None, embedding_sidecar=None, embedding_dim
         if bad_optional:
             dropped.append((row_number, f"unparseable {bad_optional}"))
             continue
-        if sidecar_matrix is not None:
-            embedding = tuple(float(v) for v in sidecar_matrix[row_number - 1])
-        elif emb_cols:
+        if emb_cols:
             try:
                 embedding = tuple(float(row.get(c) or "") for c in emb_cols)
             except ValueError:
@@ -552,8 +513,8 @@ def rowwise_load_cohort(path, schema=None, embedding_sidecar=None, embedding_dim
                 **optional,
             )
         )
-    dim = embedding_dim
-    if dim is None and records and records[0].embedding is not None:
+    dim = None
+    if records and records[0].embedding is not None:
         dim = len(records[0].embedding)
     return records, tuple(dropped), dim
 
@@ -705,17 +666,17 @@ def long_layout(rows_before_quote: int) -> str:
 class TestRowwiseOracle:
     """The columnar loader and writer against the row-by-row originals."""
 
-    def check(self, path, tmp_path, schema=ORACLE_SCHEMA, **kwargs):
+    def check(self, path, tmp_path, schema=ORACLE_SCHEMA):
         """Both loading modes against the oracle; returns the converting load."""
-        records, dropped, dim = rowwise_load_cohort(path, schema, **kwargs)
-        result = load_cohort(path, schema, **kwargs)
+        records, dropped, dim = rowwise_load_cohort(path, schema)
+        result = load_cohort(path, schema)
         assert result.dropped == dropped
         assert result.cohort == records_cohort(records, dim)
         old, new = tmp_path / "old.csv", tmp_path / "new.csv"
         rowwise_save_cohort(records, dim, old)
         save_cohort(result.cohort, new)
         assert new.read_bytes() == old.read_bytes()
-        checked = load_cohort(path, schema, with_embedding=False, **kwargs)
+        checked = load_cohort(path, schema, with_embedding=False)
         assert checked.dropped == dropped
         assert checked.cohort == records_cohort(
             [dataclasses.replace(r, embedding=None) for r in records]
@@ -734,16 +695,6 @@ class TestRowwiseOracle:
         }
         assert len(result.cohort) == 5
 
-    def test_sidecar(self, tmp_path):
-        path = tmp_path / "c.csv"
-        path.write_text(ORACLE_CSV, encoding="utf-8")
-        n_rows = sum(1 for line in ORACLE_CSV.splitlines()[1:] if line)
-        sidecar = tmp_path / "c.f32"
-        np.arange(n_rows * 4, dtype="<f4").tofile(sidecar)
-        result = self.check(path, tmp_path, embedding_sidecar=sidecar, embedding_dim=4)
-        assert result.cohort.embedding_dim == 4
-        assert "short" in result.cohort.ids.tolist()
-
     @pytest.mark.parametrize("row_block", [1, 2, 3, cohort_mod._ROW_BLOCK])
     @pytest.mark.parametrize(
         "text",
@@ -751,16 +702,11 @@ class TestRowwiseOracle:
         ids=["oracle", "edges", "header_only", "all_blank", "all_dropped"],
     )
     def test_row_blocks(self, tmp_path, monkeypatch, text, row_block):
-        """Any block size reads as the row-by-row loader does, with text
-        and with sidecar embeddings."""
+        """Any block size reads as the row-by-row loader does."""
         monkeypatch.setattr(cohort_mod, "_ROW_BLOCK", row_block)
         path = tmp_path / "c.csv"
         path.write_text(text, encoding="utf-8")
         self.check(path, tmp_path)
-        n_rows = sum(1 for line in text.splitlines()[1:] if line)
-        sidecar = tmp_path / "c.f32"
-        np.arange(n_rows * 4, dtype="<f4").tofile(sidecar)
-        self.check(path, tmp_path, embedding_sidecar=sidecar, embedding_dim=4)
 
     @pytest.mark.parametrize("row_block", [1, 2, 3, 512])
     @pytest.mark.parametrize(

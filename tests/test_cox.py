@@ -507,9 +507,7 @@ class TestDesignBuilder:
         t = rng.integers(1, 40, n).astype(float)
         e = rng.random(n) < 0.8
         cohort = make_cohort(t, e, risk_raw=v, risk_scaled=(v - v.min()) / np.ptp(v))
-        design = build_design(
-            cohort, [Covariate("risk_raw"), Covariate("risk_raw", label="risk_again")]
-        )
+        design = build_design(cohort, [Covariate("risk_raw"), Covariate("risk_raw")])
         with pytest.raises(SingularDesignError):
             fit_cox(design, t, e)
 

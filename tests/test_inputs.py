@@ -43,12 +43,6 @@ CASES = {
         lambda times, events: survival.log_rank([(times, events), (T, E)]),
         dict(times=[4.0, 6.0, 1.0, 3.0], events=[1, 1, 0, 1]),
     ),
-    "early_mortality_table": (
-        lambda times, events: survival.early_mortality_table(
-            times, events, ["a", "b"] * (len(times) // 2), thresholds=(3, 6)
-        ),
-        dict(times=T, events=E),
-    ),
     "fit_cox": (lambda times, events: fit_cox(DESIGN, times, events), dict(times=T, events=E)),
     "partial_likelihood": (
         lambda times, events: partial_likelihood(X[: len(times)], times, events, [0.2]),
@@ -152,9 +146,6 @@ BAD_INPUT = {
     "log_rank malformed group": lambda: survival.log_rank([(T, E), (T,)]),
     "time_dependent_auc nan horizon": lambda: metrics.time_dependent_auc(R, T, E, np.nan),
     "time_dependent_auc zero horizon": lambda: metrics.time_dependent_auc(R, T, E, 0.0),
-    "early_mortality_table no thresholds": lambda: survival.early_mortality_table(
-        T, E, ["a"] * 8, thresholds=()
-    ),
     "compute_fad misaligned": lambda: biomarkers.compute_fad(AGES[:7], AGES),
     "cosine nan": lambda: biomarkers.cosine_similarity_profile(
         np.where(ROW_2, np.nan, _embeddings(8)), _embeddings(8)

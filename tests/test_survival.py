@@ -15,12 +15,10 @@ from scipy import stats
 
 from visage.errors import DataError, MedianNotReachedError
 from visage.survival import (
-    early_mortality_table,
     kaplan_meier,
     km_estimate_at,
     log_rank,
     reverse_km_median_followup,
-    wilson_interval,
 )
 
 
@@ -257,62 +255,3 @@ class TestLogRank:
             rejections += result.p_value < 0.05
         rate = rejections / n_rep
         assert 0.02 < rate < 0.09
-
-
-class TestWilson:
-    def test_against_direct_formula(self):
-        z = stats.norm.ppf(0.975)
-        for k, n in [(0, 10), (5, 10), (10, 10), (3, 217)]:
-            p = k / n
-            denom = 1 + z**2 / n
-            center = (p + z**2 / (2 * n)) / denom
-            half = z * np.sqrt(p * (1 - p) / n + z**2 / (4 * n**2)) / denom
-            lo, hi = wilson_interval(k, n)
-            np.testing.assert_allclose([lo, hi], [center - half, center + half], rtol=1e-12)
-
-    def test_degenerate_zero_n(self):
-        lo, hi = wilson_interval(0, 0)
-        assert np.isnan(lo) and np.isnan(hi)
-
-
-class TestEarlyMortality:
-    def test_half_die_at_day_10(self):
-        t = [10.0] * 5 + [400.0] * 5
-        e = [1] * 5 + [0] * 5
-        table = early_mortality_table(t, e, ["all"] * 10)
-        bucket30 = table["all"][0]
-        assert (bucket30.start, bucket30.stop) == (0.0, 30.0)
-        np.testing.assert_allclose(bucket30.fraction, 0.5)
-
-    def test_no_early_events_all_zero(self):
-        t = [100.0, 200.0, 300.0]
-        e = [0, 0, 0]
-        table = early_mortality_table(t, e, ["g"] * 3)
-        assert all(b.fraction == 0.0 for b in table["g"])
-
-    def test_top_group_over_half_90_day(self):
-        """A group built so most members die inside 90 days: with no
-        censoring the window fractions share one denominator, so their
-        sum is the cumulative 90-day mortality."""
-        rng = np.random.default_rng(31)
-        t_hi = rng.exponential(40, size=100) + 1
-        t_lo = rng.exponential(2000, size=900) + 1
-        t = np.concatenate([t_hi, t_lo])
-        e = np.ones(1000, dtype=bool)
-        labels = ["top"] * 100 + ["rest"] * 900
-        table = early_mortality_table(t, e, labels)
-        assert sum(b.fraction for b in table["top"]) > 0.5
-        b = table["top"][-1]
-        assert b.ci_low <= b.fraction <= b.ci_high
-
-    def test_empty_denominator_is_nan(self):
-        """Everyone censored before a window's end leaves nobody whose
-        status there is known."""
-        table = early_mortality_table([10.0, 20.0], [0, 0], ["g", "g"])
-        assert np.isnan(table["g"][-1].fraction)
-
-    def test_group_order_first_seen(self):
-        table = early_mortality_table(
-            [5.0, 6.0, 7.0], [1, 1, 1], ["b", "a", "b"]
-        )
-        assert list(table) == ["b", "a"]

@@ -624,11 +624,6 @@ class TestFactorBalancer:
         b = balance_by_factors(ages, seed=3)
         np.testing.assert_array_equal(a, b)
 
-    def test_table_is_data(self):
-        table = ((0.0, 116.0, 3),)
-        out = balance_by_factors(np.array([10.0, 20.0]), table=table, seed=0)
-        assert out.size == 6
-
     def test_default_table_covers_zero_to_116(self):
         lows = [row[0] for row in DEFAULT_FACTOR_TABLE]
         highs = [row[1] for row in DEFAULT_FACTOR_TABLE]
