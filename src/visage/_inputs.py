@@ -49,6 +49,15 @@ def positive(name: str, value: float, below: float = np.inf) -> float:
     return value
 
 
+def integer(name: str, value, low: int | None = None) -> int:
+    """An int ``value`` (numpy's too, not bool) >= ``low``; DataError naming ``name`` otherwise."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise DataError(f"{name} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise DataError(f"{name} must be >= {low}, got {value!r}")
+    return value
+
+
 def as_flags(name: str, a: np.ndarray) -> np.ndarray:
     """Float ``a`` as bool; DataError naming ``name`` unless every value is 0 or 1."""
     if not ((a == 0) | (a == 1)).all():

@@ -25,6 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._inputs import integer
 from .errors import AnalysisError, DataError, reading
 
 log = logging.getLogger(__name__)
@@ -144,8 +145,7 @@ def upsample_bilinear(grid, out_size: int = IMAGE_SIZE) -> np.ndarray:
     (c + 0.5, r + 0.5). Values stay within [grid.min(), grid.max()] and
     a constant grid maps to a constant image.
     """
-    if out_size <= 0:
-        raise DataError("out_size must be positive")
+    integer("out_size", out_size, low=1)
     centers = np.arange(out_size) + 0.5
     xs, ys = np.meshgrid(centers, centers)
     return bilinear_sample(grid, xs, ys, frame=float(out_size))

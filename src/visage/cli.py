@@ -278,17 +278,17 @@ def cmd_cox(args, outputs: dict) -> dict:
         ]
         adjusters = list(screen.retained)
 
-    uni_fit = cox_mod.fit_adjusted(cohort, biomarker, ties=args.ties).fit
+    uni_fit = cox_mod.fit_adjusted(cohort, biomarker, ties=args.ties)
     report["univariate"] = cox_mod.fit_to_dict(uni_fit)
 
     rows = [("univariate", row) for row in uni_fit.rows()]
     adjusted = cox_mod.fit_adjusted(cohort, biomarker, adjusters, args.ties)
-    report["adjusted"] = cox_mod.fit_to_dict(adjusted.fit)
+    report["adjusted"] = cox_mod.fit_to_dict(adjusted)
     report["headline"] = [
         {"name": r.name, "hr": r.hr, "ci95": [r.ci_low, r.ci_high], "p": r.p}
-        for r in adjusted.headline
+        for r in adjusted.rows()[: len(uni_fit.names)]
     ]
-    rows.extend(("adjusted", row) for row in adjusted.fit.rows())
+    rows.extend(("adjusted", row) for row in adjusted.rows())
 
     lines = ["model,covariate,hr,ci_low,ci_high,p,beta,se"]
     for model, row in rows:
@@ -299,7 +299,7 @@ def cmd_cox(args, outputs: dict) -> dict:
     outputs["table.csv"] = "\n".join(lines) + "\n"
     outputs["fit.json"] = report
 
-    failed = not uni_fit.converged or not adjusted.fit.converged
+    failed = not uni_fit.converged or not adjusted.converged
     return {
         "biomarker": args.biomarker,
         "adjusters": args.adjusters,
@@ -364,9 +364,9 @@ def cmd_metrics(args, outputs: dict) -> dict:
 
 def cmd_train(args, outputs: dict) -> dict:
     cohort, load = _load(args, with_embedding=True)
-    # An unset TrainConfig flag is None and keeps TrainConfig's own default.
+    # Every TrainConfig field has a flag, None when unset: TrainConfig keeps its default.
     fields = dataclasses.fields(trainer_mod.TrainConfig)
-    given = {f.name: getattr(args, f.name, None) for f in fields}
+    given = {f.name: getattr(args, f.name) for f in fields}
     config = trainer_mod.TrainConfig(**{k: v for k, v in given.items() if v is not None})
 
     X = cohort.embedding_matrix()
@@ -399,7 +399,7 @@ def cmd_train(args, outputs: dict) -> dict:
         "final": final,
         "dropped_rows": load.n_dropped,
     }
-    settings = {k: getattr(config, k) for k in trainer_mod.SAVED_CONFIG_FIELDS}
+    settings = trainer_mod.saved_config(config)
     if config.hidden is not None:
         settings["hidden"] = config.hidden
     return {"target": args.target, "train_config": settings}

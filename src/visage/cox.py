@@ -132,14 +132,6 @@ class CoxFit:
 
 
 @dataclass(frozen=True)
-class AdjustedFit:
-    """A multivariable fit whose first covariate is the biomarker."""
-
-    fit: CoxFit
-    headline: tuple[CoxRow, ...]
-
-
-@dataclass(frozen=True)
 class ScreenEntry:
     covariate: Covariate
     p: float
@@ -255,27 +247,9 @@ class _SortedFitData:
         self.group_of_death = group_of_death
         self.x_death_total = self.X[self.e].sum(axis=0)
 
-    def _loglik_terms(self, beta: np.ndarray, ties: str):
-        """Log partial likelihood with its phi, Efron fractions and
-        per-death denominators; -inf when a denominator is not positive."""
-        eta = self.X @ beta
-        shift = float(np.max(eta))
-        phi = np.exp(eta - shift)
-        risk_phi = np.cumsum(phi[::-1])[::-1]
-        tie_phi = np.add.reduceat(phi[self.e], self.group_first)
-        g = self.group_of_death
-        frac = self.efron_frac if ties == "efron" else np.zeros_like(self.efron_frac)
-        denom = risk_phi[self.risk_start][g] - frac * tie_phi[g]
-        if np.any(denom <= 0):
-            return -np.inf, phi, frac, denom
-        ll = float(np.sum(eta[self.e]) - np.sum(np.log(denom)) - g.size * shift)
-        return ll, phi, frac, denom
-
-    def loglik(self, beta: np.ndarray, ties: str) -> float:
-        return self._loglik_terms(beta, ties)[0]
-
     def derivatives(self, beta: np.ndarray, ties: str):
-        """Log partial likelihood with its analytic gradient and Hessian.
+        """Log partial likelihood with its analytic gradient and Hessian;
+        -inf with zero derivatives when a denominator is not positive.
 
         The Hessian needs, for each death, the risk set's sum of
         phi x x' less the death's Efron share of its tie group's. Summed
@@ -285,10 +259,18 @@ class _SortedFitData:
         weights when it is a death. So no per-row or per-time k x k
         array is formed.
         """
-        ll, phi, frac, denom = self._loglik_terms(beta, ties)
-        if ll == -np.inf:
-            return -np.inf, np.zeros(self.k), np.zeros((self.k, self.k))
+        eta = self.X @ beta
+        shift = float(np.max(eta))
+        phi = np.exp(eta - shift)
+        risk_phi = np.cumsum(phi[::-1])[::-1]
+        tie_phi = np.add.reduceat(phi[self.e], self.group_first)
         g = self.group_of_death
+        frac = self.efron_frac if ties == "efron" else np.zeros_like(self.efron_frac)
+        denom = risk_phi[self.risk_start][g] - frac * tie_phi[g]
+        if np.any(denom <= 0):
+            return -np.inf, np.zeros(self.k), np.zeros((self.k, self.k))
+        ll = float(np.sum(eta[self.e]) - np.sum(np.log(denom)) - g.size * shift)
+
         phi_x = phi[:, None] * self.X
         risk_phi_x = np.cumsum(phi_x[::-1], axis=0)[::-1]
         tie_phi_x = np.add.reduceat(phi_x[self.e], self.group_first, axis=0)
@@ -373,14 +355,13 @@ def fit_cox(design: DesignMatrix, times, events, ties: str = "efron") -> CoxFit:
                 "singular information matrix",
                 condition_number=float(np.linalg.cond(-hess)),
             ) from None
-        ll_new = data.loglik(beta + delta, ties)
-        halvings = 0
-        while ll_new < ll - LL_ROUNDING * abs(ll) and halvings < 40:
-            delta = delta / 2.0
-            ll_new = data.loglik(beta + delta, ties)
-            halvings += 1
         with np.errstate(over="ignore", invalid="ignore"):
             step = data.derivatives(beta + delta, ties)
+            halvings = 0
+            while step[0] < ll - LL_ROUNDING * abs(ll) and halvings < 40:
+                delta = delta / 2.0
+                step = data.derivatives(beta + delta, ties)
+                halvings += 1
         if not all(np.isfinite(a).all() for a in step):  # exp left float range
             flags.append("separation")
             break
@@ -456,7 +437,7 @@ def univariate_screen(
     retained: list[Covariate] = []
     for cov in candidates:
         try:
-            fit = fit_adjusted(cohort, cov, ties=ties).fit
+            fit = fit_adjusted(cohort, cov, ties=ties)
             if cov.kind == "categorical":
                 lr = 2.0 * (fit.log_pl - fit.log_pl_null)
                 p = chi2_sf(max(lr, 0.0), len(fit.names))
@@ -477,17 +458,15 @@ def fit_adjusted(
     biomarker: Covariate,
     adjustments: Sequence[Covariate] = (),
     ties: str = "efron",
-) -> AdjustedFit:
+) -> CoxFit:
     """Fit the biomarker together with adjustment covariates.
 
-    The biomarker is the first design term and its rows are surfaced as
-    the headline result. With an empty adjustment list this reduces to
-    the univariate biomarker fit.
+    The biomarker is the first design term, so the fit's first columns
+    are its univariate fit's columns (categorical levels come from every
+    row). With no adjustments this is the univariate biomarker fit.
     """
     design = build_design(cohort, [biomarker, *adjustments])
-    fit = fit_cox(design, cohort.times(), cohort.events(), ties)
-    lo, hi = design.spans[0]
-    return AdjustedFit(fit, tuple(fit.row(design.names[i]) for i in range(lo, hi)))
+    return fit_cox(design, cohort.times(), cohort.events(), ties)
 
 
 def compare_aic(fits: Sequence[CoxFit], labels: Sequence[str] | None = None) -> tuple[AicEntry, ...]:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._inputs import positive
+from ._inputs import integer, positive
 from .cohort import Cohort
 from .errors import DataError
 from .rng import substream
@@ -76,8 +76,7 @@ class SimSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n <= 0:
-            raise DataError("n must be positive")
+        integer("n", self.n, low=1)
         positive("baseline_hazard", self.baseline_hazard)
         if len(self.beta_true) != len(self.covariate_model):
             raise DataError("beta_true must align with covariate_model")
@@ -106,8 +105,10 @@ class SimSpec:
             raise DataError(f"censor_model {kind!r} needs one finite parameter > 0")
         if (self.embedding_weights is None) != (self.embedding_dim is None):
             raise DataError("embedding_weights and embedding_dim go together")
-        if self.embedding_dim is not None and len(self.embedding_weights) != self.embedding_dim:
-            raise DataError("embedding_weights must have length embedding_dim")
+        if self.embedding_dim is not None:
+            integer("embedding_dim", self.embedding_dim, low=1)
+            if len(self.embedding_weights) != self.embedding_dim:
+                raise DataError("embedding_weights must have length embedding_dim")
 
 
 @dataclass(frozen=True)

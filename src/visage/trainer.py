@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._inputs import positive, vectors
+from ._inputs import integer, positive, vectors
 from .errors import AnalysisError, DataError, NoComparablePairsError, reading
 from .metrics import _count_later_below, harrell_c
 from .rng import substream
@@ -39,44 +39,46 @@ DEFAULT_FACTOR_TABLE = (
 
 MODEL_FORMAT = "visage-linear-head/1"
 
-# The TrainConfig fields that a model header and the train manifest
-# record. The seed is recorded beside them; the hidden width is the
-# header's "hidden" and enters the manifest only when set.
-SAVED_CONFIG_FIELDS = (
-    "learning_rate", "weight_decay", "beta1", "beta2", "batch_size",
-    "epochs", "smooth_lambda", "validation_fraction", "pair_loss", "shuffle",
-)
+# Adam's decay rates of the first and second moment estimates: the
+# defaults of Kingma & Ba (ICLR 2015), which AdamW keeps (Loshchilov &
+# Hutter, ICLR 2019).
+BETA1 = 0.9
+BETA2 = 0.999
 
 
 @dataclass(frozen=True)
 class TrainConfig:
     learning_rate: float = 1e-5
     weight_decay: float = 0.05
-    beta1: float = 0.9
-    beta2: float = 0.999
     batch_size: int = 32
     epochs: int = 10
     smooth_lambda: float = 1e-4
     seed: int = 0
     validation_fraction: float = 0.05
     pair_loss: str = "logistic"  # or "hinge"
-    hidden: int | None = None
-    shuffle: bool = True
+    hidden: int | None = None  # 0 or None: no hidden layer
 
     def __post_init__(self):
-        for name, high in (("learning_rate", math.inf), ("beta1", 1.0), ("beta2", 1.0),
-                           ("validation_fraction", 1.0)):
+        for name, high in (("learning_rate", math.inf), ("validation_fraction", 1.0)):
             positive(name, getattr(self, name), below=high)
         for name in ("weight_decay", "smooth_lambda"):
             value = getattr(self, name)
             if not 0.0 <= value < math.inf:
                 raise DataError(f"{name} must lie in [0, inf), got {value!r}")
-        if self.batch_size <= 0 or self.epochs < 0:
-            raise DataError("batch_size must be positive and epochs non-negative")
+        integer("batch_size", self.batch_size, low=1)
+        integer("epochs", self.epochs, low=0)
         if self.pair_loss not in ("logistic", "hinge"):
             raise DataError(f"unknown pair loss {self.pair_loss!r}")
-        if self.hidden is not None and self.hidden < 0:
-            raise DataError(f"hidden width must be >= 0 (0: no hidden layer), got {self.hidden}")
+        if self.hidden is not None:
+            integer("hidden", self.hidden, low=0)
+
+
+def saved_config(config: TrainConfig) -> dict:
+    """The settings a model header and the train manifest record: the
+    config's, less the seed and the hidden width (each file records
+    those its own way), plus the fixed Adam rates and batch shuffling."""
+    settings = {k: v for k, v in vars(config).items() if k not in ("seed", "hidden")}
+    return {**settings, "beta1": BETA1, "beta2": BETA2, "shuffle": True}
 
 
 @dataclass
@@ -390,10 +392,10 @@ class _AdamW:
         self.t += 1
         for key, g in grads.items():
             p = self.params[key]
-            self.m[key] = c.beta1 * self.m[key] + (1 - c.beta1) * g
-            self.v[key] = c.beta2 * self.v[key] + (1 - c.beta2) * g * g
-            m_hat = self.m[key] / (1 - c.beta1**self.t)
-            v_hat = self.v[key] / (1 - c.beta2**self.t)
+            self.m[key] = BETA1 * self.m[key] + (1 - BETA1) * g
+            self.v[key] = BETA2 * self.v[key] + (1 - BETA2) * g * g
+            m_hat = self.m[key] / (1 - BETA1**self.t)
+            v_hat = self.v[key] / (1 - BETA2**self.t)
             update = m_hat / (np.sqrt(v_hat) + 1e-8)
             if not key.endswith("b"):
                 update = update + c.weight_decay * p
@@ -443,18 +445,6 @@ def _split(n: int, config: TrainConfig) -> tuple[np.ndarray, np.ndarray]:
     return perm[: n - n_val], perm[n - n_val :]
 
 
-def _epoch_batches(train_idx: np.ndarray, config: TrainConfig, shuffle_rng) -> list[np.ndarray]:
-    order = (
-        train_idx[shuffle_rng.permutation(train_idx.size)]
-        if config.shuffle
-        else train_idx
-    )
-    return [
-        order[i : i + config.batch_size]
-        for i in range(0, order.size, config.batch_size)
-    ]
-
-
 def _embeddings(embeddings, n: int) -> np.ndarray:
     """The (n, d) embedding matrix, which must be finite."""
     X = np.asarray(embeddings, dtype=float)
@@ -494,7 +484,8 @@ def _train(X: np.ndarray, config: TrainConfig, batch_grad, epoch_row) -> TrainRe
     checkpoints: list[RiskModel] = []
     for epoch in range(1, config.epochs + 1):
         skipped = 0
-        for batch in _epoch_batches(train_idx, config, shuffle_rng):
+        order = train_idx[shuffle_rng.permutation(train_idx.size)]
+        for batch in np.split(order, range(config.batch_size, order.size, config.batch_size)):
             outputs, hidden = _forward(params, X[batch])
             grad, no_pairs = batch_grad(outputs, batch)
             if no_pairs:
@@ -585,16 +576,13 @@ def balance_by_factors(ages, seed: int = 0) -> np.ndarray:
     seed. Ages outside the table's coverage raise DataError.
     """
     (a,) = vectors(ages=ages)
-    factors = np.zeros(a.size, dtype=int)
-    assigned = np.zeros(a.size, dtype=bool)
-    last_hi = DEFAULT_FACTOR_TABLE[-1][1]
-    for lo, hi, f in DEFAULT_FACTOR_TABLE:
-        inside = (a >= lo) & ((a < hi) | ((hi == last_hi) & (a == hi)))
-        factors[inside & ~assigned] = f
-        assigned |= inside
-    if not assigned.all():
-        bad = float(a[~assigned][0])
-        raise DataError(f"age {bad:g} outside factor table coverage")
+    lows, _, row_factors = zip(*DEFAULT_FACTOR_TABLE)
+    outside = (a < lows[0]) | (a > DEFAULT_FACTOR_TABLE[-1][1])
+    if outside.any():
+        raise DataError(f"age {float(a[outside][0]):g} outside factor table coverage")
+    # Each row's upper bound is the next row's lower bound, so an age's
+    # row is the last whose lower bound it reaches; 116 joins the top row.
+    factors = np.array(row_factors)[np.searchsorted(lows, a, side="right") - 1]
     replicated = np.repeat(np.arange(a.size), factors)
     rng = substream(seed, "balance/factors")
     return replicated[rng.permutation(replicated.size)]
@@ -617,8 +605,7 @@ def balance_bins(
     """
     (a,) = vectors(ages=ages)
     positive("bin_width", bin_width)
-    if target <= 0:
-        raise DataError(f"target must be > 0, got {target!r}")
+    integer("target", target, low=1)
     if np.any(a < 0):
         raise DataError("ages must be >= 0")
     rng = substream(seed, "balance/bins")
@@ -651,7 +638,7 @@ def save_model(model: RiskModel, path, *, kind: str, config: TrainConfig) -> Non
         "dtype": "<f4",
         "n_weights": int(flat.size),
         "seed": config.seed,
-        "config": {k: getattr(config, k) for k in SAVED_CONFIG_FIELDS},
+        "config": saved_config(config),
     }
     with open(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))

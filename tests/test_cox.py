@@ -306,17 +306,18 @@ class TestFitBehavior:
         ]).T
         t = np.array([2, 4, 4, 2, 5, 1, 4, 5, 1, 1, 8, 2, 7, 5], dtype=float)
         e = np.array([0, 1, 1, 1, 0, 0, 1, 0, 1, 1, 1, 0, 0, 0], dtype=bool)
-        trial_points = []
-        loglik = cox._SortedFitData.loglik
+        points = []
+        derivatives = cox._SortedFitData.derivatives
 
         def counting(data, beta, ties):
-            trial_points.append(beta)
-            return loglik(data, beta, ties)
+            points.append(beta)
+            return derivatives(data, beta, ties)
 
-        monkeypatch.setattr(cox._SortedFitData, "loglik", counting)
+        monkeypatch.setattr(cox._SortedFitData, "derivatives", counting)
         fit = fit_cox(DesignMatrix(("a", "b"), X, np.ones(14, dtype=bool)), t, e, "efron")
-        # One trial point per iteration, and one more per halving.
-        assert len(trial_points) > fit.iterations
+        # Each point is evaluated once: beta = 0, one trial point per
+        # iteration, and one more for the halving.
+        assert len(points) == 1 + fit.iterations + 1
         assert fit.converged and fit.flags == ()
         _, score, _ = partial_likelihood(X, t, e, fit.beta, "efron")
         assert np.max(np.abs(score)) < 1e-6
@@ -582,10 +583,11 @@ class TestAdjustedAndAic:
         adjusted = fit_adjusted(
             cohort, Covariate("risk_raw"), [Covariate("predicted_age")]
         )
-        headline = adjusted.headline[0]
+        assert adjusted.names[0] == "risk_raw"
+        headline = adjusted.row("risk_raw")
         assert headline.hr > 1.0
         assert headline.p < 0.05
-        other = adjusted.fit.row("predicted_age")
+        other = adjusted.row("predicted_age")
         assert other.p < 0.05
 
     def test_single_fit_rank_one(self):

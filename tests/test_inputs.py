@@ -6,7 +6,8 @@ modules) is fed NaN, +inf, -inf, misaligned and empty arrays, times
 <= 0 where it takes times, and events other than 0/1, and must raise
 DataError. Each valid call is run first, so a rejection is the
 contract's and not some other failure. Geometry (``attention``) keeps
-its own checks, tested in test_attention.py.
+its own checks, tested in test_attention.py. Integer settings, across
+all modules, reject what is not an integer.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from visage import biomarkers, metrics, survival, trainer
+from visage import attention, biomarkers, metrics, rng, survival, synth, trainer
 from visage._inputs import vectors
 from visage.cox import Covariate, DesignMatrix, build_design, fit_cox, partial_likelihood
 from visage.errors import DataError
@@ -166,6 +167,30 @@ BAD_INPUT = {
 def test_audited_input_rejected(name):
     with pytest.raises(DataError):
         BAD_INPUT[name]()
+
+
+# Each integer setting -> a call taking its value.
+INTEGER_SETTINGS = {
+    "batch_size": lambda v: trainer.TrainConfig(batch_size=v),
+    "epochs": lambda v: trainer.TrainConfig(epochs=v),
+    "hidden": lambda v: trainer.TrainConfig(hidden=v),
+    "n": lambda v: synth.SimSpec(n=v),
+    "embedding_dim": lambda v: synth.SimSpec(n=4, embedding_dim=v, embedding_weights=(0.1,) * 3),
+    "target": lambda v: trainer.balance_bins(AGES, target=v),
+    "out_size": lambda v: attention.upsample_bilinear(np.ones((2, 2)), v),
+    "seed": lambda v: rng.substream(v, "inputs/seed"),
+}
+
+
+@pytest.mark.parametrize("value", [2.5, True, "3", np.int64(3)], ids=repr)
+@pytest.mark.parametrize("name", sorted(INTEGER_SETTINGS))
+def test_integer_setting_rejects_non_integers(name, value):
+    """A float, a bool or a string is rejected naming the setting; a numpy int is accepted."""
+    if isinstance(value, np.integer):
+        INTEGER_SETTINGS[name](value)
+    else:
+        with pytest.raises(DataError, match=f"^{name} must be an integer"):
+            INTEGER_SETTINGS[name](value)
 
 
 class TestVectors:

@@ -366,8 +366,8 @@ class TestAdamW:
         opt = _AdamW(params, config)
         g = np.array([0.4])
         opt.step({"w": g.copy(), "b": g.copy()})
-        m_hat = (1 - config.beta1) * g / (1 - config.beta1)
-        v_hat = (1 - config.beta2) * g * g / (1 - config.beta2)
+        m_hat = (1 - trainer.BETA1) * g / (1 - trainer.BETA1)
+        v_hat = (1 - trainer.BETA2) * g * g / (1 - trainer.BETA2)
         update = m_hat / (np.sqrt(v_hat) + 1e-8)
         expect_w = 2.0 - 0.1 * (update + 0.5 * 2.0)
         expect_b = 1.0 - 0.1 * update  # no decay on bias
@@ -476,13 +476,14 @@ class TestRiskTraining:
         assert result.model.params["w"].shape == (16,)
 
     def test_monotone_descent_fixed_order(self):
+        """One full batch per epoch, so the batch order cannot matter."""
         X, t, e = linear_risk_data(31, n=400)
         result = train_risk_model(
-            X, t, e, TrainConfig(seed=2, epochs=6, shuffle=False, learning_rate=1e-4)
+            X, t, e, TrainConfig(seed=2, epochs=6, batch_size=400, learning_rate=1e-4)
         )
         losses = [s.train_loss for s in result.trace]
         for prev, cur in zip(losses, losses[1:]):
-            assert cur <= prev + 1e-3
+            assert cur < prev
 
     def test_all_censored_rejected(self):
         X = np.zeros((10, 3))
@@ -556,7 +557,7 @@ class TestRiskTraining:
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
     @pytest.mark.parametrize("name", [
-        "learning_rate", "beta1", "beta2", "validation_fraction", "weight_decay", "smooth_lambda",
+        "learning_rate", "validation_fraction", "weight_decay", "smooth_lambda",
     ])
     def test_float_setting_outside_its_range_rejected(self, name, value):
         with pytest.raises(DataError, match=name):
@@ -596,7 +597,46 @@ class TestAgeTraining:
             train_age_model(np.zeros((0, 3)), np.zeros(0))
 
 
+def looped_factors(ages) -> np.ndarray:
+    """Each age's factor from a scan over the table rows, each half-open
+    but the last, which is closed; 0 where no row holds the age."""
+    a = np.asarray(ages, dtype=float)
+    factors = np.zeros(a.size, dtype=int)
+    assigned = np.zeros(a.size, dtype=bool)
+    last_hi = DEFAULT_FACTOR_TABLE[-1][1]
+    for lo, hi, f in DEFAULT_FACTOR_TABLE:
+        inside = (a >= lo) & ((a < hi) | ((hi == last_hi) & (a == hi)))
+        factors[inside & ~assigned] = f
+        assigned |= inside
+    return factors
+
+
 class TestFactorBalancer:
+    def test_lookup_matches_looped_rows(self):
+        """The searchsorted lookup against a scan of the rows, at every
+        bound, 1e-9 either side of it, and on a quarter-year grid."""
+        bounds = {b for lo, hi, _ in DEFAULT_FACTOR_TABLE for b in (lo, hi)}
+        near = np.array([b + d for b in bounds for d in (-1e-9, 0.0, 1e-9)])
+        grid = np.arange(0.0, 116.25, 0.25)
+        ages = np.concatenate([near[(near >= 0.0) & (near <= 116.0)], grid])
+        assert ages.max() == 116.0
+        expected = looped_factors(ages)
+        assert (expected > 0).all()
+        counts = np.bincount(balance_by_factors(ages, seed=0), minlength=ages.size)
+        np.testing.assert_array_equal(counts, expected)
+        assert [factor_for_age(a) for a in ages] == expected.tolist()
+
+    @pytest.mark.parametrize("age", [-1e-9, 116.0 + 1e-9, 120.0])
+    def test_just_outside_coverage_rejected(self, age):
+        assert looped_factors([age])[0] == 0
+        with pytest.raises(DataError, match="outside factor table coverage"):
+            balance_by_factors(np.array([30.0, age]))
+
+    def test_rows_meet_end_to_end(self):
+        """The lookup needs each row's upper bound to be the next row's lower bound."""
+        for (_, hi, _), (lo, _, _) in zip(DEFAULT_FACTOR_TABLE, DEFAULT_FACTOR_TABLE[1:]):
+            assert hi == lo
+
     def test_anchor_factors(self):
         assert factor_for_age(30.0) == 1
         assert factor_for_age(52.0) == 2
