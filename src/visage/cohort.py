@@ -55,8 +55,8 @@ _CANONICAL_COLUMNS = (
 
 _MANDATORY = ("time", "event", "chrono_age")
 
-# Data rows parsed at a time by load_cohort: it holds the cell strings of
-# one block, not of the whole file.
+# Data rows parsed at a time by load_cohort and formatted at a time by
+# save_cohort: each holds the cell strings of one block, not of the file.
 _ROW_BLOCK = 512
 
 # One e* cell as repr(float) writes a finite value. Every match is a
@@ -297,21 +297,21 @@ def _embedding_cells(
     return values.reshape(n, dim) if convert else None, bad.reshape(n, dim).any(axis=1)
 
 
-def _embedding_text(
-    rows: list[list[str]], dim: int, convert: bool
-) -> tuple[np.ndarray | None, np.ndarray]:
-    """As :func:`_embedding_cells`, for rows whose last cell is the text of
-    their ``dim`` e* cells. Without ``convert`` nothing is converted: a
-    row whose text is ``dim`` strict cells passes, any other row is
-    checked with ``float()`` cell by cell."""
-    texts = list(map(itemgetter(-1), rows))
-    if convert:
-        values, bad = _parse_floats(",".join(texts).split(","))
-        return values.reshape(len(rows), dim), bad.reshape(len(rows), dim).any(axis=1)
-    match = _strict_row(dim).fullmatch
-    bad = np.array([m is None for m in map(match, texts)], dtype=bool)
+def _embedding_text(rows: list[list[str]], dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """As :func:`_embedding_cells` converting, for rows whose last cell is
+    the text of their ``dim`` e* cells."""
+    values, bad = _parse_floats(",".join(map(itemgetter(-1), rows)).split(","))
+    return values.reshape(len(rows), dim), bad.reshape(len(rows), dim).any(axis=1)
+
+
+def _screened_text(rows: list[tuple[str, ...]]) -> tuple[None, np.ndarray]:
+    """As :func:`_embedding_cells` without converting, for rows cut by
+    :func:`_screen_lines`: a row whose first cell is empty has strict e*
+    cells and passes; any other row's e* cells, that cell less its
+    leading comma, are checked with ``float()``."""
+    bad = np.fromiter(map(bool, map(itemgetter(0), rows)), bool, len(rows))
     for i in np.flatnonzero(bad).tolist():
-        bad[i] = _parse_floats(texts[i].split(","))[1].any()
+        bad[i] = _parse_floats(rows[i][0][1:].split(","))[1].any()
     return None, bad
 
 
@@ -341,10 +341,16 @@ def _parse_block(
         dtype=np.int8,
     )
     chrono_age, bad_age = _parse_floats(cells("chrono_age"))
-    optional = {  # a blank optional cell is missing, as nan is
-        canonical: _parse_floats([text if text.strip() else "nan" for text in cells(canonical)])
-        for canonical in _OPTIONAL_COLUMNS
-    }
+
+    def missing_or_float(canonical: str) -> tuple[np.ndarray, np.ndarray]:
+        # A blank cell is missing, as nan is; a block of empty cells (an
+        # absent column's included) is all missing without parsing.
+        texts = cells(canonical)
+        if texts.count("") == n:
+            return np.full(n, np.nan), np.zeros(n, dtype=bool)
+        return _parse_floats([text if text.strip() else "nan" for text in texts])
+
+    optional = {canonical: missing_or_float(canonical) for canonical in _OPTIONAL_COLUMNS}
     embedding, bad_embedding = None, np.zeros(n, dtype=bool)
     if embedding_of is not None:
         embedding, bad_embedding = embedding_of(rows)
@@ -406,20 +412,56 @@ def _split_lines(lines: list[str], width: int, lead: int) -> list[list[str]] | N
     return list(map(str.split, parts, repeat(","), repeat(lead)))
 
 
-def _row_blocks(fh, width: int, lead: int | None) -> Iterator[tuple[list[list[str]], bool]]:
+def _line_pattern(lead: int, dim: int) -> re.Pattern:
+    """A line of ``lead`` cells and then ``dim`` >= 1 e* cells, capturing
+    first the e* text with its leading comma when a cell is not strict
+    (see ``_STRICT_CELL``; empty when all are), then the ``lead`` cells.
+
+    The e* cells are matched in a lookahead before any group is set:
+    past a set group, re saves the groups at every alternation inside a
+    repeat, which costs more than the split this pattern replaces. A
+    lead cell is ``[^,]*``, which re matches several times faster than
+    ``[^,\\n]*``, so a match may run over more than one line; every match
+    still starts at the start of a line and ends at the end of one. The
+    e* cells, which only the lookahead reads, cannot leave their line."""
+    cell = r"[^,\n]*"
+    skip = rf"(?:[^,]*,){{{lead - 1}}}[^,]*"
+    other = rf"(,{cell}(?:,{cell}){{{dim - 1}}})"
+    e_text = rf"(?={skip}(?:,{_strict_row(dim).pattern}|{other})$)"
+    return re.compile(
+        rf"^{e_text}{','.join(['([^,]*)'] * lead)},.*$", re.ASCII | re.MULTILINE
+    )
+
+
+def _screen_lines(lines: list[str], pattern: re.Pattern) -> list[tuple[str, ...]] | None:
+    """The quote-free ``lines`` cut and screened by ``pattern`` (see
+    :func:`_line_pattern`) in one pass, or None when they need
+    csv.reader: a carriage return, or a line (a blank one included)
+    whose comma count is not the header's. As many matches as lines
+    means one match per line, each line matched."""
+    text = "".join(lines)
+    if "\r" in text:
+        return None
+    rows = pattern.findall(text)
+    return rows if len(rows) == len(lines) else None
+
+
+def _row_blocks(
+    fh, width: int, cut: Callable[[list[str]], list | None] | None
+) -> Iterator[tuple[list, bool]]:
     """The data rows of ``fh`` in blocks, each with a flag that is True
-    for rows cut by :func:`_split_lines` (``lead`` cells, then the rest
-    of the line) and False for full csv.reader rows. A block of
-    ``_ROW_BLOCK`` lines is cut when ``lead`` is given and the block
-    allows it; from the first line with a quote on, since a quoted field
-    may span lines, csv.reader reads the rest of the file."""
-    if lead is None:
+    for rows that ``cut`` (:func:`_split_lines` or :func:`_screen_lines`)
+    made of lines and False for full csv.reader rows. A block of
+    ``_ROW_BLOCK`` lines is cut when ``cut`` is given and does not return
+    None for it; from the first line with a quote on, since a quoted
+    field may span lines, csv.reader reads the rest of the file."""
+    if cut is None:
         yield from zip(_csv_blocks(fh, width), repeat(False))
         return
     while lines := list(islice(fh, _ROW_BLOCK)):
         quoted = next((i for i, line in enumerate(lines) if '"' in line), len(lines))
         if quoted:
-            rows = _split_lines(lines[:quoted], width, lead)
+            rows = cut(lines[:quoted])
             if rows is None:
                 yield from zip(_csv_blocks(lines[:quoted], width), repeat(False))
             else:
@@ -455,14 +497,17 @@ def load_cohort(
     (``-1.5e-07``) is cleared without converting them, and only other
     rows meet ``float()``.
 
-    The file is parsed in blocks of rows, so memory holds the parsed
-    columns plus the cell strings of one block, never the whole file as
-    text. When the header holds no quote and the e* columns are its
-    last columns in index order, as :func:`save_cohort` writes them,
-    blocks of lines are cut at their commas rather than read by
-    csv.reader. csv.reader still reads a block with a blank line, a
-    carriage return or a line with another number of commas than the
-    header, and everything from the first quote on.
+    The file is parsed in blocks of ``_ROW_BLOCK`` rows, so memory holds
+    the parsed columns plus the cell strings of one block, never the
+    whole file as text. When the header holds no quote and the e*
+    columns are its last columns in index order, as :func:`save_cohort`
+    writes them, blocks of lines are cut rather than read by csv.reader:
+    at their commas in a full load, and without the embedding by one
+    pass of a line regex that captures the leading cells and screens
+    the e* cells (see :func:`_line_pattern`). csv.reader still reads a
+    block with a blank line, a carriage return or a line with another
+    number of commas than the header, and everything from the first
+    quote on.
     """
     schema = schema or {}
     rename = schema.get("columns", {})
@@ -484,15 +529,22 @@ def load_cohort(
 
         width, dim = len(header), len(e_positions)
         lead = width - dim
-        cut = (
+        cut_layout = (
             '"' not in first
             and e_positions == list(range(lead, width))
             and all(i is None or i < lead for i in where.values())
         )
         readers = {  # e* reader by block kind: cut lines or csv.reader rows
-            True: partial(_embedding_text, dim=dim, convert=with_embedding),
+            True: partial(_embedding_text, dim=dim),
             False: partial(_embedding_cells, e_positions=e_positions, convert=with_embedding),
         } if dim else {}
+        wheres = dict.fromkeys((True, False), where)
+        cut = partial(_split_lines, width=width, lead=lead) if cut_layout else None
+        if cut_layout and dim and not with_embedding:
+            cut = partial(_screen_lines, pattern=_line_pattern(lead, dim))
+            readers[True] = _screened_text
+            # a screened line's e* text comes before its cells
+            wheres[True] = {k: None if i is None else i + 1 for k, i in where.items()}
         parts: dict[str, list[np.ndarray]] = {}
         dropped: list[tuple[int, str]] = []
         # The kept embedding rows, grown in place block by block (realloc,
@@ -500,9 +552,11 @@ def load_cohort(
         embedding = np.empty((0, dim))
         n = 0
         # A first, empty block gives a file without data rows its empty columns.
-        blocks = chain([([], False)], _row_blocks(fh, width, lead if cut else None))
+        blocks = chain([([], False)], _row_blocks(fh, width, cut))
         for chunk, is_cut in blocks:
-            columns, chunk_dropped = _parse_block(chunk, n, where, readers.get(is_cut), years)
+            columns, chunk_dropped = _parse_block(
+                chunk, n, wheres[is_cut], readers.get(is_cut), years
+            )
             n += len(chunk)
             del chunk  # free the block's cell strings before reading the next
             dropped += chunk_dropped
@@ -536,34 +590,43 @@ def _csv_fields(values: Sequence[str]) -> list[str]:
 
 def save_cohort(cohort: Cohort, path: str | Path) -> None:
     """Write the canonical CSV form. Floats use repr and round-trip;
-    missing values are written empty."""
+    missing values are written empty.
+
+    The header, and whether it has a ``risk_scaled`` column, come from
+    the whole cohort; the rows are formatted and written in blocks of
+    ``_ROW_BLOCK``, so memory holds the cohort plus the cell strings of
+    one block, not a string copy of every column."""
 
     def optional(values: np.ndarray) -> list[str]:
         return ["" if v != v else repr(v) for v in values.tolist()]
 
-    # Only the text columns can need quoting: repr of a float, the event
-    # flag and an empty cell never do, so rows are joined directly.
     header = list(_CANONICAL_COLUMNS)
-    columns = [
-        _csv_fields(cohort.ids.tolist()),
-        map(repr, cohort.time.tolist()),
-        np.where(cohort.event, "1", "0").tolist(),
-        map(repr, cohort.chrono_age.tolist()),
-        *(_csv_fields(getattr(cohort, name).tolist()) for name in CATEGORY_FIELDS),
-        optional(cohort.predicted_age),
-        optional(cohort.risk_raw),
-    ]
+    floats = [cohort.predicted_age, cohort.risk_raw]
     if not np.all(np.isnan(cohort.risk_scaled)):
         header.append("risk_scaled")
-        columns.append(optional(cohort.risk_scaled))
+        floats.append(cohort.risk_scaled)
     if cohort.embedding_dim:
         header.extend(f"e{i}" for i in range(cohort.embedding_dim))
-        columns.append(
-            ",".join(map(repr, row)) for row in map(np.ndarray.tolist, cohort.embedding)
-        )
+    texts = [getattr(cohort, name) for name in CATEGORY_FIELDS]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(",".join(row) + "\n" for row in zip(*columns))
+        for start in range(0, len(cohort), _ROW_BLOCK):
+            block = slice(start, start + _ROW_BLOCK)
+            # Only the text columns can need quoting: repr of a float, the
+            # event flag and an empty cell never do, so rows are joined directly.
+            columns = [
+                _csv_fields(cohort.ids[block].tolist()),
+                map(repr, cohort.time[block].tolist()),
+                np.where(cohort.event[block], "1", "0").tolist(),
+                map(repr, cohort.chrono_age[block].tolist()),
+                *(_csv_fields(values[block].tolist()) for values in texts),
+                *(optional(values[block]) for values in floats),
+            ]
+            if cohort.embedding_dim:
+                columns.append(
+                    ",".join(map(repr, row)) for row in cohort.embedding[block].tolist()
+                )
+            fh.writelines(",".join(row) + "\n" for row in zip(*columns))
 
 
 def validate(cohort: Cohort) -> ValidationReport:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -59,6 +59,10 @@ class TrainConfig:
     hidden: int | None = None  # 0 or None: no hidden layer
 
     def __post_init__(self):
+        for f in fields(self):  # numpy scalars as plain numbers, so a header can hold them
+            value = getattr(self, f.name)
+            if isinstance(value, np.generic):
+                object.__setattr__(self, f.name, value.item())
         for name, high in (("learning_rate", math.inf), ("validation_fraction", 1.0)):
             positive(name, getattr(self, name), below=high)
         for name in ("weight_decay", "smooth_lambda"):
@@ -640,9 +644,10 @@ def save_model(model: RiskModel, path, *, kind: str, config: TrainConfig) -> Non
         "seed": config.seed,
         "config": saved_config(config),
     }
+    # Rendered before the file is opened: a header json cannot write leaves no file.
+    line = json.dumps(header, sort_keys=True).encode("utf-8") + b"\n"
     with open(path, "wb") as fh:
-        fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
-        fh.write(b"\n")
+        fh.write(line)
         fh.write(flat.tobytes())
 
 

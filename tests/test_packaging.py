@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import visage
-from visage.cohort import _STRICT_CELL, _strict_row
+from visage.cohort import _STRICT_CELL, _line_pattern, _strict_row
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted(Path(visage.__file__).parent.rglob("*.py"))
@@ -31,7 +31,7 @@ def test_module_parses_at_python_floor(source):
 
 def test_strict_pattern_has_no_311_regex_syntax():
     """Possessive quantifiers and atomic groups arrived in Python 3.11."""
-    for pattern in (_STRICT_CELL, _strict_row(64).pattern):
+    for pattern in (_STRICT_CELL, _strict_row(64).pattern, _line_pattern(12, 64).pattern):
         for token in ("++", "*+", "?+", "}+", "(?>"):
             assert token not in pattern, (pattern, token)
 

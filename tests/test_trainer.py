@@ -754,6 +754,29 @@ class TestModelIO:
         assert second.read_bytes() == first.read_bytes()
         np.testing.assert_array_equal(loaded.predict(X), _forward(loaded.params, X)[0])
 
+    def test_numpy_int_config_saved_as_plain_ints(self, tmp_path):
+        """A config given numpy ints trains, saves and loads, and the
+        header holds them as plain ints."""
+        X, t, e = linear_risk_data(83, n=120)
+        config = TrainConfig(epochs=np.int64(1), batch_size=np.int64(8), seed=np.int64(3))
+        result = train_risk_model(X, t, e, config)
+        path = tmp_path / "model.bin"
+        save_model(result.model, path, kind="risk", config=config)
+        loaded, header = load_model(path)
+        values = (header["seed"], header["config"]["epochs"], header["config"]["batch_size"])
+        assert values == (3, 1, 8)
+        assert all(type(v) is int for v in values)
+        np.testing.assert_allclose(loaded.predict(X), result.model.predict(X), atol=1e-5)
+
+    def test_unwritable_header_leaves_no_file(self, tmp_path):
+        X, t, e = linear_risk_data(89, n=100)
+        config = TrainConfig(seed=3, epochs=1)
+        result = train_risk_model(X, t, e, config)
+        path = tmp_path / "model.bin"
+        with pytest.raises(TypeError):
+            save_model(result.model, path, kind={"not", "json"}, config=config)
+        assert not path.exists()
+
     def test_save_bytes_stable(self, tmp_path):
         X, t, e = linear_risk_data(73, n=100)
         config = TrainConfig(seed=3, epochs=1)
