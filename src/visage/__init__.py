@@ -2,7 +2,7 @@
 
 Modules
 -------
-cohort      columnar cohorts, CSV ingestion, validation
+cohort      columnar cohorts, CSV ingestion
 survival    Kaplan-Meier, log-rank, reverse-KM follow-up
 cox         proportional hazards fitting, screening, AIC comparison
 metrics     concordance, time-dependent AUC, age accuracy, rank tests

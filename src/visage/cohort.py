@@ -1,4 +1,4 @@
-"""Cohorts, delimited-text ingestion, and validation.
+"""Cohorts and delimited-text ingestion.
 
 The canonical on-disk form is a CSV with one row per subject::
 
@@ -114,8 +114,10 @@ class Cohort:
     An optional column passed as None is all missing. A column that
     cannot be converted to its dtype, or does not align with ``ids``,
     raises DataError naming it, as does an ``event`` value other than a
-    bool or a number equal to 0 or 1. Other invalid values are
-    representable and surfaced by :func:`validate`.
+    bool or a number equal to 0 or 1, and so does a repeated or
+    unhashable id. Other invalid values, such as a negative time or
+    chrono_age, are representable; the functions that use a column
+    reject what they cannot use.
     """
 
     ids: np.ndarray
@@ -155,6 +157,14 @@ class Cohort:
                 raise DataError(f"{f.name} of shape {col.shape} does not align with {n} subjects")
             col.flags.writeable = False
             object.__setattr__(self, f.name, col)
+        try:
+            distinct = len(set(self.ids))
+        except TypeError as exc:
+            raise DataError(f"ids must be hashable: {exc}") from None
+        if distinct < n:
+            seen = set()
+            repeated = next(i for i in self.ids if i in seen or seen.add(i))
+            raise DataError(f"id {repeated!r} is repeated")
 
     @property
     def embedding_dim(self) -> int | None:
@@ -186,21 +196,6 @@ class Cohort:
         if self.embedding is None:
             raise DataError("cohort has no embeddings")
         return self.embedding
-
-
-@dataclass(frozen=True)
-class Violation:
-    record_id: str
-    field: str
-    message: str
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    violations: tuple[Violation, ...]
-
-    def ok(self) -> bool:
-        return not self.violations
 
 
 @dataclass(frozen=True)
@@ -627,35 +622,3 @@ def save_cohort(cohort: Cohort, path: str | Path) -> None:
                     ",".join(map(repr, row)) for row in cohort.embedding[block].tolist()
                 )
             fh.writelines(",".join(row) + "\n" for row in zip(*columns))
-
-
-def validate(cohort: Cohort) -> ValidationReport:
-    """Report invariant violations without mutating anything.
-
-    Violations are ordered by subject, then by field: a repeated id
-    (reported from its second occurrence on), a time that is not
-    positive and finite, a chrono_age that is not non-negative and
-    finite, a risk_scaled outside [0, 1], a non-finite embedding value.
-    """
-    ids = cohort.ids.tolist()
-    n = len(ids)
-    repeated = np.ones(n, dtype=bool)
-    repeated[list(dict(zip(reversed(ids), range(n - 1, -1, -1))).values())] = False
-    time, age, scaled = cohort.time, cohort.chrono_age, cohort.risk_scaled
-    embedding = cohort.embedding if cohort.embedding is not None else np.zeros((n, 0))
-    checks = (
-        ("id", repeated, lambda i: "duplicate id"),
-        ("time", ~(np.isfinite(time) & (time > 0)),
-         lambda i: f"time must be > 0, got {float(time[i])}"),
-        ("chrono_age", ~(np.isfinite(age) & (age >= 0)),
-         lambda i: f"chrono_age must be >= 0, got {float(age[i])}"),
-        ("risk_scaled", (scaled < 0.0) | (scaled > 1.0),
-         lambda i: f"risk_scaled outside [0, 1]: {float(scaled[i])}"),
-        ("embedding", ~np.isfinite(embedding).all(axis=1), lambda i: "non-finite value"),
-    )
-    found = sorted(
-        (i, k) for k, (_, mask, _) in enumerate(checks) for i in np.flatnonzero(mask).tolist()
-    )
-    return ValidationReport(
-        tuple(Violation(ids[i], checks[k][0], checks[k][2](i)) for i, k in found)
-    )

@@ -499,6 +499,27 @@ class TestErrorHandling:
         assert not out.exists()
         assert "'columns'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, extra",
+        [("km", ["--group-by", "risk_half"]), ("cox", ["--biomarker", "fad"]),
+         ("metrics", []), ("balance", []), ("train", [])],
+    )
+    def test_repeated_id_exits_two_naming_it(self, tmp_path, capsys, command, extra):
+        """A cohort file that lists a subject twice is refused by every
+        command that loads it, before anything is written."""
+        path = tmp_path / "cohort.csv"
+        path.write_text(
+            "id,time,event,chrono_age,predicted_age,risk,e0,e1\n"
+            "a,100.0,1,60.0,62.0,0.1,0.5,0.25\n"
+            "b,200.0,0,61.0,60.0,0.4,0.125,0.75\n"
+            "a,300.0,1,62.0,66.0,0.6,1.5,0.5\n"
+            "c,400.0,0,63.0,61.0,0.9,0.375,1.25\n"
+        )
+        out = tmp_path / "out"
+        assert run(command, "--cohort", path, "--out", out, *extra) == 2
+        assert not out.exists()
+        assert "'a'" in capsys.readouterr().err
+
     def test_missing_grid_file_exits_two(self, tmp_path):
         mesh = tmp_path / "mesh.obj"
         mesh.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n")

@@ -1,4 +1,4 @@
-"""Ingestion, serialization round trips, and the validation report."""
+"""Ingestion, serialization round trips, and the constructor's column rules."""
 
 from __future__ import annotations
 
@@ -15,13 +15,11 @@ from visage import cohort as cohort_mod
 from visage.cohort import (
     DAYS_PER_YEAR,
     Cohort,
-    Violation,
     _normalize_category,
     _strict_row,
     load_cohort,
     read_schema,
     save_cohort,
-    validate,
 )
 from visage.errors import DataError
 from visage.synth import SimSpec, simulate
@@ -109,7 +107,15 @@ class TestLoad:
         result = load_cohort(p)
         assert result.dropped == ((2, "non-finite chrono_age"), (3, "non-finite chrono_age"))
         assert result.cohort.ids.tolist() == ["a"]
-        assert validate(result.cohort).ok()
+        assert result.cohort.chrono_age.tolist() == [61.5]
+
+    def test_blank_id_fallback_repeating_an_id_rejected(self, tmp_path):
+        """A blank id reads as row<n>; when another row's id is already
+        that, the load fails naming it rather than keeping two."""
+        p = tmp_path / "c.csv"
+        write_csv(p, ["row2,120,1,61.5,,,,,,,,", ",130,0,62.0,,,,,,,,"])
+        with pytest.raises(DataError, match="'row2'"):
+            load_cohort(p)
 
     def test_embedding_columns_contiguous(self, tmp_path):
         p = tmp_path / "c.csv"
@@ -257,42 +263,24 @@ class TestRoundTrip:
         assert p1.read_bytes() == p2.read_bytes()
 
 
-class TestValidate:
-    def test_all_valid_empty_report(self):
-        cohort = Cohort(ids=["a", "b"], time=[10.0, 20.0], event=[True, False],
-                        chrono_age=[60.0, 0.0], risk_scaled=[0.0, 1.0])
-        assert validate(cohort).ok()
-
-    def test_risk_scaled_out_of_range(self):
-        cohort = Cohort(ids=["bad"], time=[10.0], event=[True], chrono_age=[60.0],
-                        risk_scaled=[1.3])
-        report = validate(cohort)
-        assert not report.ok()
-        assert report.violations[0].record_id == "bad"
-        assert report.violations[0].field == "risk_scaled"
-
+class TestConstructor:
     def test_duplicate_ids_named(self):
-        cohort = Cohort(ids=["dup", "dup"], time=[10.0, 20.0], event=[True, False],
-                        chrono_age=[60.0, 61.0])
-        report = validate(cohort)
-        assert [v.field for v in report.violations] == ["id"]
-        assert report.violations[0].record_id == "dup"
-
-    def test_time_and_age_bounds(self):
-        cohort = Cohort(ids=["t", "g"], time=[-1.0, 10.0], event=[True, True],
-                        chrono_age=[60.0, -2.0])
-        fields = {v.field for v in validate(cohort).violations}
-        assert fields == {"time", "chrono_age"}
+        """Every cohort has unique ids: a repeated one raises DataError
+        naming the first id that repeats."""
+        with pytest.raises(DataError, match="'a'"):
+            Cohort(ids=["a", "b", "a"], time=[10.0, 20.0, 30.0], event=[True, False, True],
+                   chrono_age=[60.0, 61.0, 62.0])
 
     @pytest.mark.parametrize(
         "field, value",
         [("time", ["oops", 20.0]), ("chrono_age", [60.0, "old"]),
-         ("embedding", [(0.1, 0.2), (0.1, 0.2, 0.3)])],
-        ids=["time", "chrono_age", "ragged_embedding"],
+         ("embedding", [(0.1, 0.2), (0.1, 0.2, 0.3)]), ("ids", [[1], [2, 3]])],
+        ids=["time", "chrono_age", "ragged_embedding", "unhashable_ids"],
     )
     def test_malformed_column_rejected(self, field, value):
         """A column that cannot be converted to its dtype (text in a float
-        column, a ragged embedding) raises DataError naming the field."""
+        column, a ragged embedding), or ids that cannot be hashed, raise
+        DataError naming the field."""
         columns = dict(ids=["a", "b"], time=[10.0, 20.0], event=[True, False],
                        chrono_age=[60.0, 60.0])
         columns[field] = value
@@ -317,37 +305,6 @@ class TestValidate:
         else:
             col = Cohort(event=event, **columns).event
             assert col.dtype == bool and col.tolist() == expected
-
-    def test_nonfinite_embedding_flagged(self):
-        cohort = Cohort(ids=["a"], time=[10.0], event=[True], chrono_age=[60.0],
-                        embedding=[(0.1, float("nan"))])
-        report = validate(cohort)
-        assert report.violations[0].field == "embedding"
-
-    def test_matches_record_loop(self):
-        """Every violation kind, several in one record, interleaved with
-        valid records: the vectorised report equals the record loop's."""
-        nan, inf = float("nan"), float("inf")
-        rows = [
-            ("a", 10.0, 60.0, 0.5, (0.1, 0.2)),
-            ("b", -1.0, 60.0, None, (0.1, 0.2)),
-            ("a", 10.0, -2.0, 1.5, (nan, 0.2)),
-            ("c", nan, nan, -0.1, (0.1, inf)),
-            ("d", 0.0, inf, inf, (0.1, 0.2)),
-            ("e", 5.0, 0.0, 1.0, (0.3, 0.4)),
-            ("a", inf, 60.0, 0.0, (-inf, 0.2)),
-            ("c", 3.0, 61.0, None, (0.1, 0.2)),
-        ]
-        records = [
-            Record(id=i, time=t, event=True, chrono_age=age, risk_scaled=scaled, embedding=emb)
-            for i, t, age, scaled, emb in rows
-        ]
-        cohort = records_cohort(records, dim=2)
-        expected = looped_validate(records)
-        assert {v.field for v in expected} == {
-            "id", "time", "chrono_age", "risk_scaled", "embedding"
-        }
-        assert validate(cohort).violations == expected
 
 
 @dataclasses.dataclass(frozen=True)
@@ -378,29 +335,6 @@ def records_cohort(records, dim=None) -> Cohort:
     embedding = columns.pop("embedding")
     embedding = None if dim is None else np.reshape(embedding, (len(records), dim))
     return Cohort(ids=columns.pop("id"), embedding=embedding, **columns)
-
-
-def looped_validate(records) -> tuple:
-    """The per-record validation loop that the vectorised one replaced."""
-    violations = []
-    seen = set()
-    for r in records:
-        if r.id in seen:
-            violations.append(Violation(r.id, "id", "duplicate id"))
-        seen.add(r.id)
-        if not (np.isfinite(r.time) and r.time > 0):
-            violations.append(Violation(r.id, "time", f"time must be > 0, got {r.time}"))
-        if not (np.isfinite(r.chrono_age) and r.chrono_age >= 0):
-            violations.append(
-                Violation(r.id, "chrono_age", f"chrono_age must be >= 0, got {r.chrono_age}")
-            )
-        if r.risk_scaled is not None and not (0.0 <= r.risk_scaled <= 1.0):
-            violations.append(
-                Violation(r.id, "risk_scaled", f"risk_scaled outside [0, 1]: {r.risk_scaled}")
-            )
-        if r.embedding is not None and not all(np.isfinite(v) for v in r.embedding):
-            violations.append(Violation(r.id, "embedding", "non-finite value"))
-    return tuple(violations)
 
 
 def rowwise_load_cohort(path, schema=None):
@@ -863,7 +797,7 @@ class TestStrictGrammar:
 class TestMissingValues:
     def test_literal_nan_is_missing(self, tmp_path):
         """A literal nan in an optional column reads as an empty cell
-        does: missing, written back empty, not a validation error."""
+        does: missing, written back empty, not an error."""
         p = tmp_path / "c.csv"
         write_csv(p, ["a,120,1,61.5,,,,,,,nan,NaN", "b,130,0,62.0,,,,,,,,"])
         cohort = load_cohort(p).cohort
@@ -875,7 +809,7 @@ class TestMissingValues:
         assert out.read_text().splitlines()[1] == "a,120.0,1,61.5" + ",unknown" * 6 + ",,"
         scaled = Cohort(ids=["a"], time=[1.0], event=[True], chrono_age=[60.0],
                         risk_scaled=[float("nan")])
-        assert validate(scaled).ok()
+        assert np.isnan(scaled.risk_scaled).tolist() == [True]
 
 
 N_MEMORY, DIM_MEMORY = 20_000, 32

@@ -141,6 +141,7 @@ BAD_INPUT = {
         _embeddings(7), T, E, FAST
     ),
     "balance_bins nan age": lambda: trainer.balance_bins([np.nan, *AGES[1:]], target=3),
+    "balance_bins negative age": lambda: trainer.balance_bins([-1.0, *AGES[1:]], target=3),
     "km_estimate_at nan": lambda: survival.km_estimate_at(_curve(), np.nan),
     "km_estimate_at inf": lambda: survival.km_estimate_at(_curve(), np.inf),
     "km_estimate_at negative": lambda: survival.km_estimate_at(_curve(), -1.0),
