@@ -13,10 +13,10 @@ import numpy as np
 from .errors import DataError
 
 
-def vectors(positive=(), **arrays) -> tuple[np.ndarray, ...]:
+def vectors(**arrays) -> tuple[np.ndarray, ...]:
     """The keyword arrays as finite, non-empty 1-d float64 arrays of one length.
 
-    Names in ``positive`` must hold values > 0. An argument named
+    An argument named ``times`` must hold values > 0, and one named
     ``events`` must hold 0/1 flags and comes back as bool. The arrays
     come back in keyword order; a DataError names the argument that
     failed.
@@ -34,7 +34,7 @@ def vectors(positive=(), **arrays) -> tuple[np.ndarray, ...]:
             raise DataError(f"{name} has length {a.size}, {first} has {out[0].size}")
         if not np.isfinite(a).all():
             raise DataError(f"{name} holds non-finite values")
-        if name in positive and not (a > 0).all():
+        if name == "times" and not (a > 0).all():
             raise DataError(f"{name} must be > 0")
         if name == "events":
             a = as_flags(name, a)

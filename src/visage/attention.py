@@ -337,8 +337,8 @@ def load_obj(source) -> tuple[np.ndarray, np.ndarray]:
 
     Accepts ``v`` lines with optional color components and ``f`` lines
     with exactly three vertices (``i``, ``i/j`` and ``i/j/k`` forms);
-    comment, group, and material lines are ignored. Anything else, or
-    an out-of-range index, raises DataError.
+    comment, group, and material lines are ignored. Anything else, an
+    out-of-range index, or a mesh without faces raises DataError.
     """
     if isinstance(source, (str, Path)) and "\n" not in str(source):
         name = str(source)
@@ -379,7 +379,9 @@ def load_obj(source) -> tuple[np.ndarray, np.ndarray]:
             raise DataError(f"{where}: unsupported directive {parts[0]!r}")
     verts = np.array(vertices, dtype=float).reshape(-1, 3)
     tris = np.array(faces, dtype=int).reshape(-1, 3)
-    if tris.size and tris.max() >= len(verts):
+    if not tris.size:
+        raise DataError(f"{name}: no triangle faces")
+    if tris.max() >= len(verts):
         raise DataError("face references a missing vertex")
     return verts, tris
 

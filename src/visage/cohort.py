@@ -395,11 +395,11 @@ def _csv_blocks(lines, width: int) -> Iterator[list[list[str]]]:
 
 
 def _split_lines(lines: list[str], width: int, lead: int) -> list[list[str]] | None:
-    """Each quote-free line cut at its first ``lead`` commas, or None when
-    the lines need csv.reader: a carriage return, or a line (a blank one
+    """Each line cut at its first ``lead`` commas, or None when the lines
+    need csv.reader: a quote, a carriage return, or a line (a blank one
     included) whose comma count is not ``width - 1``."""
     text = "".join(lines)
-    if "\r" in text:
+    if "\r" in text or '"' in text:
         return None
     parts = (text[:-1] if text.endswith("\n") else text).split("\n")
     if set(map(str.count, parts, repeat(","))) != {width - 1}:
@@ -429,41 +429,16 @@ def _line_pattern(lead: int, dim: int) -> re.Pattern:
 
 
 def _screen_lines(lines: list[str], pattern: re.Pattern) -> list[tuple[str, ...]] | None:
-    """The quote-free ``lines`` cut and screened by ``pattern`` (see
+    """The ``lines`` cut and screened by ``pattern`` (see
     :func:`_line_pattern`) in one pass, or None when they need
-    csv.reader: a carriage return, or a line (a blank one included)
-    whose comma count is not the header's. As many matches as lines
-    means one match per line, each line matched."""
+    csv.reader: a quote, a carriage return, or a line (a blank one
+    included) whose comma count is not the header's. As many matches as
+    lines means one match per line, each line matched."""
     text = "".join(lines)
-    if "\r" in text:
+    if "\r" in text or '"' in text:
         return None
     rows = pattern.findall(text)
     return rows if len(rows) == len(lines) else None
-
-
-def _row_blocks(
-    fh, width: int, cut: Callable[[list[str]], list | None] | None
-) -> Iterator[tuple[list, bool]]:
-    """The data rows of ``fh`` in blocks, each with a flag that is True
-    for rows that ``cut`` (:func:`_split_lines` or :func:`_screen_lines`)
-    made of lines and False for full csv.reader rows. A block of
-    ``_ROW_BLOCK`` lines is cut when ``cut`` is given and does not return
-    None for it; from the first line with a quote on, since a quoted
-    field may span lines, csv.reader reads the rest of the file."""
-    if cut is None:
-        yield from zip(_csv_blocks(fh, width), repeat(False))
-        return
-    while lines := list(islice(fh, _ROW_BLOCK)):
-        quoted = next((i for i, line in enumerate(lines) if '"' in line), len(lines))
-        if quoted:
-            rows = cut(lines[:quoted])
-            if rows is None:
-                yield from zip(_csv_blocks(lines[:quoted], width), repeat(False))
-            else:
-                yield rows, True
-        if quoted < len(lines):
-            yield from zip(_csv_blocks(chain(lines[quoted:], fh), width), repeat(False))
-            return
 
 
 def load_cohort(
@@ -499,10 +474,10 @@ def load_cohort(
     writes them, blocks of lines are cut rather than read by csv.reader:
     at their commas in a full load, and without the embedding by one
     pass of a line regex that captures the leading cells and screens
-    the e* cells (see :func:`_line_pattern`). csv.reader still reads a
-    block with a blank line, a carriage return or a line with another
-    number of commas than the header, and everything from the first
-    quote on.
+    the e* cells (see :func:`_line_pattern`). The first block that
+    cannot be cut (one with a quote, a carriage return, a blank line or
+    a line with another number of commas than the header) is where
+    csv.reader takes over: it reads that block and the rest of the file.
     """
     schema = schema or {}
     rename = schema.get("columns", {})
@@ -524,37 +499,35 @@ def load_cohort(
 
         width, dim = len(header), len(e_positions)
         lead = width - dim
-        cut_layout = (
+        csv_embedding = (
+            partial(_embedding_cells, e_positions=e_positions, convert=with_embedding)
+            if dim else None
+        )
+        cut = None
+        if (
             '"' not in first
             and e_positions == list(range(lead, width))
             and all(i is None or i < lead for i in where.values())
-        )
-        readers = {  # e* reader by block kind: cut lines or csv.reader rows
-            True: partial(_embedding_text, dim=dim),
-            False: partial(_embedding_cells, e_positions=e_positions, convert=with_embedding),
-        } if dim else {}
-        wheres = dict.fromkeys((True, False), where)
-        cut = partial(_split_lines, width=width, lead=lead) if cut_layout else None
-        if cut_layout and dim and not with_embedding:
-            cut = partial(_screen_lines, pattern=_line_pattern(lead, dim))
-            readers[True] = _screened_text
-            # a screened line's e* text comes before its cells
-            wheres[True] = {k: None if i is None else i + 1 for k, i in where.items()}
+        ):
+            cut, cut_where = partial(_split_lines, width=width, lead=lead), where
+            cut_embedding = partial(_embedding_text, dim=dim) if dim else None
+            if dim and not with_embedding:
+                cut = partial(_screen_lines, pattern=_line_pattern(lead, dim))
+                cut_embedding = _screened_text
+                # a screened line's e* text comes before its cells
+                cut_where = {k: None if i is None else i + 1 for k, i in where.items()}
         parts: dict[str, list[np.ndarray]] = {}
         dropped: list[tuple[int, str]] = []
         # The kept embedding rows, grown in place block by block (realloc,
         # not a second matrix plus a copy).
         embedding = np.empty((0, dim))
         n = 0
-        # A first, empty block gives a file without data rows its empty columns.
-        blocks = chain([([], False)], _row_blocks(fh, width, cut))
-        for chunk, is_cut in blocks:
-            columns, chunk_dropped = _parse_block(
-                chunk, n, wheres[is_cut], readers.get(is_cut), years
-            )
-            n += len(chunk)
-            del chunk  # free the block's cell strings before reading the next
-            dropped += chunk_dropped
+
+        def add(rows: list, positions: dict, embedding_of) -> None:
+            nonlocal n
+            columns, block_dropped = _parse_block(rows, n, positions, embedding_of, years)
+            n += len(rows)
+            dropped.extend(block_dropped)
             if "embedding" in columns:
                 values = columns.pop("embedding")
                 used = len(embedding)
@@ -562,6 +535,19 @@ def load_cohort(
                 embedding[used:] = values
             for name, values in columns.items():
                 parts.setdefault(name, []).append(values)
+
+        # Blocks of lines are cut until cut first refuses one; csv.reader
+        # reads that block and the rest of the file. A first, empty block
+        # gives a file without data rows its empty columns.
+        lines: list[str] = []
+        while cut is not None and (lines := list(islice(fh, _ROW_BLOCK))):
+            if (rows := cut(lines)) is None:
+                break
+            add(rows, cut_where, cut_embedding)
+            del rows  # free the block's cell strings before reading the next
+        for rows in chain([[]], _csv_blocks(chain(lines, fh), width)):
+            add(rows, where, csv_embedding)
+            del rows
 
     columns = {name: np.concatenate(values) for name, values in parts.items()}
     if len(embedding):

@@ -297,7 +297,7 @@ def partial_likelihood(X, times, events, beta, ties: str = "efron"):
     """
     if ties not in ("efron", "breslow"):
         raise DataError(f"unknown ties method {ties!r}")
-    t, e = vectors(("times",), times=times, events=events)
+    t, e = vectors(times=times, events=events)
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[0] != t.size:
         X = X.T
@@ -330,7 +330,7 @@ def fit_cox(design: DesignMatrix, times, events, ties: str = "efron") -> CoxFit:
     """
     if ties not in ("efron", "breslow"):
         raise DataError(f"unknown ties method {ties!r}")
-    times, events = vectors(("times",), times=times, events=events)
+    times, events = vectors(times=times, events=events)
     if times.size != design.matrix.shape[0]:
         raise DataError("times/events do not align with the design matrix rows")
     mask = design.included

@@ -108,7 +108,7 @@ def harrell_c(risk, times, events) -> ConcordanceResult:
     comes from Fenwick prefix counts over dense risk ranks
     (Therneau & Atkinson, "Concordance", R survival package).
     """
-    r, t, e = vectors(("times",), risk=risk, times=times, events=events)
+    r, t, e = vectors(risk=risk, times=times, events=events)
     order = np.lexsort((~e, t))
     t_sorted = t[order]
     rank = np.unique(r, return_inverse=True)[1].astype(np.int64)[order]
@@ -159,7 +159,7 @@ def time_dependent_auc(marker, times, events, horizon: float) -> TimeAUCResult:
     survival at the horizon; without censoring every weight is one and
     the statistic reduces to the empirical ROC area.
     """
-    m, t, e = vectors(("times",), marker=marker, times=times, events=events)
+    m, t, e = vectors(marker=marker, times=times, events=events)
     positive("horizon", horizon)
 
     cases = e & (t <= horizon)

@@ -89,7 +89,7 @@ def kaplan_meier(times, events) -> SurvivalCurve:
     times up to t; when the curve reaches zero the variance is clamped
     to zero.
     """
-    t, e = vectors(("times",), times=times, events=events)
+    t, e = vectors(times=times, events=events)
     order = np.argsort(t, kind="stable")
     t, e = t[order], e[order]
     n_total = t.size
@@ -158,7 +158,7 @@ def reverse_km_median_followup(times, events) -> float:
     time at which it drops to 0.5 or below. Raises
     MedianNotReachedError when the flipped curve never does.
     """
-    t, e = vectors(("times",), times=times, events=events)
+    t, e = vectors(times=times, events=events)
     flipped = kaplan_meier(t, ~e)
     below = np.nonzero(flipped.survival <= 0.5)[0]
     if below.size == 0:
@@ -189,7 +189,7 @@ def log_rank(groups) -> LogRankResult:
     if len(groups) < 2:
         raise DataError("log-rank needs at least two groups")
     try:
-        parsed = [vectors(("times",), times=t, events=e) for t, e in groups]
+        parsed = [vectors(times=t, events=e) for t, e in groups]
     except (TypeError, ValueError):
         raise DataError("each group must be a (times, events) pair") from None
     k = len(parsed)

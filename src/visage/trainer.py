@@ -339,7 +339,7 @@ def pairwise_rank_loss(
     The gradient always comes from the blocked sweep. With
     ``with_grad=False`` it is not computed, and ``grad`` is None.
     """
-    r, t, e = vectors(("times",), risks=risks, times=times, events=events)
+    r, t, e = vectors(risks=risks, times=times, events=events)
     if form not in ("logistic", "hinge"):
         raise DataError(f"unknown pair loss {form!r}")
     n = r.size
@@ -522,7 +522,7 @@ def train_risk_model(embeddings, times, events, config: TrainConfig | None = Non
     with an empty trace. Requires at least two events overall.
     """
     config = config or TrainConfig()
-    t, e = vectors(("times",), times=times, events=events)
+    t, e = vectors(times=times, events=events)
     X = _embeddings(embeddings, t.size)
     if int(e.sum()) < 2:
         raise AnalysisError("need at least two events to form training pairs")

@@ -882,6 +882,7 @@ UNUSABLE_FILES = [
     ("grid-ragged", "grid", b"0.1,0.2\n0.3\n"),
     ("obj-vertex", "mesh", b"v 0 0 0\nv 1 x 0\nv 0 1 0\nf 1 2 3\n"),
     ("obj-face", "mesh", b"v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 z\n"),
+    ("obj-no-faces", "mesh", b"v 0 0 0\nv 1 0 0\nv 0 1 0\n"),
     ("landmark", "landmarks", b"0,10,10\n1,100,abc\n2,100,100\n3,10,100\n"),
 ]
 

@@ -665,7 +665,8 @@ class TestRowwiseOracle:
     @pytest.mark.parametrize("row_block", [1, 2, 3, 512])
     @pytest.mark.parametrize(
         "text,cut",
-        [(LAYOUT_CLEAN, all), (LAYOUT_MESSY, lambda cuts: True), (long_layout(511), any),
+        [(LAYOUT_CLEAN, all), (LAYOUT_MESSY, lambda cuts: True),
+         (long_layout(511), lambda cuts: not cuts[-1]),
          (LAYOUT_CLEAN.replace("\n", "\r\n"), lambda cuts: not any(cuts)),
          (LAYOUT_RAGGED, lambda cuts: not all(cuts)),
          (LAYOUT_LONE_CR, lambda cuts: not all(cuts))],
@@ -673,9 +674,12 @@ class TestRowwiseOracle:
     )
     def test_save_layout(self, tmp_path, monkeypatch, text, cut, row_block):
         """The save_cohort layout reads as the row-by-row loader does,
-        whether its blocks are cut or read by csv.reader; ``cut`` holds
-        for the list of which blocks were cut, in each loading mode: at
-        commas when converting, by the line pattern when only checking."""
+        whether its blocks are cut or read by csv.reader. In each loading
+        mode (cut at commas when converting, by the line pattern when
+        only checking) the list of which blocks were cut is a run of cut
+        blocks and then at most one refused block, after which csv.reader
+        reads the rest, and ``cut`` holds for it. The quote of ``long``
+        lies in the last block cut is offered, which it refuses."""
         monkeypatch.setattr(cohort_mod, "_ROW_BLOCK", row_block)
         cuts = {"_split_lines": [], "_screen_lines": []}
 
@@ -697,6 +701,7 @@ class TestRowwiseOracle:
         assert result.dropped and len(result.cohort)
         for mode in cuts.values():
             assert mode and cut(mode)
+            assert all(mode[:-1]), mode
 
 
 def grammar_strings() -> list[str]:

@@ -196,7 +196,7 @@ def test_integer_setting_rejects_non_integers(name, value):
 
 class TestVectors:
     def test_events_come_back_bool(self):
-        t, e = vectors(("times",), times=[1, 2], events=[1.0, 0.0])
+        t, e = vectors(times=[1, 2], events=[1.0, 0.0])
         assert t.dtype == np.float64
         assert e.dtype == bool and e.tolist() == [True, False]
 
@@ -206,7 +206,7 @@ class TestVectors:
         with pytest.raises(DataError, match="events has length 1, times has 2"):
             vectors(times=[1.0, 2.0], events=[1])
         with pytest.raises(DataError, match="times must be > 0"):
-            vectors(("times",), times=[1.0, 0.0])
+            vectors(times=[1.0, 0.0])
 
     def test_two_dimensional_rejected(self):
         with pytest.raises(DataError):
