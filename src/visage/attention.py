@@ -90,19 +90,6 @@ class FaceMesh:
         return self.triangles.shape[0]
 
 
-@dataclass(frozen=True)
-class TriangleAttention:
-    """Mean attention per triangle, averaged over ``n_images`` images."""
-
-    values: np.ndarray
-    n_images: int = 1
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
-
-
 def validate_grid(grid) -> np.ndarray:
     g = np.asarray(grid, dtype=float)
     if g.ndim != 2 or g.shape[0] != g.shape[1]:
@@ -234,8 +221,8 @@ def _covered_pixel_sums(
     return sums, counts
 
 
-def triangle_attention(mesh: FaceMesh, attn_map) -> TriangleAttention:
-    """Mean upsampled attention per triangle under frontal projection.
+def triangle_attention(mesh: FaceMesh, attn_map) -> np.ndarray:
+    """The (T,) mean upsampled attention per triangle under frontal projection.
 
     Triangles whose footprint covers no pixel center fall back to a
     bilinear sample of the map at their centroid, so thin slivers still
@@ -255,19 +242,17 @@ def triangle_attention(mesh: FaceMesh, attn_map) -> TriangleAttention:
     values[covered] = sums[covered] / counts[covered]
     centroid = pts[~covered].mean(axis=1)
     values[~covered] = bilinear_sample(amap, centroid[:, 0], centroid[:, 1], frame=float(size))
-    return TriangleAttention(values, n_images=1)
+    return values
 
 
-def average_over_dataset(per_image: Sequence[TriangleAttention]) -> TriangleAttention:
-    """Average per-triangle scores across images (weighted by image counts)."""
+def average_over_dataset(per_image: Sequence[np.ndarray]) -> np.ndarray:
+    """The mean of equal-length per-image triangle score arrays."""
     if not per_image:
         raise AnalysisError("no per-image attention to average")
-    lengths = {ta.values.size for ta in per_image}
+    lengths = {np.size(scores) for scores in per_image}
     if len(lengths) != 1:
         raise DataError(f"triangle counts differ: {sorted(lengths)}")
-    total_images = sum(ta.n_images for ta in per_image)
-    stacked = sum(ta.values * ta.n_images for ta in per_image)
-    return TriangleAttention(stacked / total_images, n_images=total_images)
+    return np.mean(per_image, axis=0)
 
 
 def mean_grids(grids: Sequence[np.ndarray]) -> np.ndarray:
@@ -291,7 +276,7 @@ def colormap_rgb(normalized: np.ndarray) -> np.ndarray:
     return _VIRIDIS[lo] * (1 - frac) + _VIRIDIS[hi] * frac
 
 
-def export_obj(mesh: FaceMesh, scores: TriangleAttention | np.ndarray) -> bytes:
+def export_obj(mesh: FaceMesh, scores: np.ndarray) -> bytes:
     """Serialize the mesh with per-face colors as OBJ bytes.
 
     Per-face color needs per-face vertices, so each triangle's corners
@@ -301,7 +286,7 @@ def export_obj(mesh: FaceMesh, scores: TriangleAttention | np.ndarray) -> bytes:
     everything to the ramp midpoint. Output is byte-stable for
     identical inputs.
     """
-    values = np.asarray(getattr(scores, "values", scores), dtype=float)
+    values = np.asarray(scores, dtype=float)
     if values.shape != (mesh.n_triangles,):
         raise DataError("scores do not align with mesh triangles")
     lo, hi = float(values.min()), float(values.max())
@@ -332,28 +317,25 @@ def export_obj(mesh: FaceMesh, scores: TriangleAttention | np.ndarray) -> bytes:
     return (header + vertex_lines + face_lines).encode("utf-8")
 
 
-def load_obj(source) -> tuple[np.ndarray, np.ndarray]:
-    """Strict OBJ reader for triangle meshes.
+def load_obj(path) -> tuple[np.ndarray, np.ndarray]:
+    """Strict reader of the triangle mesh in the OBJ file ``path``.
 
     Accepts ``v`` lines with optional color components and ``f`` lines
     with exactly three vertices (``i``, ``i/j`` and ``i/j/k`` forms);
     comment, group, and material lines are ignored. Anything else, an
     out-of-range index, or a mesh without faces raises DataError.
     """
-    if isinstance(source, (str, Path)) and "\n" not in str(source):
-        name = str(source)
-        with reading(source):
-            text = Path(source).read_text(encoding="utf-8")
-    else:
-        name, text = "OBJ text", str(source)
+    with reading(path):
+        text = Path(path).read_text(encoding="utf-8")
     vertices: list[list[float]] = []
     faces: list[list[int]] = []
+    face_lines: list[int] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith(("#", "o ", "g ", "s ", "usemtl", "mtllib", "vn ", "vt ")):
             continue
         parts = line.split()
-        where = f"{name}: line {line_no}"
+        where = f"{path}: line {line_no}"
         if parts[0] == "v":
             if len(parts) not in (4, 7):
                 raise DataError(f"{where}: vertex needs 3 coordinates (+ optional color)")
@@ -375,14 +357,18 @@ def load_obj(source) -> tuple[np.ndarray, np.ndarray]:
                     raise DataError(f"{where}: indices must be positive")
                 idx.append(value - 1)
             faces.append(idx)
+            face_lines.append(line_no)
         else:
             raise DataError(f"{where}: unsupported directive {parts[0]!r}")
     verts = np.array(vertices, dtype=float).reshape(-1, 3)
     tris = np.array(faces, dtype=int).reshape(-1, 3)
     if not tris.size:
-        raise DataError(f"{name}: no triangle faces")
-    if tris.max() >= len(verts):
-        raise DataError("face references a missing vertex")
+        raise DataError(f"{path}: no triangle faces")
+    dangling = tris.max(axis=1) >= len(verts)
+    if dangling.any():
+        row = int(np.argmax(dangling))  # the first face past the last vertex
+        raise DataError(f"{path}: line {face_lines[row]}: face references vertex "
+                        f"{tris[row].max() + 1}, the mesh has {len(verts)}")
     return verts, tris
 
 

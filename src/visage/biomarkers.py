@@ -103,7 +103,7 @@ _BINS = {
 }
 
 
-def stratify(column, scheme: str) -> StrataAssignment:
+def stratify(values, scheme: str) -> StrataAssignment:
     """Assign every subject to a stratum by fixed cuts.
 
     Each bin runs from one cut to the next. A value equal to a cut goes
@@ -113,7 +113,7 @@ def stratify(column, scheme: str) -> StrataAssignment:
     below, so a FAD of exactly -5 is "≤-5". Risk schemes require values
     inside [0, 1]; apply :func:`minmax_scale` first.
     """
-    (values,) = vectors(column=getattr(column, "values", column))
+    (values,) = vectors(values=values)
     if scheme not in SCHEMES:
         raise DataError(f"unknown scheme {scheme!r}; valid: {', '.join(SCHEMES)}")
     if scheme.startswith("risk_") and (values.min() < 0.0 or values.max() > 1.0):
@@ -135,14 +135,14 @@ def group_indices(assignment: StrataAssignment) -> dict[str, np.ndarray]:
 
 
 def cosine_similarity_profile(a, b) -> tuple[np.ndarray, float]:
-    """Row-wise cosine similarity between two embedding matrices.
+    """Row-wise cosine similarity between two (n, d) embedding matrices.
 
     Returns the per-subject similarities and their median. Rows must
     align and no row may have zero norm.
     """
-    xa = np.atleast_2d(np.asarray(a, dtype=float))
-    xb = np.atleast_2d(np.asarray(b, dtype=float))
-    if xa.shape != xb.shape or xa.size == 0:
+    xa = np.asarray(a, dtype=float)
+    xb = np.asarray(b, dtype=float)
+    if xa.ndim != 2 or xa.shape != xb.shape or xa.size == 0:
         raise DataError(f"need two non-empty matrices of one shape, got {xa.shape} and {xb.shape}")
     if not (np.isfinite(xa).all() and np.isfinite(xb).all()):
         raise DataError("embeddings hold non-finite values")

@@ -161,6 +161,14 @@ def _covariate_list(text: str) -> list[cox_mod.Covariate]:
     return [parse_covariate(s) for s in text.split(",") if s.strip()]
 
 
+def _grid_paths(text: str) -> list[str]:
+    """The paths of a comma-separated ``--grid`` list, none of them empty."""
+    paths = [p.strip() for p in text.split(",")]
+    if not all(paths):
+        raise DataError(f"empty grid path in {text!r}")
+    return paths
+
+
 def _load(args, with_embedding: bool = False) -> tuple:
     """The cohort of ``--cohort`` and its LoadResult; the embedding
     matrix is built only when ``with_embedding`` (``train``), though
@@ -400,7 +408,7 @@ def cmd_train(args, outputs: dict) -> dict:
         "dropped_rows": load.n_dropped,
     }
     settings = trainer_mod.saved_config(config)
-    if config.hidden is not None:
+    if config.hidden:
         settings["hidden"] = config.hidden
     return {"target": args.target, "train_config": settings}
 
@@ -470,8 +478,8 @@ def cmd_attention(args, outputs: dict) -> dict:
         mesh = attention_mod.subdivide_once(mesh)
 
     maps = []
-    for grid_path in args.grid.split(","):
-        grid = attention_mod.load_grid(grid_path.strip())
+    for grid_path in _grid_paths(args.grid):
+        grid = attention_mod.load_grid(grid_path)
         maps.append(grid if grid.shape[0] == attention_mod.IMAGE_SIZE else (
             attention_mod.upsample_bilinear(grid, attention_mod.IMAGE_SIZE)
         ))
@@ -481,7 +489,7 @@ def cmd_attention(args, outputs: dict) -> dict:
 
     outputs["attention.obj"] = attention_mod.export_obj(mesh, projected)
     lines = ["triangle,score"]
-    lines.extend(f"{i},{float(v)!r}" for i, v in enumerate(projected.values))
+    lines.extend(f"{i},{float(v)!r}" for i, v in enumerate(projected))
     outputs["triangle_scores.csv"] = "\n".join(lines) + "\n"
     return {
         "grids": args.grid,
@@ -588,7 +596,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("attention", help="project attention grids onto a face mesh")
     _common(p, cohort=False)
-    p.add_argument("--grid", help="comma-separated attention grid CSVs (7x7 or 112x112)")
+    p.add_argument("--grid", type=_checked(_grid_paths),
+                   help="comma-separated attention grid CSVs (7x7 or 112x112)")
     p.add_argument("--mesh", help="mesh OBJ path")
     p.add_argument("--landmarks", help="vertex_index,x,y CSV path")
     p.add_argument("--subdivide", type=int, default=1,
@@ -664,7 +673,7 @@ def main(argv=None) -> int:
             if p
         ]
         if getattr(args, "grid", None):
-            input_paths.extend(g.strip() for g in args.grid.split(","))
+            input_paths.extend(_grid_paths(args.grid))
         for p in input_paths:
             if not Path(p).is_file():
                 raise DataError(f"input file not found: {p}")

@@ -70,14 +70,12 @@ class DesignMatrix:
     and ``included`` flags the rows that enter the fit: a row is
     excluded when any declared covariate is unknown or missing for it,
     which reproduces the per-model subject counts of a table built from
-    partially observed fields. ``spans`` maps each input covariate to
-    its half-open column range.
+    partially observed fields.
     """
 
     names: tuple[str, ...]
     matrix: np.ndarray
     included: np.ndarray
-    spans: tuple[tuple[int, int], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -96,12 +94,10 @@ class CoxFit:
     names: tuple[str, ...]
     beta: np.ndarray
     se: np.ndarray
-    covariance: np.ndarray
     log_pl: float
     log_pl_null: float
     hr: np.ndarray
     ci95: np.ndarray
-    wald_z: np.ndarray
     wald_p: np.ndarray
     aic: float
     n_used: int
@@ -173,10 +169,8 @@ def build_design(cohort: Cohort, covariates: Sequence[Covariate]) -> DesignMatri
     included = np.ones(n, dtype=bool)
     columns: list[np.ndarray] = []
     names: list[str] = []
-    spans: list[tuple[int, int]] = []
 
     for cov in covariates:
-        start = len(columns)
         if cov.kind == "continuous":
             positive(f"{cov.field}: per", cov.per)
             vals = _continuous_values(cohort, cov.field)
@@ -210,7 +204,6 @@ def build_design(cohort: Cohort, covariates: Sequence[Covariate]) -> DesignMatri
                 names.append(f"{cov.base_name()}={level}")
         else:
             raise DataError(f"unknown covariate kind {cov.kind!r}")
-        spans.append((start, len(columns)))
 
     matrix = np.column_stack(columns) if columns else np.zeros((n, 0))
     matrix[~included] = 0.0
@@ -222,7 +215,7 @@ def build_design(cohort: Cohort, covariates: Sequence[Covariate]) -> DesignMatri
             raise DataError(f"column {name!r} is constant across included rows")
     matrix.flags.writeable = False
     included.flags.writeable = False
-    return DesignMatrix(tuple(names), matrix, included, tuple(spans))
+    return DesignMatrix(tuple(names), matrix, included)
 
 
 class _SortedFitData:
@@ -292,15 +285,16 @@ class _SortedFitData:
 def partial_likelihood(X, times, events, beta, ties: str = "efron"):
     """Evaluate the log partial likelihood and its derivatives.
 
+    ``X`` is (n,) or (n, k) for n times; a 1-d ``X`` is one column.
     Arrays are taken as-is (no exclusion masking). Returns the tuple
     (log_pl, score, hessian) under the requested tie correction.
     """
     if ties not in ("efron", "breslow"):
         raise DataError(f"unknown ties method {ties!r}")
     t, e = vectors(times=times, events=events)
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    if X.shape[0] != t.size:
-        X = X.T
+    X = np.asarray(X, dtype=float)
+    if X.ndim == 1:
+        X = X[:, None]
     if X.ndim != 2 or X.shape[0] != t.size:
         raise DataError(f"X must hold one row per time, got shape {X.shape}")
     if not np.isfinite(X).all():
@@ -400,12 +394,10 @@ def fit_cox(design: DesignMatrix, times, events, ties: str = "efron") -> CoxFit:
         names=design.names,
         beta=beta,
         se=se,
-        covariance=covariance,
         log_pl=float(ll),
         log_pl_null=float(ll_null),
         hr=hr,
         ci95=ci95,
-        wald_z=z,
         wald_p=p,
         aic=float(-2.0 * ll + 2.0 * data.k),
         n_used=int(mask.sum()),
@@ -469,7 +461,7 @@ def fit_adjusted(
     return fit_cox(design, cohort.times(), cohort.events(), ties)
 
 
-def compare_aic(fits: Sequence[CoxFit], labels: Sequence[str] | None = None) -> tuple[AicEntry, ...]:
+def compare_aic(fits: Sequence[CoxFit], labels: Sequence[str]) -> tuple[AicEntry, ...]:
     """Rank fits by AIC, ascending. All fits must share one row set.
 
     The row-set fingerprint (hash of inclusion mask plus times and
@@ -478,8 +470,6 @@ def compare_aic(fits: Sequence[CoxFit], labels: Sequence[str] | None = None) -> 
     """
     if not fits:
         raise DataError("no fits to compare")
-    if labels is None:
-        labels = [f"model{i}" for i in range(len(fits))]
     if len(labels) != len(fits):
         raise DataError("labels do not align with fits")
     prints = {fit.row_fingerprint for fit in fits}

@@ -34,7 +34,6 @@ class ConcordanceResult:
 
 @dataclass(frozen=True)
 class TimeAUCResult:
-    horizon: float
     auc: float
     n_cases: int
     n_controls: int
@@ -188,7 +187,7 @@ def time_dependent_auc(marker, times, events, horizon: float) -> TimeAUCResult:
         + np.searchsorted(control_markers, case_markers, side="right")
     )
     auc = float(w_case @ wins) / (float(w_case.sum()) * n_controls)
-    return TimeAUCResult(float(horizon), auc, n_cases, n_controls)
+    return TimeAUCResult(auc, n_cases, n_controls)
 
 
 def age_accuracy(predicted, actual) -> AgeAccuracy:

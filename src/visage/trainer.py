@@ -56,7 +56,7 @@ class TrainConfig:
     seed: int = 0
     validation_fraction: float = 0.05
     pair_loss: str = "logistic"  # or "hinge"
-    hidden: int | None = None  # 0 or None: no hidden layer
+    hidden: int = 0  # 0: no hidden layer
 
     def __post_init__(self):
         for f in fields(self):  # numpy scalars as plain numbers, so a header can hold them
@@ -73,8 +73,7 @@ class TrainConfig:
         integer("epochs", self.epochs, low=0)
         if self.pair_loss not in ("logistic", "hinge"):
             raise DataError(f"unknown pair loss {self.pair_loss!r}")
-        if self.hidden is not None:
-            integer("hidden", self.hidden, low=0)
+        integer("hidden", self.hidden, low=0)
 
 
 def saved_config(config: TrainConfig) -> dict:
@@ -406,7 +405,7 @@ class _AdamW:
             self.params[key] = p - c.learning_rate * update
 
 
-def _layout(dim: int, hidden: int | None) -> dict[str, tuple[int, ...]]:
+def _layout(dim: int, hidden: int) -> dict[str, tuple[int, ...]]:
     """Each parameter's name and shape, in save order: the hidden layer
     first when there is one, then the output weights and bias."""
     if not hidden:
@@ -512,7 +511,7 @@ def _train(X: np.ndarray, config: TrainConfig, batch_grad, epoch_row) -> TrainRe
     )
 
 
-def train_risk_model(embeddings, times, events, config: TrainConfig | None = None) -> TrainResult:
+def train_risk_model(embeddings, times, events, config: TrainConfig = TrainConfig()) -> TrainResult:
     """Fit the ranking risk head.
 
     The validation set is the trailing ``validation_fraction`` of the
@@ -521,7 +520,6 @@ def train_risk_model(embeddings, times, events, config: TrainConfig | None = Non
     each epoch's end. With ``epochs=0`` the initial model is returned
     with an empty trace. Requires at least two events overall.
     """
-    config = config or TrainConfig()
     t, e = vectors(times=times, events=events)
     X = _embeddings(embeddings, t.size)
     if int(e.sum()) < 2:
@@ -549,13 +547,12 @@ def train_risk_model(embeddings, times, events, config: TrainConfig | None = Non
     return _train(X, config, batch_grad, epoch_row)
 
 
-def train_age_model(embeddings, ages, config: TrainConfig | None = None) -> TrainResult:
+def train_age_model(embeddings, ages, config: TrainConfig = TrainConfig()) -> TrainResult:
     """Fit the age regression head with mean absolute error loss.
 
     The L1 subgradient is zero at exact equality. Trace rows carry
     train and validation MAE per epoch.
     """
-    config = config or TrainConfig()
     (y,) = vectors(ages=ages)
     X = _embeddings(embeddings, y.size)
 

@@ -10,7 +10,6 @@ import pytest
 
 from visage.attention import (
     FaceMesh,
-    TriangleAttention,
     average_over_dataset,
     bilinear_sample,
     colormap_rgb,
@@ -320,8 +319,7 @@ class TestTriangleAttention:
         tris = [(0, 1, 2), (3, 4, 5), (6, 7, 8)]
         mesh = flat_mesh(lm, tris)
         scores = triangle_attention(mesh, np.full((112, 112), 2.5))
-        np.testing.assert_allclose(scores.values, 2.5, rtol=1e-12)
-        assert scores.n_images == 1
+        np.testing.assert_allclose(scores, 2.5, rtol=1e-12)
 
     def test_ramp_orders_left_right(self):
         amap = np.tile(np.arange(112.0), (112, 1))
@@ -330,14 +328,14 @@ class TestTriangleAttention:
             [(0, 1, 3), (1, 2, 3)],  # left-leaning and right-leaning halves
         )
         scores = triangle_attention(mesh, amap)
-        assert scores.values[0] < scores.values[1]
+        assert scores[0] < scores[1]
 
     def test_pixel_scan_oracle_large_triangle(self):
         rng = np.random.default_rng(17)
         amap = rng.random((112, 112))
         pts = [(10.3, 12.7), (97.1, 25.4), (55.6, 93.2)]
         mesh = flat_mesh(pts, [(0, 1, 2)])
-        got = triangle_attention(mesh, amap).values[0]
+        got = triangle_attention(mesh, amap)[0]
         np.testing.assert_allclose(got, oracle_triangle_mean(amap, pts), rtol=1e-12)
 
     def test_subpixel_triangle_centroid_fallback(self):
@@ -345,7 +343,7 @@ class TestTriangleAttention:
         amap = rng.random((112, 112))
         pts = np.array([(8.2, 8.2), (8.4, 8.2), (8.3, 8.4)])
         mesh = flat_mesh(pts, [(0, 1, 2)])
-        got = triangle_attention(mesh, amap).values[0]
+        got = triangle_attention(mesh, amap)[0]
         centroid = pts.mean(axis=0)
         expect = bilinear_sample(amap, centroid[0], centroid[1], frame=112.0)
         np.testing.assert_allclose(got, expect, rtol=1e-12)
@@ -360,7 +358,7 @@ class TestTriangleAttention:
         grid = np.arange(49.0).reshape(7, 7)
         mesh = flat_mesh([(1.1, 1.1), (5.9, 1.3), (3.2, 5.8)], [(0, 1, 2)])
         scores = triangle_attention(mesh, grid)
-        assert grid.min() <= scores.values[0] <= grid.max()
+        assert grid.min() <= scores[0] <= grid.max()
 
     @pytest.mark.parametrize("size", [7, 112])
     def test_matches_per_triangle_loop(self, size):
@@ -369,7 +367,7 @@ class TestTriangleAttention:
         mesh = jittered_face_mesh(float(size))
         amap = np.random.default_rng(31).random((size, size))
         expect = looped_triangle_attention(mesh, amap)
-        got = triangle_attention(mesh, amap).values
+        got = triangle_attention(mesh, amap)
         np.testing.assert_allclose(got, expect, rtol=0, atol=1e-12)
         centroids = mesh.landmarks2d[mesh.triangles].mean(axis=1)
         fallback = expect == bilinear_sample(amap, centroids[:, 0], centroids[:, 1], frame=size)
@@ -379,9 +377,9 @@ class TestTriangleAttention:
         mesh = jittered_face_mesh(112.0)
         rng = np.random.default_rng(37)
         maps = [upsample_bilinear(rng.random((7, 7))) for _ in range(2)] + [rng.random((112, 112))]
-        each = [triangle_attention(mesh, m).values for m in maps]
+        each = [triangle_attention(mesh, m) for m in maps]
         np.testing.assert_allclose(
-            triangle_attention(mesh, mean_grids(maps)).values,
+            triangle_attention(mesh, mean_grids(maps)),
             np.mean(each, axis=0),
             rtol=0,
             atol=1e-12,
@@ -390,38 +388,24 @@ class TestTriangleAttention:
 
 class TestDatasetAverage:
     def test_single_image_identity(self):
-        ta = TriangleAttention(np.array([0.1, 0.9, 0.4]))
-        out = average_over_dataset([ta])
-        np.testing.assert_array_equal(out.values, ta.values)
-        assert out.n_images == 1
+        scores = np.array([0.1, 0.9, 0.4])
+        out = average_over_dataset([scores])
+        np.testing.assert_array_equal(out, scores)
 
     def test_mirror_pair_means_to_center(self):
         s = np.array([0.1, 0.5, 0.9])
         c = 0.3
-        out = average_over_dataset(
-            [TriangleAttention(s), TriangleAttention(-s + 2 * c)]
-        )
-        np.testing.assert_allclose(out.values, c, rtol=1e-12)
-        assert out.n_images == 2
+        out = average_over_dataset([s, -s + 2 * c])
+        np.testing.assert_allclose(out, c, rtol=1e-12)
 
     def test_copies_idempotent(self):
         s = np.array([0.2, 0.7])
-        out = average_over_dataset([TriangleAttention(s)] * 5)
-        np.testing.assert_allclose(out.values, s, rtol=1e-12)
-        assert out.n_images == 5
-
-    def test_image_counts_weight_the_mean(self):
-        a = TriangleAttention(np.array([0.0]), n_images=3)
-        b = TriangleAttention(np.array([1.0]), n_images=1)
-        out = average_over_dataset([a, b])
-        np.testing.assert_allclose(out.values, [0.25])
-        assert out.n_images == 4
+        out = average_over_dataset([s] * 5)
+        np.testing.assert_allclose(out, s, rtol=1e-12)
 
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(DataError):
-            average_over_dataset(
-                [TriangleAttention(np.zeros(2)), TriangleAttention(np.zeros(3))]
-            )
+            average_over_dataset([np.zeros(2), np.zeros(3)])
 
     def test_empty_rejected(self):
         with pytest.raises(AnalysisError):
@@ -461,7 +445,7 @@ class TestObjExport:
     def test_reexport_byte_identical(self):
         rng = np.random.default_rng(23)
         mesh = flat_mesh(rng.uniform(5, 107, (6, 2)), [(0, 1, 2), (3, 4, 5)])
-        scores = TriangleAttention(rng.random(2))
+        scores = rng.random(2)
         assert export_obj(mesh, scores) == export_obj(mesh, scores)
 
     def test_bytes_match_line_by_line_writer(self):
@@ -488,12 +472,13 @@ class TestObjExport:
         assert text == per_corner_export_obj(signed, np.array([-1.0, 0.0, 2.0]))
         assert b"v -0.000000 0.000000 -1.500000 " in text
 
-    def test_roundtrip_through_strict_loader(self):
+    def test_roundtrip_through_strict_loader(self, tmp_path):
         mesh = flat_mesh(
             [(0, 0), (40, 0), (0, 40), (40, 40)], [(0, 1, 2), (1, 3, 2)]
         )
-        payload = export_obj(mesh, np.array([0.1, 0.9])).decode()
-        verts, tris = load_obj(payload)
+        path = tmp_path / "m.obj"
+        path.write_bytes(export_obj(mesh, np.array([0.1, 0.9])))
+        verts, tris = load_obj(path)
         assert verts.shape == (6, 3)  # duplicated per face
         np.testing.assert_array_equal(tris, [[0, 1, 2], [3, 4, 5]])
         np.testing.assert_allclose(verts[0], mesh.vertices[0], atol=1e-6)
@@ -543,8 +528,8 @@ class TestLoaders:
 
     def test_obj_dangling_index_rejected(self, tmp_path):
         path = tmp_path / "m.obj"
-        path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 4\n")
-        with pytest.raises(DataError):
+        path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\nf 1 2 4\n")
+        with pytest.raises(DataError, match="line 5: face references vertex 4, the mesh has 3"):
             load_obj(path)
 
     def test_landmarks_roundtrip_with_header(self, tmp_path):

@@ -531,6 +531,20 @@ class TestErrorHandling:
         )
         assert rc == 2
 
+    def test_empty_grid_entry_is_a_usage_error(self, tmp_path, capsys):
+        """A trailing comma in --grid is refused naming the option, not
+        looked up as a file with an empty name."""
+        files = _attention_files(tmp_path)
+        rc = run(
+            "attention", "--out", tmp_path / "att", "--grid", f"{files['grid']},",
+            "--mesh", files["mesh"], "--landmarks", files["landmarks"],
+        )
+        assert rc == 2
+        assert not (tmp_path / "att").exists()
+        err = capsys.readouterr().err
+        assert "argument --grid: empty grid path" in err
+        assert "input file not found" not in err
+
 
 class TestConfigMerge:
     def test_config_overrides_defaults(self, tmp_path, sim_cohort):
@@ -883,6 +897,7 @@ UNUSABLE_FILES = [
     ("obj-vertex", "mesh", b"v 0 0 0\nv 1 x 0\nv 0 1 0\nf 1 2 3\n"),
     ("obj-face", "mesh", b"v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 z\n"),
     ("obj-no-faces", "mesh", b"v 0 0 0\nv 1 0 0\nv 0 1 0\n"),
+    ("obj-dangling-face", "mesh", b"v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 4\n"),
     ("landmark", "landmarks", b"0,10,10\n1,100,abc\n2,100,100\n3,10,100\n"),
 ]
 

@@ -157,6 +157,15 @@ class TestDerivatives:
             fd[:, j] = (sp - sm) / (2 * h)
         np.testing.assert_allclose(hessian, fd, rtol=1e-4, atol=1e-6)
 
+    @pytest.mark.parametrize("ties", ["efron", "breslow"])
+    def test_one_d_x_is_its_column(self, ties):
+        """A 1-d X gives the bits of the same values as an (n, 1) column."""
+        flat = partial_likelihood(TOY_X, TOY_T, TOY_E, [0.4], ties)
+        column = partial_likelihood(TOY_X[:, None], TOY_T, TOY_E, [0.4], ties)
+        assert flat[0] == column[0]
+        for got, expect in zip(flat[1:], column[1:]):
+            assert got.tobytes() == expect.tobytes()
+
 
 def nkk_derivatives(data, beta, ties):
     """The derivatives as computed before the weighted row sum: the n x k x k
@@ -618,7 +627,7 @@ class TestAdjustedAndAic:
         design_sub = build_design(cohort_sub, [Covariate("risk_scaled")])
         fit_sub = fit_cox(design_sub, TOY_T[:10], TOY_E[:10])
         with pytest.raises(DataError):
-            compare_aic([fit_full, fit_sub])
+            compare_aic([fit_full, fit_sub], ["full", "sub"])
 
     def test_fit_to_dict_roundtrippable(self):
         design = build_design(toy_cohort(), [Covariate("risk_scaled")])

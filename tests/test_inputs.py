@@ -131,6 +131,9 @@ BAD_INPUT = {
     "partial_likelihood nan covariate": lambda: partial_likelihood(
         [np.nan, *X[1:]], T, E, [0.2]
     ),
+    "partial_likelihood transposed X": lambda: partial_likelihood(
+        np.array([X, X[::-1]]), T, E, [0.2, 0.1]
+    ),
     "train_age_model nan age": lambda: trainer.train_age_model(
         _embeddings(8), [np.nan, *AGES[1:]], FAST
     ),
@@ -160,6 +163,9 @@ BAD_INPUT = {
     ),
     "cosine empty": lambda: biomarkers.cosine_similarity_profile(
         np.zeros((0, 3)), np.zeros((0, 3))
+    ),
+    "cosine 1-d": lambda: biomarkers.cosine_similarity_profile(
+        _embeddings(8)[0], _embeddings(8)[1]
     ),
 }
 

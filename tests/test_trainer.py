@@ -555,6 +555,11 @@ class TestRiskTraining:
         with pytest.raises(DataError, match="hidden"):
             TrainConfig(hidden=-3)
 
+    def test_hidden_none_rejected(self):
+        """0 is the only spelling of no hidden layer."""
+        with pytest.raises(DataError, match="hidden"):
+            TrainConfig(hidden=None)
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
     @pytest.mark.parametrize("name", [
         "learning_rate", "validation_fraction", "weight_decay", "smooth_lambda",
@@ -739,7 +744,7 @@ class TestModelIO:
         theirs = loaded.predict(X[:5])
         np.testing.assert_allclose(ours, theirs, atol=1e-5)
 
-    @pytest.mark.parametrize("hidden", [None, 4])
+    @pytest.mark.parametrize("hidden", [0, 4])
     def test_loaded_model_writes_same_bytes(self, tmp_path, hidden):
         """The payload is the parameters in layout order: a loaded model
         saved again gives the file it was read from, and it predicts
