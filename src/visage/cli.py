@@ -426,7 +426,11 @@ def cmd_simulate(args, outputs: dict) -> dict:
         seed=args.seed,
     )
     result = synth_mod.simulate(spec)
-    outputs["cohort.csv"] = lambda path: cohort_mod.save_cohort(result.cohort, path)
+    # The cohort holds no embedding; its rows are redrawn block by block
+    # as they are written.
+    outputs["cohort.csv"] = lambda path: cohort_mod.save_cohort(
+        result.cohort, path, result.embedding_blocks()
+    )
     outputs["truth.json"] = result.truth
     return {
         "n": spec.n,

@@ -24,7 +24,7 @@ from itertools import chain, islice, repeat
 from operator import itemgetter
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -65,6 +65,12 @@ _ROW_BLOCK = 512
 # optional part is spelled as an alternation with the empty string,
 # (?:x|), not x?: the same language, which re matches faster.
 _STRICT_CELL = r"(?:-|)[0-9]+(?:\.[0-9]+|)(?:e[-+][0-9]+|)"
+
+# A str holding none of these characters (the delimiter, the quote, CR
+# and LF) is one that csv.writer (excel dialect, "\n" line ends) writes
+# as is. A str holding one is left to csv.writer, whose rule for a lone
+# CR differs between Python releases.
+_QUOTE_CHARS = re.compile('[,"\r\n]')
 
 # Optional float columns: canonical CSV name -> Cohort attribute.
 _OPTIONAL_COLUMNS = {
@@ -157,14 +163,21 @@ class Cohort:
                 raise DataError(f"{f.name} of shape {col.shape} does not align with {n} subjects")
             col.flags.writeable = False
             object.__setattr__(self, f.name, col)
+        # Repeated ids share a hash. Sorted hashes find the ones that
+        # collide without a set of every id, whose table would outlive
+        # the check in the heap; only ids of a colliding hash are compared.
         try:
-            distinct = len(set(self.ids))
+            hashes = np.sort(np.fromiter(map(hash, self.ids), np.int64, n))
         except TypeError as exc:
             raise DataError(f"ids must be hashable: {exc}") from None
-        if distinct < n:
-            seen = set()
-            repeated = next(i for i in self.ids if i in seen or seen.add(i))
-            raise DataError(f"id {repeated!r} is repeated")
+        shared = hashes[1:][hashes[1:] == hashes[:-1]]
+        if shared.size:
+            suspects, seen = set(shared.tolist()), set()
+            for i in self.ids:
+                if hash(i) in suspects:
+                    if i in seen:
+                        raise DataError(f"id {i!r} is repeated")
+                    seen.add(i)
 
     @property
     def embedding_dim(self) -> int | None:
@@ -557,41 +570,69 @@ def load_cohort(
     return LoadResult(Cohort(**columns), tuple(dropped))
 
 
-def _csv_fields(values: Sequence[str]) -> list[str]:
-    """Each value as csv.writer writes it in a row, quoted where needed."""
+def _csv_fields(values: Sequence[str]) -> Sequence[str]:
+    """Each value as csv.writer writes it in a row, quoted where needed.
+
+    Only a str holding a character of ``_QUOTE_CHARS``, or a value that
+    is not a str, goes through csv.writer; any other str is written as
+    is. When no value needs csv.writer, ``values`` itself is returned."""
+    try:
+        if not _QUOTE_CHARS.search("".join(values)):
+            return values
+    except TypeError:  # a value that is not a str
+        pass
     lines: list[str] = []
     writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\n")
 
     def field(value) -> str:
+        if isinstance(value, str) and not _QUOTE_CHARS.search(value):
+            return value
         writer.writerow((value, ""))  # a lone "" would be quoted
         return lines.pop()[:-2]
 
     return _per_distinct(values, field)
 
 
-def save_cohort(cohort: Cohort, path: str | Path) -> None:
+def save_cohort(
+    cohort: Cohort, path: str | Path, embedding_blocks: Iterable[np.ndarray] | None = None
+) -> None:
     """Write the canonical CSV form. Floats use repr and round-trip;
     missing values are written empty.
 
     The header, and whether it has a ``risk_scaled`` column, come from
     the whole cohort; the rows are formatted and written in blocks of
     ``_ROW_BLOCK``, so memory holds the cohort plus the cell strings of
-    one block, not a string copy of every column."""
+    one block, not a string copy of every column.
+
+    ``embedding_blocks``, when given, supplies the e* cells instead of
+    ``cohort.embedding``: one (rows, D) array per block of rows, in order,
+    as :meth:`visage.synth.SimResult.embedding_blocks` redraws them, so
+    the matrix is never held whole. D is the first block's width, and
+    no block means no e* columns. A block of another shape, or one too
+    many or too few, raises DataError."""
 
     def optional(values: np.ndarray) -> list[str]:
         return ["" if v != v else repr(v) for v in values.tolist()]
 
+    n = len(cohort)
+    if embedding_blocks is None:
+        dim = cohort.embedding_dim or 0
+        blocks = (cohort.embedding[start : start + _ROW_BLOCK] for start in range(0, n, _ROW_BLOCK))
+    else:
+        blocks = iter(embedding_blocks)
+        first = next(blocks, None)
+        dim = 0 if first is None else first.shape[-1]
+        blocks = chain([first], blocks)
     header = list(_CANONICAL_COLUMNS)
     floats = [cohort.predicted_age, cohort.risk_raw]
     if not np.all(np.isnan(cohort.risk_scaled)):
         header.append("risk_scaled")
         floats.append(cohort.risk_scaled)
-    if cohort.embedding_dim:
-        header.extend(f"e{i}" for i in range(cohort.embedding_dim))
+    header.extend(f"e{i}" for i in range(dim))
     texts = [getattr(cohort, name) for name in CATEGORY_FIELDS]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for start in range(0, len(cohort), _ROW_BLOCK):
+        for start in range(0, n, _ROW_BLOCK):
             block = slice(start, start + _ROW_BLOCK)
             # Only the text columns can need quoting: repr of a float, the
             # event flag and an empty cell never do, so rows are joined directly.
@@ -603,8 +644,15 @@ def save_cohort(cohort: Cohort, path: str | Path) -> None:
                 *(_csv_fields(values[block].tolist()) for values in texts),
                 *(optional(values[block]) for values in floats),
             ]
-            if cohort.embedding_dim:
-                columns.append(
-                    ",".join(map(repr, row)) for row in cohort.embedding[block].tolist()
-                )
+            if dim:
+                values = np.asarray(next(blocks, ()), dtype=float)
+                rows = min(_ROW_BLOCK, n - start)
+                if values.shape != (rows, dim):
+                    raise DataError(
+                        f"embedding block at row {start} has shape {values.shape}, "
+                        f"not ({rows}, {dim})"
+                    )
+                columns.append(",".join(map(repr, row)) for row in values.tolist())
             fh.writelines(",".join(row) + "\n" for row in zip(*columns))
+    if dim and next(blocks, None) is not None:
+        raise DataError(f"embedding blocks run past the cohort's {n} rows")

@@ -285,9 +285,10 @@ class _SortedFitData:
 def partial_likelihood(X, times, events, beta, ties: str = "efron"):
     """Evaluate the log partial likelihood and its derivatives.
 
-    ``X`` is (n,) or (n, k) for n times; a 1-d ``X`` is one column.
-    Arrays are taken as-is (no exclusion masking). Returns the tuple
-    (log_pl, score, hessian) under the requested tie correction.
+    ``X`` is (n,) or (n, k) for n times; a 1-d ``X`` is one column, and
+    ``beta`` is a finite 1-d array of length k. Arrays are taken as-is
+    (no exclusion masking). Returns the tuple (log_pl, score, hessian)
+    under the requested tie correction.
     """
     if ties not in ("efron", "breslow"):
         raise DataError(f"unknown ties method {ties!r}")
@@ -299,7 +300,15 @@ def partial_likelihood(X, times, events, beta, ties: str = "efron"):
         raise DataError(f"X must hold one row per time, got shape {X.shape}")
     if not np.isfinite(X).all():
         raise DataError("X holds non-finite values")
-    return _SortedFitData(X, t, e).derivatives(np.asarray(beta, dtype=float), ties)
+    try:
+        b = np.asarray(beta, dtype=float)
+    except (TypeError, ValueError):
+        raise DataError("beta must be numeric") from None
+    if b.shape != (X.shape[1],):
+        raise DataError(f"beta must be a 1-d array of length {X.shape[1]}, got shape {b.shape}")
+    if not np.isfinite(b).all():
+        raise DataError("beta holds non-finite values")
+    return _SortedFitData(X, t, e).derivatives(b, ties)
 
 
 def _fingerprint(included: np.ndarray, times: np.ndarray, events: np.ndarray) -> str:

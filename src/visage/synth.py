@@ -11,17 +11,24 @@ rounded up to whole days, which produces realistic ties; exact
 continuous times are available for tie-free tests.
 
 All draws come from named Philox substreams of ``SimSpec.seed``, so a
-spec pins its cohort bit-for-bit across runs and platforms.
+spec pins its cohort bit-for-bit across runs and platforms. The
+embedding matrix is drawn whole once, to compute the linear predictor,
+and dropped; :meth:`SimResult.embedding_blocks` redraws the same rows a
+block at a time, so a cohort is written without the matrix in memory.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from ._inputs import integer, positive
-from .cohort import Cohort
+# Bound as a module, not by name: when the command line has registered
+# it lazily, it executes at its first use, after simulate has dropped
+# the embedding matrix, so its memory does not add to that peak.
+from . import cohort as cohort_mod
 from .errors import DataError
 from .rng import substream
 
@@ -113,8 +120,31 @@ class SimSpec:
 
 @dataclass(frozen=True)
 class SimResult:
-    cohort: Cohort
+    """A simulated cohort, its ground truth and the spec that made them.
+
+    The cohort holds no embedding (``cohort.embedding`` is None), even
+    when the spec has one: :meth:`embedding_blocks` redraws it."""
+
+    cohort: cohort_mod.Cohort
     truth: dict
+    spec: SimSpec
+
+    def embedding_blocks(self) -> Iterator[np.ndarray]:
+        """The spec's (n, D) embedding as consecutive (rows, D) blocks of
+        ``_ROW_BLOCK`` rows, the last one shorter; none without an
+        embedding. Each call redraws them from a fresh
+        ``synth/embeddings`` substream, and the blocks hold the same
+        values as the single draw that ``simulate`` computed ``eta``
+        from. ``save_cohort(result.cohort, path, result.embedding_blocks())``
+        writes the cohort with its e* columns, and
+        ``np.concatenate(list(result.embedding_blocks()))`` is the matrix."""
+        n, dim = self.spec.n, self.spec.embedding_dim
+        if dim is None:
+            return
+        rng = substream(self.spec.seed, "synth/embeddings")
+        block = cohort_mod._ROW_BLOCK
+        for start in range(0, n, block):
+            yield rng.standard_normal((min(block, n - start), dim))
 
 
 def _draw(rng: np.random.Generator, dist: tuple, n: int) -> np.ndarray:
@@ -128,8 +158,16 @@ def _draw(rng: np.random.Generator, dist: tuple, n: int) -> np.ndarray:
 def simulate(spec: SimSpec) -> SimResult:
     """Generate a cohort and its ground-truth sidecar from a spec."""
     n = spec.n
+    # The embedding's term of eta comes first, so that no other column is
+    # held beside the matrix. It is one product of the whole matrix: a
+    # product per block can differ from it in the last bits, and the
+    # truth sidecar pins eta.
+    if spec.embedding_dim is not None:
+        embedded = substream(spec.seed, "synth/embeddings").standard_normal(
+            (n, spec.embedding_dim)
+        ) @ np.asarray(spec.embedding_weights, dtype=float)
+
     rng_cov = substream(spec.seed, "synth/covariates")
-    rng_emb = substream(spec.seed, "synth/embeddings")
     rng_event = substream(spec.seed, "synth/events")
     rng_cens = substream(spec.seed, "synth/censoring")
     rng_fill = substream(spec.seed, "synth/fill")
@@ -140,12 +178,8 @@ def simulate(spec: SimSpec) -> SimResult:
     eta = np.zeros(n)
     for beta, values in zip(spec.beta_true, covariate_values):
         eta += beta * values
-
-    embeddings = None
     if spec.embedding_dim is not None:
-        embeddings = rng_emb.standard_normal((n, spec.embedding_dim))
-        embeddings.flags.writeable = False  # the cohort takes it without a copy
-        eta += embeddings @ np.asarray(spec.embedding_weights, dtype=float)
+        eta += embedded
 
     hazards = spec.baseline_hazard * np.exp(eta)
     event_times = rng_event.exponential(1.0 / hazards)
@@ -202,7 +236,7 @@ def simulate(spec: SimSpec) -> SimResult:
         "eta": [float(v) for v in eta],
         "censored_fraction": float(1.0 - events.mean()),
     }
-    cohort = Cohort(
+    cohort = cohort_mod.Cohort(
         ids=[f"s{i:05d}" for i in range(n)],
         time=observed,
         event=events,
@@ -211,6 +245,5 @@ def simulate(spec: SimSpec) -> SimResult:
         **fill,
         predicted_age=predicted,
         risk_scaled=driven.get("risk_scaled"),
-        embedding=embeddings,
     )
-    return SimResult(cohort, truth)
+    return SimResult(cohort, truth, spec)

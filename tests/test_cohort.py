@@ -7,6 +7,7 @@ import dataclasses
 import re
 import tracemalloc
 from itertools import product
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -262,6 +263,51 @@ class TestRoundTrip:
         save_cohort(cohort, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_text_fields_written_as_csv_writer_writes_them(self):
+        """Only a value that csv.writer would quote is passed to it: over
+        ids with commas, quotes, CR, LF, spaces, an empty id, non-ASCII
+        text and values that are not str, each comes out as csv.writer
+        writes it alone in a row."""
+        corpus = ["s00001", "", " ", " padded ", "a,b", 'say "hi"', '"', "cr\rin",
+                  "lf\nin", "\r\n", "tab\there", "été", "日本語", "'single'", "a;b", 7, 2.5]
+
+        def writer_field(value):
+            lines = []
+            csv.writer(SimpleNamespace(write=lines.append), lineterminator="\n").writerow(
+                (value, "")
+            )
+            return lines[0][:-2]
+
+        assert cohort_mod._csv_fields(corpus) == [writer_field(v) for v in corpus]
+        plain = [v for v in corpus if isinstance(v, str) and not re.search('[,"\r\n]', v)]
+        assert cohort_mod._csv_fields(plain) is plain
+
+    def test_quoted_ids_round_trip(self, tmp_path):
+        ids = ["plain", "a,b", 'q"uote', "line\nbreak", "", "é"]
+        n = len(ids)
+        cohort = Cohort(ids=ids, time=[1.0] * n, event=[True] * n, chrono_age=[50.0] * n)
+        path = tmp_path / "c.csv"
+        save_cohort(cohort, path)
+        # an empty id reads back as its row number
+        assert load_cohort(path).cohort.ids.tolist() == [*ids[:4], "row5", "é"]
+
+    @pytest.mark.parametrize(
+        "blocks, message",
+        [([np.zeros((512, 2)), np.zeros((100, 3))], r"row 512 has shape \(100, 3\)"),
+         ([np.zeros((512, 2))], r"row 512 has shape \(0,\)"),
+         ([np.zeros((512, 2)), np.zeros((88, 2)), np.zeros((1, 2))], "past"),
+         ([np.zeros((600, 2))], r"row 0 has shape \(600, 2\)")],
+        ids=["wide", "missing", "extra", "long"],
+    )
+    def test_embedding_blocks_must_align(self, tmp_path, blocks, message):
+        """Given e* blocks must hold the rows of each block of 512 in
+        turn, all of one width, and no more."""
+        n = 600
+        cohort = Cohort(ids=[f"s{i}" for i in range(n)], time=np.ones(n),
+                        event=np.zeros(n, bool), chrono_age=np.full(n, 50.0))
+        with pytest.raises(DataError, match=message):
+            save_cohort(cohort, tmp_path / "c.csv", blocks)
+
 
 class TestConstructor:
     def test_duplicate_ids_named(self):
@@ -270,6 +316,25 @@ class TestConstructor:
         with pytest.raises(DataError, match="'a'"):
             Cohort(ids=["a", "b", "a"], time=[10.0, 20.0, 30.0], event=[True, False, True],
                    chrono_age=[60.0, 61.0, 62.0])
+
+    @pytest.mark.parametrize(
+        "ids, repeated",
+        [(["b", "a", "c", "a", "b"], "'a'"), ([-1, -2], None), ([-1, -2, 5, -2, -1], "-2"),
+         ([3, 3.0], "3.0")],
+        ids=["first_in_row_order", "hash_collision_only", "collision_and_repeat", "equal_types"],
+    )
+    def test_repeated_id_found_in_row_order(self, ids, repeated):
+        """The repeat named is the first id, in row order, equal to an
+        earlier one; ids that only share a hash (-1 and -2 do in CPython)
+        are distinct."""
+        n = len(ids)
+        columns = dict(ids=ids, time=np.ones(n), event=np.zeros(n, bool),
+                       chrono_age=np.full(n, 50.0))
+        if repeated is None:
+            assert len(Cohort(**columns)) == n
+        else:
+            with pytest.raises(DataError, match=rf"^id {re.escape(repeated)} is repeated"):
+                Cohort(**columns)
 
     @pytest.mark.parametrize(
         "field, value",
@@ -826,7 +891,8 @@ def memory_cohort(tmp_path_factory):
     spec = SimSpec(n=N_MEMORY, censor_model=("uniform", 1500.0), embedding_dim=DIM_MEMORY,
                    embedding_weights=(0.0,) * DIM_MEMORY, seed=11)
     path = tmp_path_factory.mktemp("memory") / "c.csv"
-    save_cohort(simulate(spec).cohort, path)
+    result = simulate(spec)
+    save_cohort(result.cohort, path, result.embedding_blocks())
     return path
 
 
@@ -861,19 +927,47 @@ class TestMemory:
         """Saving holds the cell strings of one block beyond the cohort,
         not a string copy of every column: the allocation peak for 8k
         rows stays within 1.25 times that for 2k rows (a whole-column
-        writer's grows about 3.6 times)."""
-        peaks = {}
-        for n in (2_000, 8_000):
-            spec = SimSpec(n=n, censor_model=("uniform", 1500.0), embedding_dim=16,
-                           embedding_weights=(0.0,) * 16, seed=5)
-            cohort = simulate(spec).cohort
-            tracemalloc.start()
-            try:
-                save_cohort(cohort, tmp_path / f"c{n}.csv")
-                peaks[n] = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-        assert peaks[8_000] < 1.25 * peaks[2_000]
+        writer's grows about 3.6 times), whether the e* cells come from
+        the cohort's matrix or from blocks redrawn as they are written."""
+        for source in ("matrix", "redrawn"):
+            peaks = {}
+            for n in (2_000, 8_000):
+                spec = SimSpec(n=n, censor_model=("uniform", 1500.0), embedding_dim=16,
+                               embedding_weights=(0.0,) * 16, seed=5)
+                result = simulate(spec)
+                cohort, blocks = result.cohort, result.embedding_blocks()
+                if source == "matrix":
+                    matrix = np.concatenate(list(blocks))
+                    matrix.flags.writeable = False
+                    cohort, blocks = dataclasses.replace(cohort, embedding=matrix), None
+                path = tmp_path / f"{source}{n}.csv"
+                tracemalloc.start()
+                try:
+                    save_cohort(cohort, path, blocks)
+                    peaks[n] = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert load_cohort(path).cohort.embedding.shape == (n, 16)
+            assert peaks[8_000] < 1.25 * peaks[2_000], source
+
+    def test_simulate_and_save_peak_below_matrix(self, tmp_path):
+        """simulate draws the embedding matrix once, for eta, and drops
+        it; the write redraws it block by block. So generating and saving
+        a cohort peaks below one matrix plus 3 MiB, not at the matrix
+        plus every other column (at 20k x 32 the peak measured 6.0 MiB
+        against a 4.9 MiB matrix, and 13.0 MiB when the cohort kept the
+        matrix through the write)."""
+        n, dim = N_MEMORY, DIM_MEMORY
+        spec = SimSpec(n=n, censor_model=("uniform", 1500.0), embedding_dim=dim,
+                       embedding_weights=(0.0,) * dim, seed=11)
+        tracemalloc.start()
+        try:
+            result = simulate(spec)
+            save_cohort(result.cohort, tmp_path / "c.csv", result.embedding_blocks())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * dim * 8 + 3 * 2**20
 
     def test_read_only_column_shared(self):
         time = np.array([1.0, 2.0])

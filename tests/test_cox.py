@@ -166,6 +166,20 @@ class TestDerivatives:
         for got, expect in zip(flat[1:], column[1:]):
             assert got.tobytes() == expect.tobytes()
 
+    @pytest.mark.parametrize(
+        "beta, message",
+        [([0.2, 0.1], r"length 1, got shape \(2,\)"), (0.2, r"length 1, got shape \(\)"),
+         ([float("nan")], "non-finite"), (["a"], "numeric")],
+        ids=["too_long", "scalar", "nan", "text"],
+    )
+    def test_bad_beta_rejected(self, beta, message):
+        """``beta`` must be a finite 1-d array with one value per column
+        of ``X``; otherwise DataError names it, rather than a numpy
+        error escaping or the derivatives coming back NaN."""
+        X = np.array([[0.5], [1.0], [-0.3]])
+        with pytest.raises(DataError, match=rf"^beta\b.*{message}"):
+            partial_likelihood(X, [1.0, 2.0, 3.0], [1, 0, 1], beta)
+
 
 def nkk_derivatives(data, beta, ties):
     """The derivatives as computed before the weighted row sum: the n x k x k

@@ -8,9 +8,10 @@ import hashlib
 import numpy as np
 import pytest
 
-from visage.cohort import save_cohort
+from visage.cohort import load_cohort, save_cohort
 from visage.cox import Covariate, build_design, fit_cox
 from visage.errors import DataError
+from visage.rng import substream
 from visage.survival import kaplan_meier, log_rank
 from visage.synth import SimCovariate, SimSpec, SimResult, simulate
 
@@ -51,10 +52,34 @@ class TestDeterminism:
             seed=2024,
         )
         path = tmp_path / "cohort.csv"
-        save_cohort(simulate(spec).cohort, path)
+        result = simulate(spec)
+        save_cohort(result.cohort, path, result.embedding_blocks())
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
             "a7abebba1299e38cb1ae10396bc57c7bf035df2c7b538dd431bec8f550f4e7ec"
         )
+
+    @pytest.mark.parametrize("n", [1, 511, 512, 513, 1025])
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_redrawn_embedding_is_the_single_draw(self, tmp_path, n, dim):
+        """The cohort holds no matrix. The e* cells that save_cohort writes
+        from the redrawn blocks read back as the bits of one
+        standard_normal((n, D)) draw of the synth/embeddings substream,
+        on both sides of each block edge."""
+        spec = SimSpec(n=n, embedding_dim=dim, embedding_weights=(0.5,) * dim, seed=9)
+        result = simulate(spec)
+        assert result.cohort.embedding is None
+        path = tmp_path / "cohort.csv"
+        save_cohort(result.cohort, path, result.embedding_blocks())
+        single = substream(9, "synth/embeddings").standard_normal((n, dim))
+        assert load_cohort(path).cohort.embedding.tobytes() == single.tobytes()
+
+    def test_no_embedding_no_blocks(self, tmp_path):
+        result = simulate(SimSpec(n=5, seed=1))
+        assert list(result.embedding_blocks()) == []
+        plain, redrawn = tmp_path / "plain.csv", tmp_path / "redrawn.csv"
+        save_cohort(result.cohort, plain)
+        save_cohort(result.cohort, redrawn, result.embedding_blocks())
+        assert plain.read_bytes() == redrawn.read_bytes()
 
     def test_seed_changes_output(self):
         spec = SimSpec(n=50, seed=1)
@@ -191,7 +216,7 @@ class TestRecovery:
             seed=31,
         )
         result = simulate(spec)
-        emb = result.cohort.embedding_matrix()
+        emb = np.concatenate(list(result.embedding_blocks()))
         assert emb.shape == (64, 8)
         w = np.asarray(result.truth["embedding_weights"])
         np.testing.assert_allclose(result.truth["eta"], emb @ w, rtol=1e-12)
