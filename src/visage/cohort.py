@@ -59,11 +59,13 @@ _MANDATORY = ("time", "event", "chrono_age")
 # save_cohort: each holds the cell strings of one block, not of the file.
 _ROW_BLOCK = 512
 
-# One e* cell as repr(float) writes a finite value. Every match is a
-# number float() accepts, so a row of matching cells needs no float()
-# to pass the drop rule; any other row is checked cell by cell. Each
-# optional part is spelled as an alternation with the empty string,
-# (?:x|), not x?: the same language, which re matches faster.
+# One e* cell as repr(float) writes a finite value, which is what
+# save_cohort writes through visage._floats.text, the formatter that
+# mirrors repr cell for cell. Every match is a number float() accepts,
+# so a row of matching cells needs no float() to pass the drop rule;
+# any other row is checked cell by cell. Each optional part is spelled
+# as an alternation with the empty string, (?:x|), not x?: the same
+# language, which re matches faster.
 _STRICT_CELL = r"(?:-|)[0-9]+(?:\.[0-9]+|)(?:e[-+][0-9]+|)"
 
 # A str holding none of these characters (the delimiter, the quote, CR
@@ -596,13 +598,15 @@ def _csv_fields(values: Sequence[str]) -> Sequence[str]:
 def save_cohort(
     cohort: Cohort, path: str | Path, embedding_blocks: Iterable[np.ndarray] | None = None
 ) -> None:
-    """Write the canonical CSV form. Floats use repr and round-trip;
-    missing values are written empty.
+    """Write the canonical CSV form. Floats are written as repr writes
+    them, so they round-trip; missing values are written empty.
 
     The header, and whether it has a ``risk_scaled`` column, come from
     the whole cohort; the rows are formatted and written in blocks of
     ``_ROW_BLOCK``, so memory holds the cohort plus the cell strings of
-    one block, not a string copy of every column.
+    one block, not a string copy of every column. The float cells of a
+    block are formatted by array, not by one repr call per cell (see
+    :mod:`visage._floats`).
 
     ``embedding_blocks``, when given, supplies the e* cells instead of
     ``cohort.embedding``: one (rows, D) array per block of rows, in order,
@@ -610,9 +614,10 @@ def save_cohort(
     the matrix is never held whole. D is the first block's width, and
     no block means no e* columns. A block of another shape, or one too
     many or too few, raises DataError."""
+    from ._floats import text
 
-    def optional(values: np.ndarray) -> list[str]:
-        return ["" if v != v else repr(v) for v in values.tolist()]
+    def lines(values: np.ndarray) -> list[str]:
+        return text(values).split("\n")[:-1]
 
     n = len(cohort)
     if embedding_blocks is None:
@@ -624,25 +629,30 @@ def save_cohort(
         dim = 0 if first is None else first.shape[-1]
         blocks = chain([first], blocks)
     header = list(_CANONICAL_COLUMNS)
-    floats = [cohort.predicted_age, cohort.risk_raw]
+    optional = [cohort.predicted_age, cohort.risk_raw]
     if not np.all(np.isnan(cohort.risk_scaled)):
         header.append("risk_scaled")
-        floats.append(cohort.risk_scaled)
+        optional.append(cohort.risk_scaled)
     header.extend(f"e{i}" for i in range(dim))
     texts = [getattr(cohort, name) for name in CATEGORY_FIELDS]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for start in range(0, n, _ROW_BLOCK):
             block = slice(start, start + _ROW_BLOCK)
-            # Only the text columns can need quoting: repr of a float, the
-            # event flag and an empty cell never do, so rows are joined directly.
+            # Only the text columns can need quoting: a float's repr, the
+            # event flag and an empty cell never do, so rows are joined
+            # directly. The optional columns are adjacent, and a missing
+            # one (NaN, whose repr is the only cell text holding "nan")
+            # is written empty.
             columns = [
                 _csv_fields(cohort.ids[block].tolist()),
-                map(repr, cohort.time[block].tolist()),
+                lines(cohort.time[block, None]),
                 np.where(cohort.event[block], "1", "0").tolist(),
-                map(repr, cohort.chrono_age[block].tolist()),
+                lines(cohort.chrono_age[block, None]),
                 *(_csv_fields(values[block].tolist()) for values in texts),
-                *(optional(values[block]) for values in floats),
+                text(np.stack([values[block] for values in optional], axis=1))
+                .replace("nan", "")
+                .split("\n")[:-1],
             ]
             if dim:
                 values = np.asarray(next(blocks, ()), dtype=float)
@@ -652,7 +662,7 @@ def save_cohort(
                         f"embedding block at row {start} has shape {values.shape}, "
                         f"not ({rows}, {dim})"
                     )
-                columns.append(",".join(map(repr, row)) for row in values.tolist())
+                columns.append(lines(values))
             fh.writelines(",".join(row) + "\n" for row in zip(*columns))
     if dim and next(blocks, None) is not None:
         raise DataError(f"embedding blocks run past the cohort's {n} rows")

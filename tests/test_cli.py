@@ -1005,3 +1005,25 @@ class TestStartup:
         )
         assert {"visage.cohort", "visage.survival", "visage.biomarkers"} <= executed
         assert not executed & {f"visage.{name}" for name in ("trainer", "attention", "synth", "cox")}
+
+    def test_only_a_cohort_write_executes_the_float_formatter(self, tmp_path, small_cohort):
+        """visage._floats builds its power table when it executes, and
+        only save_cohort imports it: cox and km, which write no cohort,
+        never build the table; simulate does."""
+        km = executed_by(
+            "km", "--cohort", small_cohort, "--out", tmp_path / "km", "--group-by", "fad_bands"
+        )
+        cox = executed_by(
+            "cox", "--cohort", small_cohort, "--out", tmp_path / "cox", "--biomarker", "fad:per:10"
+        )
+        simulate = executed_by("simulate", "--out", tmp_path / "sim", "--n", 5)
+        assert {"visage.cohort"} <= km & cox
+        assert "visage._floats" not in km | cox
+        assert "visage._floats" in simulate
+
+    def test_cohort_import_executes_no_float_formatter(self):
+        proc = run_child(
+            "-c", "import sys, visage.cohort; print('visage._floats' in sys.modules)"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
