@@ -36,7 +36,7 @@ import numpy as np
 _U, _I = np.uint64, np.int64
 
 # Cells formatted at a time. It bounds the kernel's arrays to about
-# 1 MB (text of a 512 x 64 block peaks at 1.7 MB traced, its 0.6 MB of
+# 1 MB (text of a 512 x 64 block peaks at 1.8 MB traced, its 0.6 MB of
 # output twice over included), and a chunk is long enough that numpy's
 # cost per call is small: 8192 was no faster, and 2048 was 20 % slower.
 _CHUNK = 4096
@@ -76,7 +76,7 @@ def _shortest(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     product_hi = cb_hi * five_hi + (middle >> _U(32)) + (product_lo < low)
 
     def rop(high, low):
-        # (high, low) / 2^n, rounded to odd.
+        # (high, low) / 2^n, rounded to odd: below 2^59 for the cells kept.
         return (low >> n) | (high << m) | ((low << m) != 0)
 
     vb = rop(product_hi, product_lo)
