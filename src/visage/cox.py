@@ -219,9 +219,11 @@ def build_design(cohort: Cohort, covariates: Sequence[Covariate]) -> DesignMatri
 
 
 class _SortedFitData:
-    """Per-fit arrangement shared by repeated likelihood evaluations."""
+    """Per-fit arrangement and ties method shared by repeated likelihood evaluations."""
 
-    def __init__(self, X: np.ndarray, times: np.ndarray, events: np.ndarray):
+    def __init__(self, X: np.ndarray, times: np.ndarray, events: np.ndarray, ties: str):
+        if ties not in ("efron", "breslow"):
+            raise DataError(f"unknown ties method {ties!r}")
         order = np.argsort(times, kind="stable")
         self.X = np.ascontiguousarray(X[order])
         self.t = times[order]
@@ -234,40 +236,42 @@ class _SortedFitData:
         uniq, first, counts = np.unique(death_times, return_index=True, return_counts=True)
         self.group_first = first                      # first death row per tie group
         self.risk_start = np.searchsorted(self.t, uniq, side="left")
-        group_of_death = np.repeat(np.arange(uniq.size), counts)
+        self.group_of_death = group_of_death = np.repeat(np.arange(uniq.size), counts)
+        # The share of its tie group's phi that leaves each death's risk set:
+        # Efron's l / d for the l-th of d tied deaths, none for Breslow.
         within = np.arange(death_times.size) - first[group_of_death]
-        self.efron_frac = within / counts[group_of_death]
-        self.group_of_death = group_of_death
+        efron = within / counts[group_of_death]
+        self.tie_frac = efron if ties == "efron" else np.zeros_like(efron)
         self.x_death_total = self.X[self.e].sum(axis=0)
 
-    def derivatives(self, beta: np.ndarray, ties: str):
+    def _risk_less_ties(self, values: np.ndarray) -> np.ndarray:
+        """Each death's risk-set sum of ``values`` (rows in time order) less its tie share."""
+        g = self.group_of_death
+        risk = np.cumsum(values[::-1], axis=0)[::-1][self.risk_start][g]
+        tie = np.add.reduceat(values[self.e], self.group_first, axis=0)[g]
+        frac = self.tie_frac if values.ndim == 1 else self.tie_frac[:, None]
+        return risk - frac * tie
+
+    def derivatives(self, beta: np.ndarray):
         """Log partial likelihood with its analytic gradient and Hessian;
         -inf with zero derivatives when a denominator is not positive.
 
-        The Hessian needs, for each death, the risk set's sum of
-        phi x x' less the death's Efron share of its tie group's. Summed
-        over deaths with weight 1 / denom, that is one weighted sum over
-        rows: each row's phi x x' weighted by 1 / denom summed over the
-        deaths whose risk set holds it, less its tie group's Efron
-        weights when it is a death. So no per-row or per-time k x k
-        array is formed.
+        The Hessian needs, for each death, the risk set's sum of phi x x'
+        less the death's tie share of its group's. Summed over deaths with
+        weight 1 / denom, that is one weighted sum over rows: each row's
+        phi x x' weighted by 1 / denom summed over the deaths whose risk
+        set holds it, less its tie group's shares when it is a death. So
+        no per-row or per-time k x k array is formed.
         """
         eta = self.X @ beta
         shift = float(np.max(eta))
         phi = np.exp(eta - shift)
-        risk_phi = np.cumsum(phi[::-1])[::-1]
-        tie_phi = np.add.reduceat(phi[self.e], self.group_first)
         g = self.group_of_death
-        frac = self.efron_frac if ties == "efron" else np.zeros_like(self.efron_frac)
-        denom = risk_phi[self.risk_start][g] - frac * tie_phi[g]
+        denom = self._risk_less_ties(phi)
         if np.any(denom <= 0):
             return -np.inf, np.zeros(self.k), np.zeros((self.k, self.k))
         ll = float(np.sum(eta[self.e]) - np.sum(np.log(denom)) - g.size * shift)
-
-        phi_x = phi[:, None] * self.X
-        risk_phi_x = np.cumsum(phi_x[::-1], axis=0)[::-1]
-        tie_phi_x = np.add.reduceat(phi_x[self.e], self.group_first, axis=0)
-        num = risk_phi_x[self.risk_start][g] - frac[:, None] * tie_phi_x[g]
+        num = self._risk_less_ties(phi[:, None] * self.X)
 
         inv = 1.0 / denom
         score = self.x_death_total - np.einsum("e,ei->i", inv, num)
@@ -276,7 +280,7 @@ class _SortedFitData:
         entering = np.zeros(self.n)  # a tie group's 1 / denom, from its risk set's first row
         entering[self.risk_start] = np.bincount(g, inv)
         weight = phi * np.cumsum(entering)
-        weight[self.e] -= phi[self.e] * np.bincount(g, frac * inv)[g]
+        weight[self.e] -= phi[self.e] * np.bincount(g, self.tie_frac * inv)[g]
         second = np.einsum("ia,ib->ab", self.X * weight[:, None], self.X)
         hess = -(second - np.einsum("ei,ej->ij", ratio, ratio))
         return ll, score, hess
@@ -290,8 +294,6 @@ def partial_likelihood(X, times, events, beta, ties: str = "efron"):
     (no exclusion masking). Returns the tuple (log_pl, score, hessian)
     under the requested tie correction.
     """
-    if ties not in ("efron", "breslow"):
-        raise DataError(f"unknown ties method {ties!r}")
     t, e = vectors(times=times, events=events)
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
@@ -308,7 +310,7 @@ def partial_likelihood(X, times, events, beta, ties: str = "efron"):
         raise DataError(f"beta must be a 1-d array of length {X.shape[1]}, got shape {b.shape}")
     if not np.isfinite(b).all():
         raise DataError("beta holds non-finite values")
-    return _SortedFitData(X, t, e).derivatives(b, ties)
+    return _SortedFitData(X, t, e, ties).derivatives(b)
 
 
 def _fingerprint(included: np.ndarray, times: np.ndarray, events: np.ndarray) -> str:
@@ -317,6 +319,15 @@ def _fingerprint(included: np.ndarray, times: np.ndarray, events: np.ndarray) ->
     h.update(times.tobytes())
     h.update(events.tobytes())
     return h.hexdigest()
+
+
+def _with_information(op, hess: np.ndarray, message: str, *args) -> np.ndarray:
+    """``op(-hess, *args)``; a singular information matrix ``-hess`` raises
+    SingularDesignError with ``message`` and its condition number."""
+    try:
+        return op(-hess, *args)
+    except np.linalg.LinAlgError:
+        raise SingularDesignError(message, condition_number=float(np.linalg.cond(-hess))) from None
 
 
 def fit_cox(design: DesignMatrix, times, events, ties: str = "efron") -> CoxFit:
@@ -331,8 +342,6 @@ def fit_cox(design: DesignMatrix, times, events, ties: str = "efron") -> CoxFit:
     reported as separation too, and the fit stops before it. Hitting
     the 100-iteration cap reports converged=False rather than raising.
     """
-    if ties not in ("efron", "breslow"):
-        raise DataError(f"unknown ties method {ties!r}")
     times, events = vectors(times=times, events=events)
     if times.size != design.matrix.shape[0]:
         raise DataError("times/events do not align with the design matrix rows")
@@ -340,30 +349,27 @@ def fit_cox(design: DesignMatrix, times, events, ties: str = "efron") -> CoxFit:
     X = design.matrix[mask]
     if not np.isfinite(X).all():
         raise DataError("design matrix holds non-finite values on included rows")
-    data = _SortedFitData(X, times[mask], events[mask])
+    data = _SortedFitData(X, times[mask], events[mask], ties)
 
     beta = np.zeros(data.k)
-    ll, grad, hess = data.derivatives(beta, ties)
+    ll, grad, hess = data.derivatives(beta)
     ll_null = ll
     flags: list[str] = []
-    converged = float(np.max(np.abs(grad), initial=0.0)) < GRAD_TOL
+    ll_settled = False
     iterations = 0
 
-    while not converged and iterations < MAX_ITER:
+    while True:
+        converged = ll_settled or float(np.max(np.abs(grad), initial=0.0)) < GRAD_TOL
+        if converged or iterations == MAX_ITER:
+            break
         iterations += 1
-        try:
-            delta = np.linalg.solve(-hess, grad)
-        except np.linalg.LinAlgError:
-            raise SingularDesignError(
-                "singular information matrix",
-                condition_number=float(np.linalg.cond(-hess)),
-            ) from None
+        delta = _with_information(np.linalg.solve, hess, "singular information matrix", grad)
         with np.errstate(over="ignore", invalid="ignore"):
-            step = data.derivatives(beta + delta, ties)
+            step = data.derivatives(beta + delta)
             halvings = 0
             while step[0] < ll - LL_ROUNDING * abs(ll) and halvings < 40:
                 delta = delta / 2.0
-                step = data.derivatives(beta + delta, ties)
+                step = data.derivatives(beta + delta)
                 halvings += 1
         if not all(np.isfinite(a).all() for a in step):  # exp left float range
             flags.append("separation")
@@ -374,18 +380,11 @@ def fit_cox(design: DesignMatrix, times, events, ties: str = "efron") -> CoxFit:
         if float(np.max(np.abs(beta))) > SEPARATION_BOUND:
             flags.append("separation")
             break
-        converged = (
-            float(np.max(np.abs(grad), initial=0.0)) < GRAD_TOL
-            or abs(ll - prev_ll) <= REL_LL_TOL * max(1.0, abs(prev_ll))
-        )
+        ll_settled = abs(ll - prev_ll) <= REL_LL_TOL * max(1.0, abs(prev_ll))
 
-    try:
-        covariance = np.linalg.inv(-hess)
-    except np.linalg.LinAlgError:
-        raise SingularDesignError(
-            "information matrix not invertible at the solution",
-            condition_number=float(np.linalg.cond(-hess)),
-        ) from None
+    covariance = _with_information(
+        np.linalg.inv, hess, "information matrix not invertible at the solution"
+    )
     se = np.sqrt(np.clip(np.diag(covariance), 0.0, None))
 
     with np.errstate(over="ignore"):

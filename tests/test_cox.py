@@ -180,8 +180,17 @@ class TestDerivatives:
         with pytest.raises(DataError, match=rf"^beta\b.*{message}"):
             partial_likelihood(X, [1.0, 2.0, 3.0], [1, 0, 1], beta)
 
+    def test_unknown_ties_rejected(self):
+        """Both entry points reject an unknown ties method with the same
+        DataError, raised where the fit data is arranged."""
+        design = build_design(toy_cohort(), [Covariate("risk_scaled")])
+        with pytest.raises(DataError, match=r"^unknown ties method 'exact'$"):
+            partial_likelihood(TOY_X, TOY_T, TOY_E, [0.4], "exact")
+        with pytest.raises(DataError, match=r"^unknown ties method 'exact'$"):
+            fit_cox(design, TOY_T, TOY_E, "exact")
 
-def nkk_derivatives(data, beta, ties):
+
+def nkk_derivatives(data, beta):
     """The derivatives as computed before the weighted row sum: the n x k x k
     array of phi x x' and its reversed cumulative sum over all rows."""
     eta = data.X @ beta
@@ -200,7 +209,7 @@ def nkk_derivatives(data, beta, ties):
     tie_phi_xx = np.add.reduceat(phi_xx[data.e], data.group_first, axis=0)
 
     g = data.group_of_death
-    frac = data.efron_frac if ties == "efron" else np.zeros_like(data.efron_frac)
+    frac = data.tie_frac
     denom = risk_phi[data.risk_start][g] - frac * tie_phi[g]
     if np.any(denom <= 0):
         return -np.inf, np.zeros(data.k), np.zeros((data.k, data.k))
@@ -229,9 +238,9 @@ class TestNkkOracle:
         t = rng.integers(1, 60, n).astype(float) if tied else rng.exponential(100.0, n)
         e = rng.random(n) < 0.6
         beta = rng.normal(0.0, 0.3, k)
-        data = _SortedFitData(X, t, e)
-        ll, score, hess = data.derivatives(beta, ties)
-        ll_old, score_old, hess_old = nkk_derivatives(data, beta, ties)
+        data = _SortedFitData(X, t, e, ties)
+        ll, score, hess = data.derivatives(beta)
+        ll_old, score_old, hess_old = nkk_derivatives(data, beta)
         np.testing.assert_allclose(ll, ll_old, rtol=1e-12)
         np.testing.assert_allclose(score, score_old, rtol=1e-12)
         np.testing.assert_allclose(hess, hess_old, rtol=1e-12)
@@ -332,9 +341,9 @@ class TestFitBehavior:
         points = []
         derivatives = cox._SortedFitData.derivatives
 
-        def counting(data, beta, ties):
+        def counting(data, beta):
             points.append(beta)
-            return derivatives(data, beta, ties)
+            return derivatives(data, beta)
 
         monkeypatch.setattr(cox._SortedFitData, "derivatives", counting)
         fit = fit_cox(DesignMatrix(("a", "b"), X, np.ones(14, dtype=bool)), t, e, "efron")
