@@ -63,10 +63,11 @@ _ROW_BLOCK = 512
 # save_cohort writes through visage._floats.text, the formatter that
 # mirrors repr cell for cell. Every match is a number float() accepts,
 # so a row of matching cells needs no float() to pass the drop rule;
-# any other row is checked cell by cell. Each optional part is spelled
-# as an alternation with the empty string, (?:x|), not x?: the same
-# language, which re matches faster.
-_STRICT_CELL = r"(?:-|)[0-9]+(?:\.[0-9]+|)(?:e[-+][0-9]+|)"
+# any other row is checked cell by cell. The quantifiers are possessive:
+# no part of a cell can give up a character that the next part accepts,
+# so the language is that of the ? and + spelling, and re keeps no
+# backtracking state.
+_STRICT_CELL = r"-?+[0-9]++(?:\.[0-9]++)?+(?:e[-+][0-9]++)?+"
 
 # A str holding none of these characters (the delimiter, the quote, CR
 # and LF) is one that csv.writer (excel dialect, "\n" line ends) writes
@@ -293,7 +294,7 @@ def read_schema(path: str | Path) -> dict:
 
 def _strict_row(dim: int) -> re.Pattern:
     """``dim`` strict e* cells joined by commas."""
-    return re.compile(rf"{_STRICT_CELL}(?:,{_STRICT_CELL}){{{dim - 1}}}", re.ASCII)
+    return re.compile(rf"{_STRICT_CELL}(?:,{_STRICT_CELL}){{{dim - 1}}}+", re.ASCII)
 
 
 def _embedding_cells(
@@ -316,12 +317,12 @@ def _embedding_text(rows: list[list[str]], dim: int) -> tuple[np.ndarray, np.nda
 
 def _screened_text(rows: list[tuple[str, ...]]) -> tuple[None, np.ndarray]:
     """As :func:`_embedding_cells` without converting, for rows cut by
-    :func:`_screen_lines`: a row whose first cell is empty has strict e*
+    :func:`_screen_lines`: a row whose last cell is empty has strict e*
     cells and passes; any other row's e* cells, that cell less its
     leading comma, are checked with ``float()``."""
-    bad = np.fromiter(map(bool, map(itemgetter(0), rows)), bool, len(rows))
+    bad = np.fromiter(map(bool, map(itemgetter(-1), rows)), bool, len(rows))
     for i in np.flatnonzero(bad).tolist():
-        bad[i] = _parse_floats(rows[i][0][1:].split(","))[1].any()
+        bad[i] = _parse_floats(rows[i][-1][1:].split(","))[1].any()
     return None, bad
 
 
@@ -424,22 +425,15 @@ def _split_lines(lines: list[str], width: int, lead: int) -> list[list[str]] | N
 
 def _line_pattern(lead: int, dim: int) -> re.Pattern:
     """A line of ``lead`` cells and then ``dim`` >= 1 e* cells, capturing
-    first the e* text with its leading comma when a cell is not strict
-    (see ``_STRICT_CELL``; empty when all are), then the ``lead`` cells.
-
-    The e* cells are matched in a lookahead before any group is set:
-    past a set group, re saves the groups at every alternation inside a
-    repeat, which costs more than the split this pattern replaces. A
-    lead cell is ``[^,]*``, which re matches several times faster than
-    ``[^,\\n]*``, so a match may run over more than one line; every match
-    still starts at the start of a line and ends at the end of one. The
-    e* cells, which only the lookahead reads, cannot leave their line."""
-    cell = r"[^,\n]*"
-    skip = rf"(?:[^,]*,){{{lead - 1}}}[^,]*"
-    other = rf"(,{cell}(?:,{cell}){{{dim - 1}}})"
-    e_text = rf"(?={skip}(?:,{_strict_row(dim).pattern}|{other})$)"
+    the ``lead`` cells, then the e* text when a cell is not strict (see
+    ``_STRICT_CELL``; empty when all are). That text keeps its leading
+    comma, so that an empty cell of a one-column embedding is not read
+    as a strict row."""
+    cell = r"[^,\n]*+"
+    other = rf"(,{cell}(?:,{cell}){{{dim - 1}}}+)"
     return re.compile(
-        rf"^{e_text}{','.join(['([^,]*)'] * lead)},.*$", re.ASCII | re.MULTILINE
+        rf"^{','.join([f'({cell})'] * lead)}(?:,{_strict_row(dim).pattern}|{other})$",
+        re.ASCII | re.MULTILINE,
     )
 
 
@@ -524,13 +518,11 @@ def load_cohort(
             and e_positions == list(range(lead, width))
             and all(i is None or i < lead for i in where.values())
         ):
-            cut, cut_where = partial(_split_lines, width=width, lead=lead), where
+            cut = partial(_split_lines, width=width, lead=lead)
             cut_embedding = partial(_embedding_text, dim=dim) if dim else None
             if dim and not with_embedding:
                 cut = partial(_screen_lines, pattern=_line_pattern(lead, dim))
                 cut_embedding = _screened_text
-                # a screened line's e* text comes before its cells
-                cut_where = {k: None if i is None else i + 1 for k, i in where.items()}
         parts: dict[str, list[np.ndarray]] = {}
         dropped: list[tuple[int, str]] = []
         # The kept embedding rows, grown in place block by block (realloc,
@@ -538,9 +530,9 @@ def load_cohort(
         embedding = np.empty((0, dim))
         n = 0
 
-        def add(rows: list, positions: dict, embedding_of) -> None:
+        def add(rows: list, embedding_of) -> None:
             nonlocal n
-            columns, block_dropped = _parse_block(rows, n, positions, embedding_of, years)
+            columns, block_dropped = _parse_block(rows, n, where, embedding_of, years)
             n += len(rows)
             dropped.extend(block_dropped)
             if "embedding" in columns:
@@ -558,10 +550,10 @@ def load_cohort(
         while cut is not None and (lines := list(islice(fh, _ROW_BLOCK))):
             if (rows := cut(lines)) is None:
                 break
-            add(rows, cut_where, cut_embedding)
+            add(rows, cut_embedding)
             del rows  # free the block's cell strings before reading the next
         for rows in chain([[]], _csv_blocks(chain(lines, fh), width)):
-            add(rows, where, csv_embedding)
+            add(rows, csv_embedding)
             del rows
 
     columns = {name: np.concatenate(values) for name, values in parts.items()}

@@ -846,13 +846,18 @@ class TestStrictGrammar:
             assert 100 < sum(1 for s in corpus if theirs(s)) < len(corpus) - 100
             assert [s for s in corpus if bool(ours(s)) != bool(theirs(s))] == []
 
-    def test_file_drops_same_in_both_modes(self, tmp_path):
-        """Each string as an e* cell of its own row drops the row in both
-        loading modes exactly when float() rejects it."""
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_file_drops_same_in_both_modes(self, tmp_path, dim):
+        """Each string as the first e* cell of its own row, alone or
+        before strict cells, drops the row in both loading modes exactly
+        when float() rejects it. With one column, an empty or "-" cell
+        is the whole e* text of its line."""
         strings = grammar_strings()
-        rows = [f"s{i},10,1,60,,,,,,,,,{text},0.5" for i, text in enumerate(strings)]
+        rows = [
+            f"s{i},10,1,60,,,,,,,,,{text}" + ",0.5" * (dim - 1) for i, text in enumerate(strings)
+        ]
         path = tmp_path / "c.csv"
-        write_csv(path, rows, header=HEADER + ",e0,e1")
+        write_csv(path, rows, header=HEADER + "".join(f",e{k}" for k in range(dim)))
         converted = load_cohort(path)
         checked = load_cohort(path, with_embedding=False)
         expected = tuple(

@@ -4,6 +4,7 @@ round trip from generated cohorts through the fitting code."""
 from __future__ import annotations
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -112,6 +113,26 @@ class TestDeterminism:
         spec = SimSpec(n=100, round_days=True, seed=3)
         t = simulate(spec).cohort.times()
         np.testing.assert_array_equal(t, np.floor(t))
+
+
+class TestMemory:
+    def test_simulate_peak_below_half_the_matrix(self):
+        """simulate reduces the embedding to eta a block of rows at a
+        time: at n = 5k, D = 512 its allocation peak stays below half the
+        20.5 MB matrix, and eta has the bits of the same reduction over
+        the whole matrix."""
+        n, dim, seed = 5_000, 512, 3
+        weights = tuple(np.linspace(-0.1, 0.1, dim))
+        spec = SimSpec(n=n, embedding_dim=dim, embedding_weights=weights, seed=seed)
+        tracemalloc.start()
+        try:
+            result = simulate(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * dim * 8 / 2
+        whole = substream(seed, "synth/embeddings").standard_normal((n, dim))
+        assert result.truth["eta"] == np.einsum("ij,j->i", whole, weights).tolist()
 
 
 class TestCensoringModels:
