@@ -106,12 +106,15 @@ def bilinear_sample(grid, x, y, frame: float = IMAGE_SIZE) -> np.ndarray:
     (i + 0.5) * frame / G); between centers the surface is bilinear and
     beyond the outermost centers it clamps, so samples never leave the
     range of the grid values. At a cell center the interpolant
-    reproduces that cell's value exactly.
+    reproduces that cell's value exactly. A non-finite coordinate
+    raises DataError.
     """
     g = validate_grid(grid)
     size = g.shape[0]
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise DataError("sample coordinates must be finite")
     sx = np.clip(x * size / frame - 0.5, 0.0, size - 1.0)
     sy = np.clip(y * size / frame - 0.5, 0.0, size - 1.0)
     if size == 1:
@@ -267,8 +270,12 @@ def mean_grids(grids: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def colormap_rgb(normalized: np.ndarray) -> np.ndarray:
-    """Map values in [0, 1] through the built-in viridis ramp."""
-    x = np.clip(np.asarray(normalized, dtype=float), 0.0, 1.0)
+    """Map values in [0, 1] through the built-in viridis ramp; values
+    outside it are clipped, and a non-finite value raises DataError."""
+    x = np.asarray(normalized, dtype=float)
+    if not np.isfinite(x).all():
+        raise DataError("colormap values must be finite")
+    x = np.clip(x, 0.0, 1.0)
     pos = x * (len(_VIRIDIS) - 1)
     lo = np.floor(pos).astype(int)
     hi = np.minimum(lo + 1, len(_VIRIDIS) - 1)
@@ -283,12 +290,14 @@ def export_obj(mesh: FaceMesh, scores: np.ndarray) -> bytes:
     are duplicated and carry the face color as the nonstandard but
     widely read ``v x y z r g b`` extension. Scores are min-max
     normalized through the viridis ramp; a constant score column maps
-    everything to the ramp midpoint. Output is byte-stable for
-    identical inputs.
+    everything to the ramp midpoint, and a non-finite score raises
+    DataError. Output is byte-stable for identical inputs.
     """
     values = np.asarray(scores, dtype=float)
     if values.shape != (mesh.n_triangles,):
         raise DataError("scores do not align with mesh triangles")
+    if not np.isfinite(values).all():
+        raise DataError("scores must be finite")
     lo, hi = float(values.min()), float(values.max())
     if hi > lo:
         normalized = (values - lo) / (hi - lo)

@@ -9,13 +9,12 @@ datasets of different score distributions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
 from . import SCHEMES
 from ._inputs import vectors
-from .cohort import _csv_fields
 from .errors import AnalysisError, ConstantInputError, DataError
 
 FAD_BAND_CUTS = (-10.0, -5.0, 0.0, 5.0, 10.0, 20.0)
@@ -153,14 +152,3 @@ def cosine_similarity_profile(a, b) -> tuple[np.ndarray, float]:
     sims = np.sum(xa * xb, axis=1) / (norms_a * norms_b)
     return sims, float(np.median(sims))
 
-
-def strata_to_csv(ids: Sequence[str], assignment: StrataAssignment) -> str:
-    """Render per-subject strata as ``id,scheme,label`` lines."""
-    if len(ids) != len(assignment.labels):
-        raise DataError("ids do not align with strata labels")
-    lines = ["id,scheme,label"]
-    lines.extend(
-        f"{sid},{assignment.scheme},{label}"
-        for sid, label in zip(_csv_fields(ids), assignment.labels)
-    )
-    return "\n".join(lines) + "\n"

@@ -71,10 +71,18 @@ def _sha256(path: Path) -> str:
 
 def _safe_label(label: str) -> str:
     table = {"≥": "ge", "≤": "le", "<": "lt", ">": "gt", " ": "_", "/": "-", "+": "plus"}
-    out = []
-    for ch in label:
-        out.append(table.get(ch, ch))
-    return "".join(out)
+    return label.translate(str.maketrans(table))
+
+
+def _table(header: tuple[str, ...], *columns) -> str:
+    """CSV text, ``"\\n"``-ended rows: int and float columns as ``repr``
+    writes them, any other column quoted as csv.writer would."""
+    cells = [
+        map(repr, col) if not col or isinstance(col[0], (int, float))
+        else cohort_mod._csv_fields(col)
+        for col in columns
+    ]
+    return "\n".join([",".join(header), *map(",".join, zip(*cells))]) + "\n"
 
 
 def _option_type(parse):
@@ -99,6 +107,15 @@ def _checked(parse):
 def _floats(text: str) -> tuple[float, ...]:
     """A comma-separated list of numbers."""
     return tuple(float(tok) for tok in text.split(",") if tok.strip())
+
+
+@_option_type
+def _horizons(text: str) -> tuple[float, ...]:
+    """Comma-separated day horizons, each with its own ``:g`` key in the results."""
+    horizons = _floats(text)
+    if len({f"{h:g}" for h in horizons}) < len(horizons):
+        raise DataError(f"two horizons of {text!r} print as the same day")
+    return horizons
 
 
 @_option_type
@@ -224,7 +241,9 @@ def cmd_km(args, outputs: dict) -> dict:
         groups = biomarkers.group_indices(assignment)
         results["scheme"] = args.group_by
         results["excluded_missing_marker"] = int(np.sum(~mask))
-        outputs["strata.csv"] = biomarkers.strata_to_csv(cohort.ids[mask].tolist(), assignment)
+        ids = cohort.ids[mask].tolist()
+        header = ("id", "scheme", "label")
+        outputs["strata.csv"] = _table(header, ids, [args.group_by] * len(ids), assignment.labels)
     else:
         groups = {"all": np.arange(times.size)}
         sub_times, sub_events = times, events
@@ -232,7 +251,12 @@ def cmd_km(args, outputs: dict) -> dict:
 
     for label, idx in groups.items():
         curve = survival.kaplan_meier(sub_times[idx], sub_events[idx])
-        outputs[f"km_{_safe_label(label)}.csv"] = survival.curve_to_csv(curve)
+        bands = [survival.km_estimate_at(curve, u) for u in curve.times.tolist()]
+        outputs[f"km_{_safe_label(label)}.csv"] = _table(
+            ("time", "survival", "ci_low", "ci_high", "at_risk", "events"),
+            curve.times.tolist(), curve.survival.tolist(), [b.ci_low for b in bands],
+            [b.ci_high for b in bands], curve.at_risk.tolist(), curve.events.tolist(),
+        )
         est = {}
         for h in args.horizons:
             e = survival.km_estimate_at(curve, h)
@@ -289,22 +313,20 @@ def cmd_cox(args, outputs: dict) -> dict:
     uni_fit = cox_mod.fit_adjusted(cohort, biomarker, ties=args.ties)
     report["univariate"] = cox_mod.fit_to_dict(uni_fit)
 
-    rows = [("univariate", row) for row in uni_fit.rows()]
     adjusted = cox_mod.fit_adjusted(cohort, biomarker, adjusters, args.ties)
     report["adjusted"] = cox_mod.fit_to_dict(adjusted)
     report["headline"] = [
         {"name": r.name, "hr": r.hr, "ci95": [r.ci_low, r.ci_high], "p": r.p}
         for r in adjusted.rows()[: len(uni_fit.names)]
     ]
-    rows.extend(("adjusted", row) for row in adjusted.rows())
 
-    lines = ["model,covariate,hr,ci_low,ci_high,p,beta,se"]
-    for model, row in rows:
-        lines.append(
-            f"{model},{row.name},{row.hr!r},{row.ci_low!r},{row.ci_high!r},"
-            f"{row.p!r},{row.beta!r},{row.se!r}"
-        )
-    outputs["table.csv"] = "\n".join(lines) + "\n"
+    rows = uni_fit.rows() + adjusted.rows()
+    columns = ("hr", "ci_low", "ci_high", "p", "beta", "se")
+    outputs["table.csv"] = _table(
+        ("model", "covariate", *columns),
+        ["univariate"] * len(uni_fit.names) + ["adjusted"] * len(adjusted.names),
+        *([getattr(r, c) for r in rows] for c in ("name", *columns)),
+    )
     outputs["fit.json"] = report
 
     failed = not uni_fit.converged or not adjusted.converged
@@ -384,16 +406,13 @@ def cmd_train(args, outputs: dict) -> dict:
     else:
         result = trainer_mod.train_age_model(X, cohort.chrono_age, config)
         columns = ("train_mae", "val_mae")
-    lines = [",".join(("epoch", *columns))]
-    lines.extend(
-        ",".join([str(s.epoch), *(repr(getattr(s, c)) for c in columns)]) for s in result.trace
-    )
     final = {c: getattr(result.trace[-1], c) for c in columns} if result.trace else None
 
     def model_file(model):
         return lambda path: trainer_mod.save_model(model, path, kind=args.target, config=config)
 
-    outputs["trace.csv"] = "\n".join(lines) + "\n"
+    header = ("epoch", *columns)
+    outputs["trace.csv"] = _table(header, *([getattr(s, c) for s in result.trace] for c in header))
     outputs["model.bin"] = model_file(result.model)
     for i, ckpt in enumerate(result.checkpoints, start=1):
         outputs[f"checkpoints/epoch_{i:03d}.bin"] = model_file(ckpt)
@@ -452,10 +471,8 @@ def cmd_balance(args, outputs: dict) -> dict:
             ages, bin_width=args.bin_width, target=args.target, seed=args.seed
         )
 
-    lines = ["index,id"]
-    ids = cohort_mod._csv_fields(cohort.ids[indices].tolist())
-    lines.extend(f"{i},{sid}" for i, sid in zip(indices.tolist(), ids))
-    outputs["indices.csv"] = "\n".join(lines) + "\n"
+    ids = cohort.ids[indices].tolist()
+    outputs["indices.csv"] = _table(("index", "id"), indices.tolist(), ids)
 
     bin_index = np.floor(ages[indices] / args.bin_width).astype(int)
     uniq, counts = np.unique(bin_index, return_counts=True)
@@ -492,9 +509,8 @@ def cmd_attention(args, outputs: dict) -> dict:
     projected = attention_mod.triangle_attention(mesh, attention_mod.mean_grids(maps))
 
     outputs["attention.obj"] = attention_mod.export_obj(mesh, projected)
-    lines = ["triangle,score"]
-    lines.extend(f"{i},{float(v)!r}" for i, v in enumerate(projected))
-    outputs["triangle_scores.csv"] = "\n".join(lines) + "\n"
+    scores = projected.tolist()
+    outputs["triangle_scores.csv"] = _table(("triangle", "score"), range(len(scores)), scores)
     return {
         "grids": args.grid,
         "subdivide": args.subdivide,
@@ -533,7 +549,7 @@ def build_parser() -> argparse.ArgumentParser:
     _common(p)
     p.add_argument("--group-by", dest="group_by", choices=("none", *SCHEMES),
                    default="none", help="stratification scheme (default %(default)s)")
-    p.add_argument("--horizons", type=_floats, default="913,1826",
+    p.add_argument("--horizons", type=_horizons, default="913,1826",
                    help="comma-separated day horizons for point estimates (default %(default)s)")
     p.set_defaults(func=cmd_km)
 
@@ -555,7 +571,7 @@ def build_parser() -> argparse.ArgumentParser:
     _common(p)
     p.add_argument("--marker", choices=("risk", "fad", "predicted_age", "chrono_age"),
                    default="risk")
-    p.add_argument("--horizons", type=_floats, default="91,182,365,730",
+    p.add_argument("--horizons", type=_horizons, default="91,182,365,730",
                    help="comma-separated day horizons (default %(default)s)")
     p.set_defaults(func=cmd_metrics)
 
@@ -665,17 +681,8 @@ def main(argv=None) -> int:
             at = argv.index(args.command) + 1
             flags = _config_flags(args.config, args.command)
             args = parser.parse_known_args([*argv[:at], *flags, *argv[at:]])[0]
-        input_paths = [
-            p
-            for p in (
-                getattr(args, "cohort", None),
-                getattr(args, "schema", None),
-                args.config,
-                getattr(args, "mesh", None),
-                getattr(args, "landmarks", None),
-            )
-            if p
-        ]
+        names = ("cohort", "schema", "config", "mesh", "landmarks")
+        input_paths = [p for p in (getattr(args, name, None) for name in names) if p]
         if getattr(args, "grid", None):
             input_paths.extend(_grid_paths(args.grid))
         for p in input_paths:

@@ -9,7 +9,6 @@ still at risk for the deaths at t.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -226,15 +225,3 @@ def log_rank(groups) -> LogRankResult:
     dof = k - 1
     return LogRankResult(chi, dof, chi2_sf(chi, dof))
 
-
-def curve_to_csv(curve: SurvivalCurve) -> str:
-    """Render a curve as ``time,survival,ci_low,ci_high,at_risk,events``."""
-    out = io.StringIO()
-    out.write("time,survival,ci_low,ci_high,at_risk,events\n")
-    for i, u in enumerate(curve.times):
-        est = km_estimate_at(curve, float(u))
-        out.write(
-            f"{float(u)!r},{float(curve.survival[i])!r},{est.ci_low!r},"
-            f"{est.ci_high!r},{int(curve.at_risk[i])},{int(curve.events[i])}\n"
-        )
-    return out.getvalue()

@@ -199,6 +199,14 @@ class TestBilinear:
         with pytest.raises(DataError):
             validate_grid([[np.nan]])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_coordinate_rejected(self, bad):
+        grid = [[0.0, 1.0], [2.0, 3.0]]
+        with pytest.raises(DataError, match="coordinates must be finite"):
+            bilinear_sample(grid, [1.0, bad], 1.0, frame=2.0)
+        with pytest.raises(DataError, match="coordinates must be finite"):
+            bilinear_sample(grid, 1.0, bad, frame=2.0)
+
 
 class TestSubdivision:
     def test_single_triangle_counts(self):
@@ -487,6 +495,16 @@ class TestObjExport:
         mesh = flat_mesh([(0, 0), (40, 0), (0, 40)], [(0, 1, 2)])
         with pytest.raises(DataError):
             export_obj(mesh, np.array([0.1, 0.2]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_scores_rejected(self, bad):
+        """A NaN score would paint every face the ramp midpoint, and an
+        infinite one would index the ramp far out of range."""
+        mesh = flat_mesh([(0, 0), (40, 0), (0, 40), (40, 40)], [(0, 1, 2), (1, 3, 2)])
+        with pytest.raises(DataError, match="scores must be finite"):
+            export_obj(mesh, np.array([0.1, bad]))
+        with pytest.raises(DataError, match="must be finite"):
+            colormap_rgb(np.array([0.5, bad]))
 
     def test_colormap_endpoints_and_range(self):
         rgb = colormap_rgb(np.array([0.0, 0.5, 1.0]))

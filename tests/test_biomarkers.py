@@ -14,7 +14,6 @@ from visage.biomarkers import (
     fad_for_cohort,
     group_indices,
     minmax_scale,
-    strata_to_csv,
     stratify,
 )
 from visage.errors import AnalysisError, ConstantInputError, DataError
@@ -233,13 +232,3 @@ class TestCosine:
     def test_zero_norm_rejected(self):
         with pytest.raises(AnalysisError):
             cosine_similarity_profile(np.zeros((1, 4)), np.ones((1, 4)))
-
-
-class TestExport:
-    def test_csv_shape(self):
-        assignment = stratify(np.array([0.2, 0.8]), "risk_half")
-        text = strata_to_csv(["a", "b"], assignment)
-        lines = text.strip().split("\n")
-        assert lines[0] == "id,scheme,label"
-        assert lines[1] == "a,risk_half,<0.5"
-        assert lines[2] == "b,risk_half,≥0.5"

@@ -117,6 +117,19 @@ class TestKm:
         results = read_json(out / "results.json")
         assert set(results["strata"]["all"]["estimates"]) == {"100", "200"}
 
+    def test_strata_csv_lines(self, tmp_path):
+        cohort = tmp_path / "c.csv"
+        cohort.write_text(
+            "id,time,event,chrono_age,risk_scaled\n"
+            "a,100,1,60,0.2\nb,200,0,61,0.8\nc,300,1,62,0.3\nd,400,1,63,0.9\n"
+        )
+        out = tmp_path / "km"
+        assert run("km", "--cohort", cohort, "--out", out, "--group-by", "risk_half") == 0
+        lines = (out / "strata.csv").read_text(encoding="utf-8").splitlines()
+        assert lines[0] == "id,scheme,label"
+        assert lines[1] == "a,risk_half,<0.5"
+        assert lines[2] == "b,risk_half,≥0.5"
+
 
 class TestMetrics:
     def make_cohort(self, path, risks, times=None, predicted=None):
@@ -222,6 +235,36 @@ class TestMetrics:
 
 
 class TestCox:
+    def test_text_levels_quoted_in_table(self, tmp_path):
+        """Category levels holding a comma or a quote are quoted in
+        table.csv, so csv.reader reads 8 fields on every row."""
+        rng = np.random.default_rng(17)
+        sites = ["breast", "head, neck", 'lung "nsclc"']
+        cohort = tmp_path / "c.csv"
+        with open(cohort, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["id", "time", "event", "chrono_age", "cancer_site"])
+            for i in range(90):
+                writer.writerow([
+                    f"p{i}", int(rng.integers(1, 2000)), int(rng.random() < 0.7),
+                    round(float(rng.normal(60, 10)), 1), sites[i % 3],
+                ])
+        out = tmp_path / "cox"
+        assert run(
+            "cox", "--cohort", cohort, "--out", out,
+            "--biomarker", "chrono_age:per:10", "--adjusters", "cancer_site:cat:breast",
+        ) == 0
+        with open(out / "table.csv", newline="", encoding="utf-8") as fh:
+            header, *rows = csv.reader(fh)
+        assert header == ["model", "covariate", "hr", "ci_low", "ci_high", "p", "beta", "se"]
+        assert {len(row) for row in rows} == {8}
+        report = read_json(out / "fit.json")
+        names = [
+            c["name"] for model in ("univariate", "adjusted") for c in report[model]["covariates"]
+        ]
+        assert [row[1] for row in rows] == names
+        assert 'cancer_site=head, neck' in names
+
     def test_empty_adjusters_tables_match(self, tmp_path, sim_cohort):
         out = tmp_path / "cox"
         assert run(
@@ -714,6 +757,17 @@ class TestMalformedOptions:
         err = capsys.readouterr().err
         assert named in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command,flags", [("km", []), ("metrics", ["--marker", "fad"])])
+    def test_horizons_with_one_key_exit_two(self, tmp_path, capsys, small_cohort, command, flags):
+        """Two horizons that print as the same ``:g`` key would share one
+        entry of the results, the second overwriting the first."""
+        out = tmp_path / "out"
+        horizons = ["--horizons", "365,365.0000001"]
+        assert run(command, "--cohort", small_cohort, "--out", out, *flags, *horizons) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "--horizons" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("command,key,value,flag,field", [
         ("metrics", "horizons", 91, "91", ("horizons", [91.0])),
