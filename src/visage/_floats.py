@@ -221,7 +221,9 @@ def text(block) -> str:
     ends = np.full((min(step, rows), cols), ord(","), np.uint8)
     ends[:, -1] = ord("\n")
     ends = ends.ravel()
-    return b"".join(
-        _chunk(part.ravel(), ends[: part.size])
+    # Each chunk is decoded as it is made, so the text is held once as
+    # pieces and once joined, never also as one bytes object.
+    return "".join(
+        _chunk(part.ravel(), ends[: part.size]).decode("ascii")
         for part in (block[start : start + step] for start in range(0, rows, step))
-    ).decode("ascii")
+    )

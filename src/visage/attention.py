@@ -299,6 +299,10 @@ def export_obj(mesh: FaceMesh, scores: np.ndarray) -> bytes:
     if not np.isfinite(values).all():
         raise DataError("scores must be finite")
     lo, hi = float(values.min()), float(values.max())
+    if hi - lo == np.inf:
+        # Finite scores whose range overflows a double: their halves have
+        # a finite range, and halving leaves the ratios as they are.
+        values, lo, hi = values / 2, lo / 2, hi / 2
     if hi > lo:
         normalized = (values - lo) / (hi - lo)
     else:

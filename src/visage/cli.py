@@ -648,27 +648,26 @@ def _config_flags(path: str, command: str) -> list[str]:
     return flags
 
 
-def _render(value) -> bytes:
-    if isinstance(value, bytes):
-        return value
-    if isinstance(value, str):
-        return value.encode("utf-8")
-    return (json.dumps(value, indent=2, sort_keys=True) + "\n").encode("utf-8")
-
-
 def _write_outputs(out_dir: Path, outputs: dict, manifest: dict) -> None:
-    """Write each output: bytes, str or a JSON value, or a callable that
-    writes the file at the path it is given."""
+    """Write each output, then the manifest: bytes, str or a JSON value,
+    or a callable that writes the file at the path it is given. A JSON
+    value is streamed into its file, never held whole as text."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    for name, value in outputs.items():
+    manifest["outputs"] = sorted(outputs)
+    for name, value in [*outputs.items(), ("manifest.json", manifest)]:
         path = out_dir / name
         path.parent.mkdir(parents=True, exist_ok=True)
         if callable(value):
             value(path)
+        elif isinstance(value, bytes):
+            path.write_bytes(value)
         else:
-            path.write_bytes(_render(value))
-    manifest["outputs"] = sorted(outputs)
-    (out_dir / "manifest.json").write_bytes(_render(manifest))
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                if isinstance(value, str):
+                    fh.write(value)
+                else:
+                    json.dump(value, fh, indent=2, sort_keys=True)
+                    fh.write("\n")
 
 
 def main(argv=None) -> int:

@@ -550,13 +550,15 @@ def load_cohort(
         while cut is not None and (lines := list(islice(fh, _ROW_BLOCK))):
             if (rows := cut(lines)) is None:
                 break
+            lines = []  # the rows hold the block's cells; free its lines first
             add(rows, cut_embedding)
             del rows  # free the block's cell strings before reading the next
         for rows in chain([[]], _csv_blocks(chain(lines, fh), width)):
             add(rows, csv_embedding)
             del rows
 
-    columns = {name: np.concatenate(values) for name, values in parts.items()}
+    # One column at a time, each block list freed once it is joined.
+    columns = {name: np.concatenate(parts.pop(name)) for name in list(parts)}
     if len(embedding):
         columns["embedding"] = embedding
     for values in columns.values():

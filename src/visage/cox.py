@@ -250,7 +250,10 @@ class _SortedFitData:
         risk = np.cumsum(values[::-1], axis=0)[::-1][self.risk_start][g]
         tie = np.add.reduceat(values[self.e], self.group_first, axis=0)[g]
         frac = self.tie_frac if values.ndim == 1 else self.tie_frac[:, None]
-        return risk - frac * tie
+        # In place: both are fresh copies from their fancy indexing.
+        tie *= frac
+        risk -= tie
+        return risk
 
     def derivatives(self, beta: np.ndarray):
         """Log partial likelihood with its analytic gradient and Hessian;
@@ -275,7 +278,8 @@ class _SortedFitData:
 
         inv = 1.0 / denom
         score = self.x_death_total - np.einsum("e,ei->i", inv, num)
-        ratio = num * inv[:, None]
+        ratio = num  # scaled in place: num is not read again
+        ratio *= inv[:, None]
 
         entering = np.zeros(self.n)  # a tie group's 1 / denom, from its risk set's first row
         entering[self.risk_start] = np.bincount(g, inv)
@@ -350,6 +354,7 @@ def fit_cox(design: DesignMatrix, times, events, ties: str = "efron") -> CoxFit:
     if not np.isfinite(X).all():
         raise DataError("design matrix holds non-finite values on included rows")
     data = _SortedFitData(X, times[mask], events[mask], ties)
+    del X  # data holds its own copy, sorted by time
 
     beta = np.zeros(data.k)
     ll, grad, hess = data.derivatives(beta)

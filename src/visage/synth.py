@@ -242,8 +242,8 @@ def simulate(spec: SimSpec) -> SimResult:
         "eta": [float(v) for v in eta],
         "censored_fraction": float(1.0 - events.mean()),
     }
-    cohort = cohort_mod.Cohort(
-        ids=[f"s{i:05d}" for i in range(n)],
+    columns = dict(
+        ids=np.array([f"s{i:05d}" for i in range(n)], dtype=object),
         time=observed,
         event=events,
         chrono_age=chrono,
@@ -252,4 +252,9 @@ def simulate(spec: SimSpec) -> SimResult:
         predicted_age=predicted,
         risk_scaled=driven.get("risk_scaled"),
     )
-    return SimResult(cohort, truth, spec)
+    # Every column is a fresh array that nothing else writes to; read-only,
+    # the cohort shares it instead of copying it.
+    for values in columns.values():
+        if values is not None:
+            values.flags.writeable = False
+    return SimResult(cohort_mod.Cohort(**columns), truth, spec)

@@ -506,6 +506,21 @@ class TestObjExport:
         with pytest.raises(DataError, match="must be finite"):
             colormap_rgb(np.array([0.5, bad]))
 
+    def test_overflowing_score_range_normalised(self):
+        """Finite scores whose range overflows a double map to the ramp's
+        ends and midpoint, with no overflow warning (pytest turns one into
+        an error)."""
+        mesh = flat_mesh(
+            [(0, 0), (40, 0), (0, 40), (40, 40)], [(0, 1, 2), (1, 3, 2), (0, 3, 1)]
+        )
+        text = export_obj(mesh, np.array([-1e308, 1e308, 0.0])).decode()
+        ends = colormap_rgb(np.array([0.0, 1.0, 0.5]))
+        colors = [" ".join(line.split()[4:]) for line in text.splitlines()[3:12:3]]
+        assert colors == [f"{r:.4f} {g:.4f} {b:.4f}" for r, g, b in ends]
+        largest = np.finfo(float).max
+        text = export_obj(mesh, np.array([-largest, largest, -largest])).decode()
+        assert " ".join(text.splitlines()[6].split()[4:]) == "%.4f %.4f %.4f" % tuple(ends[1])
+
     def test_colormap_endpoints_and_range(self):
         rgb = colormap_rgb(np.array([0.0, 0.5, 1.0]))
         assert rgb.shape == (3, 3)

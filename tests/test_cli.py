@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import visage
-from visage.cli import main
+from visage.cli import _write_outputs, main
 from visage.metrics import harrell_c
 
 
@@ -1081,3 +1081,26 @@ class TestStartup:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+
+class TestWriteOutputs:
+    def test_json_value_streamed_with_dumps_bytes(self, tmp_path):
+        """A JSON value is streamed into its file with the bytes that
+        json.dumps gives it, NaN, non-ASCII text and nested lists included;
+        str and bytes outputs are written as they are, and the manifest
+        lists every output."""
+        value = {
+            "nan": float("nan"),
+            "text": "åge ≥ 5 – naïve",
+            "nested": [[1, 2.5, [None, True]], [], [{"b": -0.0, "a": 1e-300}]],
+        }
+        outputs = {"sub/value.json": value, "text.csv": "a,é\n", "raw.bin": b"\x00\xff"}
+        manifest = {"tool": "visage", "seed": 0}
+        _write_outputs(tmp_path, outputs, manifest)
+        expected = json.dumps(value, indent=2, sort_keys=True) + "\n"
+        assert (tmp_path / "sub" / "value.json").read_bytes() == expected.encode("utf-8")
+        assert (tmp_path / "text.csv").read_bytes() == "a,é\n".encode("utf-8")
+        assert (tmp_path / "raw.bin").read_bytes() == b"\x00\xff"
+        written = (tmp_path / "manifest.json").read_bytes()
+        assert written == (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode("utf-8")
+        assert json.loads(written)["outputs"] == sorted(outputs)
