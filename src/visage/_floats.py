@@ -1,8 +1,8 @@
 """The text that repr writes for a block of float64 cells, made for whole
 arrays at once.
 
-``text(block)`` returns exactly
-``"".join(",".join(map(repr, row)) + "\\n" for row in block.tolist())``
+``lines(block)`` returns exactly
+``[",".join(map(repr, row)) for row in block.tolist()]``
 without a Python call per cell. A finite normal double that repr writes
 positionally (decimal point position decpt with -4 < decpt <= 16) gets
 its digits from Schubfach (R. Giulietti, "The Schubfach way to render
@@ -36,8 +36,8 @@ import numpy as np
 _U, _I = np.uint64, np.int64
 
 # Cells formatted at a time. It bounds the kernel's arrays to about
-# 1 MB (text of a 512 x 64 block peaks at 1.8 MB traced, its 0.6 MB of
-# output twice over included), and a chunk is long enough that numpy's
+# 1 MB (the rows of a 512 x 64 block peak at 1.9 MB traced, their
+# 0.67 MB of text included), and a chunk is long enough that numpy's
 # cost per call is small: 8192 was no faster, and 2048 was 20 % slower.
 _CHUNK = 4096
 
@@ -210,20 +210,22 @@ def _chunk(values: np.ndarray, ends: np.ndarray) -> bytes:
     return layout.ravel()[mask.ravel()].tobytes()
 
 
-def text(block) -> str:
-    """The cells of the 2-d float block as repr writes them, joined by
-    "," within a row, each row ended by "\\n"."""
+def lines(block) -> list[str]:
+    """The rows of the 2-d float block, each as its cells as repr writes
+    them, joined by ","."""
     block = np.ascontiguousarray(block, dtype=np.float64)
     rows, cols = block.shape
     if not block.size:
-        return "\n" * rows
+        return [""] * rows
     step = max(1, _CHUNK // cols)
     ends = np.full((min(step, rows), cols), ord(","), np.uint8)
     ends[:, -1] = ord("\n")
     ends = ends.ravel()
-    # Each chunk is decoded as it is made, so the text is held once as
-    # pieces and once joined, never also as one bytes object.
-    return "".join(
-        _chunk(part.ravel(), ends[: part.size]).decode("ascii")
-        for part in (block[start : start + step] for start in range(0, rows, step))
-    )
+    # A chunk holds whole rows, so each chunk's text is split into its
+    # rows as it is made: the block's text is held once, as rows, never
+    # also joined.
+    out: list[str] = []
+    for start in range(0, rows, step):
+        part = block[start : start + step].ravel()
+        out += _chunk(part, ends[: part.size]).decode("ascii").split("\n")[:-1]
+    return out

@@ -648,10 +648,19 @@ def _config_flags(path: str, command: str) -> list[str]:
     return flags
 
 
+def _json_list(value) -> list:
+    """A numpy array in a JSON value, such as ``truth.json``'s eta, as the
+    list of its values; made only as that value is written."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
 def _write_outputs(out_dir: Path, outputs: dict, manifest: dict) -> None:
     """Write each output, then the manifest: bytes, str or a JSON value,
     or a callable that writes the file at the path it is given. A JSON
-    value is streamed into its file, never held whole as text."""
+    value, in which a numpy array stands for its list, is streamed into
+    its file, never held whole as text."""
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest["outputs"] = sorted(outputs)
     for name, value in [*outputs.items(), ("manifest.json", manifest)]:
@@ -666,7 +675,7 @@ def _write_outputs(out_dir: Path, outputs: dict, manifest: dict) -> None:
                 if isinstance(value, str):
                     fh.write(value)
                 else:
-                    json.dump(value, fh, indent=2, sort_keys=True)
+                    json.dump(value, fh, indent=2, sort_keys=True, default=_json_list)
                     fh.write("\n")
 
 

@@ -60,7 +60,7 @@ _MANDATORY = ("time", "event", "chrono_age")
 _ROW_BLOCK = 512
 
 # One e* cell as repr(float) writes a finite value, which is what
-# save_cohort writes through visage._floats.text, the formatter that
+# save_cohort writes through visage._floats.lines, the formatter that
 # mirrors repr cell for cell. Every match is a number float() accepts,
 # so a row of matching cells needs no float() to pass the drop rule;
 # any other row is checked cell by cell. The quantifiers are possessive:
@@ -608,10 +608,7 @@ def save_cohort(
     the matrix is never held whole. D is the first block's width, and
     no block means no e* columns. A block of another shape, or one too
     many or too few, raises DataError."""
-    from ._floats import text
-
-    def lines(values: np.ndarray) -> list[str]:
-        return text(values).split("\n")[:-1]
+    from ._floats import lines
 
     n = len(cohort)
     if embedding_blocks is None:
@@ -644,9 +641,10 @@ def save_cohort(
                 np.where(cohort.event[block], "1", "0").tolist(),
                 lines(cohort.chrono_age[block, None]),
                 *(_csv_fields(values[block].tolist()) for values in texts),
-                text(np.stack([values[block] for values in optional], axis=1))
-                .replace("nan", "")
-                .split("\n")[:-1],
+                [
+                    row.replace("nan", "")
+                    for row in lines(np.stack([values[block] for values in optional], axis=1))
+                ],
             ]
             if dim:
                 values = np.asarray(next(blocks, ()), dtype=float)

@@ -10,7 +10,7 @@ AIC comparison across models on an identical row set.
 
 from __future__ import annotations
 
-import hashlib
+import zlib
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -318,11 +318,11 @@ def partial_likelihood(X, times, events, beta, ties: str = "efron"):
 
 
 def _fingerprint(included: np.ndarray, times: np.ndarray, events: np.ndarray) -> str:
-    h = hashlib.sha256()
-    h.update(included.tobytes())
-    h.update(times.tobytes())
-    h.update(events.tobytes())
-    return h.hexdigest()
+    """The CRC-32 of the inclusion mask, of the times and of the event
+    flags, as 24 hex digits. A checksum, not a cryptographic digest: it
+    tells apart row sets that differ by accident, and zlib, unlike a
+    SHA-256, keeps OpenSSL (3.4 MB resident) out of a fit's memory."""
+    return "".join(f"{zlib.crc32(a.tobytes()):08x}" for a in (included, times, events))
 
 
 def _with_information(op, hess: np.ndarray, message: str, *args) -> np.ndarray:
@@ -477,8 +477,8 @@ def fit_adjusted(
 def compare_aic(fits: Sequence[CoxFit], labels: Sequence[str]) -> tuple[AicEntry, ...]:
     """Rank fits by AIC, ascending. All fits must share one row set.
 
-    The row-set fingerprint (hash of inclusion mask plus times and
-    event flags) must agree across fits, since AIC values computed on
+    The row-set fingerprint (checksums of the inclusion mask, the times
+    and the event flags) must agree across fits, since AIC values computed on
     different subjects are not comparable.
     """
     if not fits:

@@ -195,7 +195,9 @@ def log_rank(groups) -> LogRankResult:
 
     t_all = np.concatenate([t for t, _ in parsed])
     e_all = np.concatenate([e for _, e in parsed])
-    event_times = np.unique(t_all[e_all])
+    # A flag keeps np.unique on its sorting path: a plain call reads
+    # np.ma.is_masked on numpy 2.x, which imports numpy.ma (+1.4 MB).
+    event_times = np.unique(t_all[e_all], return_counts=True)[0]
 
     n_ij = np.empty((k, event_times.size))
     d_ij = np.zeros((k, event_times.size))

@@ -6,9 +6,10 @@ exponential, or administrative; the observed time is the minimum of
 the two with the event flag set when death comes first. Generated
 cohorts use the standard cohort columns, so everything downstream
 (ingestion, fitting, training) runs on them unchanged, and the ground
-truth travels in a JSON-ready sidecar. By default observed times are
-rounded up to whole days, which produces realistic ties; exact
-continuous times are available for tie-free tests.
+truth travels in a sidecar dict, JSON-ready but for its ``eta`` array.
+By default observed times are rounded up to whole days, which produces
+realistic ties; exact continuous times are available for tie-free
+tests.
 
 All draws come from named Philox substreams of ``SimSpec.seed``, so a
 spec pins its cohort bit-for-bit across runs and platforms. The
@@ -125,7 +126,9 @@ class SimResult:
     """A simulated cohort, its ground truth and the spec that made them.
 
     The cohort holds no embedding (``cohort.embedding`` is None), even
-    when the spec has one: :meth:`embedding_blocks` redraws it."""
+    when the spec has one: :meth:`embedding_blocks` redraws it.
+    ``truth["eta"]``, the linear predictor, is a read-only float64 array,
+    not n Python floats; ``.tolist()`` gives what ``truth.json`` holds."""
 
     cohort: cohort_mod.Cohort
     truth: dict
@@ -225,6 +228,7 @@ def simulate(spec: SimSpec) -> SimResult:
 
     predicted = chrono + driven["fad"] if "fad" in driven else None
 
+    eta.flags.writeable = False
     truth = {
         "n": n,
         "seed": spec.seed,
@@ -239,7 +243,7 @@ def simulate(spec: SimSpec) -> SimResult:
             None if spec.embedding_weights is None else list(spec.embedding_weights)
         ),
         "round_days": spec.round_days,
-        "eta": [float(v) for v in eta],
+        "eta": eta,
         "censored_fraction": float(1.0 - events.mean()),
     }
     columns = dict(

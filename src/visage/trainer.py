@@ -133,8 +133,8 @@ class TrainResult:
     model: RiskModel
     trace: tuple
     checkpoints: tuple
-    train_indices: tuple[int, ...]
-    val_indices: tuple[int, ...]
+    train_indices: np.ndarray  # int row indices of X
+    val_indices: np.ndarray
 
 
 # Event rows per block of the pairwise loss: memory is O(_ROW_BLOCK * n).
@@ -497,18 +497,16 @@ def _train(X: np.ndarray, config: TrainConfig, batch_grad, epoch_row) -> TrainRe
                     continue
             optimizer.step(_backward(params, X[batch], hidden, grad))
 
-        r_train, _ = _forward(params, X[train_idx])
-        r_val, _ = _forward(params, X[val_idx])
+        # The model over every row once, then indexed, copies no rows of
+        # the embedding. A risk may differ in its last bit from one taken
+        # over the split's rows alone: BLAS can sum a row in an order
+        # that its place in the product sets.
+        risks = _forward(params, X)[0]
+        r_train, r_val = risks[train_idx], risks[val_idx]
         trace.append(epoch_row(epoch, r_train, train_idx, r_val, val_idx, skipped))
         checkpoints.append(RiskModel({k: v.copy() for k, v in params.items()}))
 
-    return TrainResult(
-        RiskModel(params),
-        tuple(trace),
-        tuple(checkpoints),
-        tuple(int(i) for i in train_idx),
-        tuple(int(i) for i in val_idx),
-    )
+    return TrainResult(RiskModel(params), tuple(trace), tuple(checkpoints), train_idx, val_idx)
 
 
 def train_risk_model(embeddings, times, events, config: TrainConfig = TrainConfig()) -> TrainResult:
@@ -612,7 +610,9 @@ def balance_bins(
     rng = substream(seed, "balance/bins")
     bin_index = np.floor(a / bin_width).astype(int)
     pieces = []
-    for b in np.unique(bin_index):
+    # A flag keeps np.unique on its sorting path: a plain call reads
+    # np.ma.is_masked on numpy 2.x, which imports numpy.ma (+1.4 MB).
+    for b in np.unique(bin_index, return_counts=True)[0]:
         members = np.nonzero(bin_index == b)[0]
         if members.size > target:
             pieces.append(rng.choice(members, size=target, replace=False))

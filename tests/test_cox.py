@@ -9,8 +9,13 @@ module under test.
 
 from __future__ import annotations
 
+import os
+import re
+import subprocess
+import sys
 import time as time_mod
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -677,6 +682,46 @@ class TestAdjustedAndAic:
         fit_sub = fit_cox(design_sub, TOY_T[:10], TOY_E[:10])
         with pytest.raises(DataError):
             compare_aic([fit_full, fit_sub], ["full", "sub"])
+
+    def test_aic_comparison_rejects_one_flipped_event_flag(self):
+        """Row sets with the same rows and times differ in one event flag:
+        their fingerprints differ, so the fits are not compared."""
+        design = build_design(toy_cohort(), [Covariate("risk_scaled")])
+        flipped = TOY_E.copy()
+        flipped[3] = not flipped[3]
+        fit = fit_cox(design, TOY_T, TOY_E)
+        fit_flipped = fit_cox(design, TOY_T, flipped)
+        assert re.fullmatch("[0-9a-f]{24}", fit.row_fingerprint)
+        assert fit.row_fingerprint != fit_flipped.row_fingerprint
+        with pytest.raises(DataError, match="different row sets"):
+            compare_aic([fit, fit_flipped], ["observed", "flipped"])
+
+    def test_fit_loads_no_openssl(self):
+        """The row fingerprint is a zlib checksum, so a fit in a fresh
+        interpreter leaves hashlib's OpenSSL module unloaded."""
+        code = """
+import sys
+import numpy as np
+openssl_with_numpy = "_hashlib" in sys.modules
+from visage.cohort import Cohort
+from visage.cox import Covariate, fit_adjusted
+t = np.array([5.0, 8, 3, 9, 12, 4, 7, 10])
+e = np.array([1, 0, 1, 1, 0, 1, 1, 0], bool)
+cohort = Cohort(ids=[f"p{i}" for i in range(8)], time=t, event=e,
+                chrono_age=np.linspace(50, 80, 8), risk_scaled=np.linspace(1, 0, 8))
+fit_adjusted(cohort, Covariate("risk_scaled"), [Covariate("chrono_age", per=10)])
+print(openssl_with_numpy, "_hashlib" in sys.modules)
+"""
+        package_root = str(Path(cox.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": package_root},
+        )
+        assert proc.returncode == 0, proc.stderr
+        with_numpy, after_fit = proc.stdout.split()
+        if with_numpy == "True":
+            pytest.skip("this numpy loads OpenSSL on import")
+        assert after_fit == "False"
 
     def test_fit_to_dict_roundtrippable(self):
         design = build_design(toy_cohort(), [Covariate("risk_scaled")])

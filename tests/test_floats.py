@@ -10,19 +10,19 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from visage._floats import text
+from visage._floats import lines
 
 
-def repr_text(block) -> str:
-    return "".join(",".join(map(repr, row)) + "\n" for row in block.tolist())
+def repr_lines(block) -> list[str]:
+    return [",".join(map(repr, row)) for row in block.tolist()]
 
 
 def assert_as_repr(block):
     block = np.asarray(block, dtype=float)
-    got, want = text(block), repr_text(block)
+    got, want = lines(block), repr_lines(block)
     if got != want:
-        pairs = zip(got.split("\n"), want.split("\n"))
-        row, (line, expected) = next((i, p) for i, p in enumerate(pairs) if p[0] != p[1])
+        assert len(got) == len(want)
+        row, (line, expected) = next((i, p) for i, p in enumerate(zip(got, want)) if p[0] != p[1])
         pytest.fail(f"row {row}: {line[:300]!r} != {expected[:300]!r}")
 
 
@@ -97,8 +97,8 @@ class TestOracle:
         assert_as_repr(values)
 
     def test_signed_zeros(self):
-        assert text(np.array([[0.0]])) == "0.0\n"
-        assert text(np.array([[-0.0]])) == "-0.0\n"
+        assert lines(np.array([[0.0]])) == ["0.0"]
+        assert lines(np.array([[-0.0]])) == ["-0.0"]
         assert_as_repr([[0.0, -0.0, 1.0], [-0.0, 0.0, -1.0]])
 
     def test_input_forms(self):
@@ -108,5 +108,5 @@ class TestOracle:
         values = rng.standard_normal((40, 30))
         assert_as_repr(values[::3, ::2])
         assert_as_repr(values.T)
-        assert text(values.astype(np.float32)) == repr_text(values.astype(np.float32).astype(float))
-        assert text([[1.5, 2]]) == "1.5,2.0\n"
+        assert lines(values.astype(np.float32)) == repr_lines(values.astype(np.float32).astype(float))
+        assert lines([[1.5, 2]]) == ["1.5,2.0"]

@@ -52,7 +52,7 @@ PINS = {
     "balance/counts.json": "1f51db8693a4c85f6074d000a7c74159da3f89e1761388639fe2f027e4ff79e0",
     "balance/indices.csv": "534cf156e9f93429a2e16d5bf8634346bfaa6f8edb552380268eb1539f1d1b1b",
     "balance/manifest.json": "e6849aa44a9190a8ef9c53d7a2db70b2e6a2eb64b4e5e2d8f7331e2d977be466",
-    "cox/fit.json": "f88ac6c035b1867cf82830da2a8e08850e67ce577cb7d3bd9e15dab2bbff0af7",
+    "cox/fit.json": "a85f1c2be01c346100f69ab032dd44a23aae87842ed85a3e502be1d32bbc4bc4",
     "cox/manifest.json": "eeb470890a6198c6280b1aaea46589244f345d70adafe3e910142010b4e58f57",
     "cox/table.csv": "e651bafa72a62fa7b295045eb0721975f4c2412c6c153861348aabf9f2387f27",
     "km/km_-10_to_-5.csv": "aa93966bbc48ce5d621e86b740963a3dd60a361eabcec5add200668f7b72b5c5",

@@ -7,12 +7,17 @@ from the code under test.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats
 
+import visage
 from visage.errors import DataError, MedianNotReachedError
 from visage.survival import (
     kaplan_meier,
@@ -255,3 +260,29 @@ class TestLogRank:
             rejections += result.p_value < 0.05
         rate = rejections / n_rep
         assert 0.02 < rate < 0.09
+
+    def test_log_rank_and_bin_balancing_leave_numpy_ma_unloaded(self):
+        """A plain np.unique imports numpy.ma on numpy 2.x (16 ms, 1.4 MB);
+        log_rank, which every stratified km runs, and balance_bins take the
+        distinct values without it."""
+        code = """
+import sys
+import numpy as np
+ma_with_numpy = "numpy.ma" in sys.modules
+from visage.survival import log_rank
+from visage.trainer import balance_bins
+log_rank([(np.array([1.0, 2, 2, 4]), np.array([1, 1, 0, 1], bool)),
+          (np.array([2.0, 3, 5]), np.array([1, 0, 1], bool))])
+balance_bins(np.array([41.0, 52, 53, 67]), target=3)
+print(ma_with_numpy, "numpy.ma" in sys.modules)
+"""
+        package_root = str(Path(visage.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": package_root},
+        )
+        assert proc.returncode == 0, proc.stderr
+        with_numpy, after_calls = proc.stdout.split()
+        if with_numpy == "True":
+            pytest.skip("this numpy imports numpy.ma on import")
+        assert after_calls == "False"

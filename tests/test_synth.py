@@ -34,7 +34,10 @@ class TestDeterminism:
         save_cohort(a.cohort, pa)
         save_cohort(b.cohort, pb)
         assert pa.read_bytes() == pb.read_bytes()
+        eta_a, eta_b = a.truth.pop("eta"), b.truth.pop("eta")
         assert a.truth == b.truth
+        assert eta_a.dtype == eta_b.dtype == np.float64
+        assert np.array_equal(eta_a, eta_b)
 
     def test_cohort_bytes_pinned(self, tmp_path):
         """The digest was recorded from the row-object implementation;
@@ -132,7 +135,9 @@ class TestMemory:
             tracemalloc.stop()
         assert peak < n * dim * 8 / 2
         whole = substream(seed, "synth/embeddings").standard_normal((n, dim))
-        assert result.truth["eta"] == np.einsum("ij,j->i", whole, weights).tolist()
+        eta = result.truth["eta"]
+        assert eta.dtype == np.float64
+        assert np.array_equal(eta, np.einsum("ij,j->i", whole, weights))
 
 
 class TestCensoringModels:
@@ -290,7 +295,8 @@ class TestFieldMapping:
         assert truth["seed"] == 47
         assert truth["beta_true"] == [0.7]
         assert truth["censor_model"] == ["admin", 1000.0]
-        assert len(truth["eta"]) == 25
+        assert truth["eta"].shape == (25,) and truth["eta"].dtype == np.float64
+        assert not truth["eta"].flags.writeable
         assert truth["round_days"] is True
         assert truth["covariates"] == [{"field": "sex", "dist": ["bernoulli", 0.5]}]
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -567,6 +568,60 @@ class TestRiskTraining:
     def test_float_setting_outside_its_range_rejected(self, name, value):
         with pytest.raises(DataError, match=name):
             TrainConfig(**{name: value})
+
+    @pytest.mark.parametrize("hidden", [0, 8])
+    def test_epoch_end_risks_are_the_models_predictions(self, monkeypatch, hidden):
+        """The epoch-end risks are the epoch's checkpoint's predictions
+        over every row, bit for bit, indexed by the split, with and
+        without a hidden layer. Taken from the split rows copied out of
+        the matrix, as they once were, BLAS may round a few of them in
+        the last bit differently, since a row's position in the product
+        can set its summation order; they agree to rounding."""
+        seen = []
+        real_train = trainer._train
+
+        def spy(X, config, batch_grad, epoch_row):
+            def row(epoch, r_train, train_idx, r_val, val_idx, skipped):
+                seen.append((r_train.copy(), r_val.copy()))
+                return epoch_row(epoch, r_train, train_idx, r_val, val_idx, skipped)
+
+            return real_train(X, config, batch_grad, row)
+
+        monkeypatch.setattr(trainer, "_train", spy)
+        X, t, e = linear_risk_data(53, n=3000, d=64)
+        result = train_risk_model(X, t, e, TrainConfig(seed=6, epochs=2, hidden=hidden))
+        assert len(seen) == len(result.checkpoints) == 2
+        for (r_train, r_val), ckpt in zip(seen, result.checkpoints):
+            predicted = ckpt.predict(X)
+            for got, rows in ((r_train, result.train_indices), (r_val, result.val_indices)):
+                assert got.tobytes() == predicted[rows].tobytes()
+                copied = _forward(ckpt.params, X[rows])[0]
+                assert np.abs(got - copied).max() <= 1e-13 * np.abs(copied).max()
+
+    def test_epoch_end_holds_no_copy_of_the_embedding(self):
+        """One epoch at n = 20k, d = 64 traces below 0.6 embedding
+        matrices: the epoch end indexes the model's risks instead of
+        copying the train and validation rows (1.01 matrices when it
+        did). What remains is mostly the full-split pairwise loss. The
+        cohort has the benchmark's shape: day-rounded times, uniform
+        censoring and a weak embedding signal."""
+        n, dim = 20_000, 64
+        rng = np.random.default_rng(11)
+        X = rng.standard_normal((n, dim))
+        eta = X @ rng.normal(0.0, 0.15, dim)
+        death = rng.exponential(1.0 / (0.002 * np.exp(eta)))
+        censor = rng.uniform(0.0, 1500.0, n)
+        t = np.maximum(1.0, np.ceil(np.minimum(death, censor)))
+        e = death <= censor
+        tracemalloc.start()
+        try:
+            result = train_risk_model(X, t, e, TrainConfig(seed=0, epochs=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(result.trace) == 1
+        assert result.train_indices.dtype.kind == "i"
+        assert peak < 0.6 * X.nbytes
 
 
 class TestAgeTraining:
