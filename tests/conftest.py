@@ -1,4 +1,4 @@
-"""Shared builders for test cohorts.
+"""Shared builders for test cohorts, and a runner for child interpreters.
 
 Tests construct Cohort objects directly where possible; CSV fixtures
 are only used by the loader and CLI tests.
@@ -6,6 +6,12 @@ are only used by the loader and CLI tests.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import visage
 from visage.cohort import Cohort
 
 
@@ -18,3 +24,15 @@ def make_cohort(times, events, **columns) -> Cohort:
     n = len(times)
     columns.setdefault("chrono_age", [60.0] * n)
     return Cohort(ids=[f"p{i:04d}" for i in range(n)], time=times, event=events, **columns)
+
+
+def run_child(*args):
+    """Run a Python child that imports visage from where this process found it."""
+    package_root = str(Path(visage.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )

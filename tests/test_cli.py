@@ -7,16 +7,15 @@ import csv
 import hashlib
 import json
 import os
-import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-import visage
 from visage.cli import _write_outputs, main
 from visage.metrics import harrell_c
+from tests.conftest import run_child
 
 
 def run(*argv) -> int:
@@ -630,18 +629,6 @@ class TestConfigMerge:
         manifest = read_json(out / "manifest.json")
         assert manifest["parameters"]["n"] == 33
         assert manifest["seed"] == 0  # unset seed falls back to 0
-
-
-def run_child(*args):
-    """Run a Python child that imports visage from where this process found it."""
-    package_root = str(Path(visage.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, *args],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
-    )
 
 
 class TestEntryPoint:

@@ -9,13 +9,9 @@ module under test.
 
 from __future__ import annotations
 
-import os
 import re
-import subprocess
-import sys
 import time as time_mod
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,7 +33,7 @@ from visage.cox import (
 )
 from visage.errors import AnalysisError, DataError, SingularDesignError
 from visage.synth import SimCovariate, SimSpec, simulate
-from tests.conftest import make_cohort
+from tests.conftest import make_cohort, run_child
 
 
 def oracle_log_pl(beta, x, times, events, ties):
@@ -712,11 +708,7 @@ cohort = Cohort(ids=[f"p{i}" for i in range(8)], time=t, event=e,
 fit_adjusted(cohort, Covariate("risk_scaled"), [Covariate("chrono_age", per=10)])
 print(openssl_with_numpy, "_hashlib" in sys.modules)
 """
-        package_root = str(Path(cox.__file__).resolve().parents[1])
-        proc = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True,
-            env={**os.environ, "PYTHONPATH": package_root},
-        )
+        proc = run_child("-c", code)
         assert proc.returncode == 0, proc.stderr
         with_numpy, after_fit = proc.stdout.split()
         if with_numpy == "True":

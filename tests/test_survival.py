@@ -7,17 +7,12 @@ from the code under test.
 
 from __future__ import annotations
 
-import os
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats
 
-import visage
 from visage.errors import DataError, MedianNotReachedError
 from visage.survival import (
     kaplan_meier,
@@ -25,6 +20,7 @@ from visage.survival import (
     log_rank,
     reverse_km_median_followup,
 )
+from tests.conftest import run_child
 
 
 class TestKaplanMeier:
@@ -276,11 +272,7 @@ log_rank([(np.array([1.0, 2, 2, 4]), np.array([1, 1, 0, 1], bool)),
 balance_bins(np.array([41.0, 52, 53, 67]), target=3)
 print(ma_with_numpy, "numpy.ma" in sys.modules)
 """
-        package_root = str(Path(visage.__file__).resolve().parents[1])
-        proc = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True,
-            env={**os.environ, "PYTHONPATH": package_root},
-        )
+        proc = run_child("-c", code)
         assert proc.returncode == 0, proc.stderr
         with_numpy, after_calls = proc.stdout.split()
         if with_numpy == "True":
