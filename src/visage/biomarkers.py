@@ -24,37 +24,32 @@ FAD_BAND_CUTS = (-10.0, -5.0, 0.0, 5.0, 10.0, 20.0)
 class BiomarkerColumn:
     """Per-subject values aligned to a cohort; NaN marks excluded subjects."""
 
-    name: str
     values: np.ndarray
-    unit: str = ""
-    excluded: tuple[int, ...] = ()  # indices with no computable value
 
 
 @dataclass(frozen=True)
 class StrataAssignment:
-    """One label per subject plus the boundary set that produced them."""
+    """One label per subject, as a read-only object array, and the
+    display order of the possible labels."""
 
-    scheme: str
-    labels: tuple[str, ...]
-    boundaries: tuple[float, ...]
-    order: tuple[str, ...]  # display order of the possible labels
+    labels: np.ndarray
+    order: tuple[str, ...]
 
 
 def compute_fad(predicted_age, chrono_age) -> BiomarkerColumn:
     """Face age difference in years, predicted minus chronological.
 
     ``predicted_age`` entries may be None or NaN for subjects without a
-    prediction; those subjects are excluded (NaN value) and their
-    indices reported on the column. ``chrono_age`` must be finite.
+    prediction; those subjects are excluded (NaN value). ``chrono_age``
+    must be finite.
     """
     (chrono,) = vectors(chrono_age=chrono_age)
-    pred = np.array(predicted_age, dtype=float)
+    pred = np.asarray(predicted_age, dtype=float)
     if pred.shape != chrono.shape:
         raise DataError("predicted_age must align with chrono_age")
     values = pred - chrono
-    excluded = tuple(int(i) for i in np.nonzero(~np.isfinite(pred))[0])
     values.flags.writeable = False
-    return BiomarkerColumn("fad", values, unit="years", excluded=excluded)
+    return BiomarkerColumn(values)
 
 
 def fad_for_cohort(cohort) -> BiomarkerColumn:
@@ -119,15 +114,15 @@ def stratify(values, scheme: str) -> StrataAssignment:
         raise DataError("risk scheme requires values in [0, 1]")
     bins = _BINS[scheme]
     labels = np.array(bins.labels, dtype=object)[np.searchsorted(bins.cuts, values, bins.side)]
-    return StrataAssignment(scheme, tuple(labels), bins.cuts, bins.order or bins.labels)
+    labels.flags.writeable = False
+    return StrataAssignment(labels, bins.order or bins.labels)
 
 
 def group_indices(assignment: StrataAssignment) -> dict[str, np.ndarray]:
     """Subject indices per stratum, in display order, occupied only."""
-    labels = np.asarray(assignment.labels, dtype=object)
     out: dict[str, np.ndarray] = {}
     for name in assignment.order:
-        idx = np.nonzero(labels == name)[0]
+        idx = np.nonzero(assignment.labels == name)[0]
         if idx.size:
             out[name] = idx
     return out

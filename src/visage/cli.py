@@ -223,8 +223,7 @@ def _scheme_marker(scheme: str) -> str:
 
 def cmd_km(args, outputs: dict) -> dict:
     cohort, load = _load(args)
-    times = cohort.times()
-    events = cohort.events()
+    times, events = cohort.time, cohort.event
 
     results: dict = {"strata": {}, "dropped_rows": load.n_dropped}
     try:
@@ -243,7 +242,8 @@ def cmd_km(args, outputs: dict) -> dict:
         results["excluded_missing_marker"] = int(np.sum(~mask))
         ids = cohort.ids[mask].tolist()
         header = ("id", "scheme", "label")
-        outputs["strata.csv"] = _table(header, ids, [args.group_by] * len(ids), assignment.labels)
+        labels = assignment.labels.tolist()
+        outputs["strata.csv"] = _table(header, ids, [args.group_by] * len(ids), labels)
     else:
         groups = {"all": np.arange(times.size)}
         sub_times, sub_events = times, events
@@ -251,11 +251,12 @@ def cmd_km(args, outputs: dict) -> dict:
 
     for label, idx in groups.items():
         curve = survival.kaplan_meier(sub_times[idx], sub_events[idx])
-        bands = [survival.km_estimate_at(curve, u) for u in curve.times.tolist()]
+        steps = curve.survival.tolist()
+        bands = list(map(survival._loglog_band, steps, curve.variance.tolist()))
         outputs[f"km_{_safe_label(label)}.csv"] = _table(
             ("time", "survival", "ci_low", "ci_high", "at_risk", "events"),
-            curve.times.tolist(), curve.survival.tolist(), [b.ci_low for b in bands],
-            [b.ci_high for b in bands], curve.at_risk.tolist(), curve.events.tolist(),
+            curve.times.tolist(), steps, [b[0] for b in bands],
+            [b[1] for b in bands], curve.at_risk.tolist(), curve.events.tolist(),
         )
         est = {}
         for h in args.horizons:
@@ -344,8 +345,7 @@ def cmd_metrics(args, outputs: dict) -> dict:
     cohort, load = _load(args)
     values = _marker_values(cohort, args.marker)
     mask = np.isfinite(values)
-    times = cohort.times()[mask]
-    events = cohort.events()[mask]
+    times, events = cohort.time[mask], cohort.event[mask]
 
     conc = metrics_mod.harrell_c(values[mask], times, events)
     results: dict = {
@@ -399,9 +399,11 @@ def cmd_train(args, outputs: dict) -> dict:
     given = {f.name: getattr(args, f.name) for f in fields}
     config = trainer_mod.TrainConfig(**{k: v for k, v in given.items() if v is not None})
 
-    X = cohort.embedding_matrix()
+    X = cohort.embedding
+    if X is None:
+        raise DataError("cohort has no embeddings")
     if args.target == "risk":
-        result = trainer_mod.train_risk_model(X, cohort.times(), cohort.events(), config)
+        result = trainer_mod.train_risk_model(X, cohort.time, cohort.event, config)
         columns = ("train_loss", "val_loss", "train_c", "val_c")
     else:
         result = trainer_mod.train_age_model(X, cohort.chrono_age, config)

@@ -18,6 +18,7 @@ import numpy as np
 
 from ._inputs import positive, vectors
 from ._stats import Z95, chi2_sf, norm_sf
+from .biomarkers import compute_fad
 from .cohort import CATEGORY_FIELDS, Cohort
 from .errors import AnalysisError, DataError, SingularDesignError, VisageError
 
@@ -43,8 +44,8 @@ class Covariate:
     per 0.1 of a scaled risk score). kind "categorical" expands the
     field into indicator columns against ``reference``. kind
     "threshold" produces a single 0/1 indicator for value ``op``
-    ``threshold``. The derived field "fad" is predicted_age minus
-    chrono_age, in years.
+    ``threshold``. The derived field "fad" is the face age difference
+    of :func:`visage.biomarkers.compute_fad`.
     """
 
     field: str
@@ -149,9 +150,9 @@ class AicEntry:
 
 
 def _continuous_values(cohort: Cohort, name: str) -> np.ndarray:
-    """The field's column, NaN where missing; "fad" is predicted minus chrono age."""
+    """The field's column, NaN where missing; "fad" is :func:`compute_fad`'s."""
     if name == "fad":
-        return cohort.predicted_age - cohort.chrono_age
+        return compute_fad(cohort.predicted_age, cohort.chrono_age).values
     if name not in CONTINUOUS_FIELDS:
         raise DataError(f"unknown continuous field {name!r}")
     return getattr(cohort, name)
@@ -471,7 +472,7 @@ def fit_adjusted(
     row). With no adjustments this is the univariate biomarker fit.
     """
     design = build_design(cohort, [biomarker, *adjustments])
-    return fit_cox(design, cohort.times(), cohort.events(), ties)
+    return fit_cox(design, cohort.time, cohort.event, ties)
 
 
 def compare_aic(fits: Sequence[CoxFit], labels: Sequence[str]) -> tuple[AicEntry, ...]:

@@ -34,8 +34,6 @@ class SurvivalCurve:
         Number of deaths at each event time.
     variance : ndarray
         Greenwood variance of S(t) at each event time.
-    n : int
-        Subjects at time zero.
     max_time : float
         Largest observed time, event or censoring; estimates beyond it
         are extrapolations and get flagged as truncated.
@@ -46,7 +44,6 @@ class SurvivalCurve:
     at_risk: np.ndarray
     events: np.ndarray
     variance: np.ndarray
-    n: int
     max_time: float
 
 
@@ -91,12 +88,11 @@ def kaplan_meier(times, events) -> SurvivalCurve:
     t, e = vectors(times=times, events=events)
     order = np.argsort(t, kind="stable")
     t, e = t[order], e[order]
-    n_total = t.size
 
     event_times, deaths = np.unique(t[e], return_counts=True)
     # Risk set counts just before each event time; deaths at tied times
     # precede censorings, so ties remain in the risk set.
-    at_risk = n_total - np.searchsorted(t, event_times, side="left")
+    at_risk = t.size - np.searchsorted(t, event_times, side="left")
 
     with np.errstate(divide="ignore", invalid="ignore"):
         frac = 1.0 - deaths / at_risk
@@ -117,7 +113,6 @@ def kaplan_meier(times, events) -> SurvivalCurve:
         at_risk=at_risk,
         events=deaths,
         variance=variance,
-        n=n_total,
         max_time=float(t[-1]),
     )
 
@@ -138,15 +133,18 @@ def km_estimate_at(curve: SurvivalCurve, t: float) -> KMEstimate:
     if idx < 0:
         return KMEstimate(1.0, 1.0, 1.0, truncated)
     s = float(curve.survival[idx])
-    var = float(curve.variance[idx])
+    return KMEstimate(s, *_loglog_band(s, float(curve.variance[idx])), truncated)
+
+
+def _loglog_band(s: float, var: float) -> tuple[float, float]:
+    """The 95% log-log interval of S = ``s`` with Greenwood variance ``var``;
+    the point interval at S = 1 and S = 0."""
     if s >= 1.0:
-        return KMEstimate(1.0, 1.0, 1.0, truncated)
+        return 1.0, 1.0
     if s <= 0.0:
-        return KMEstimate(0.0, 0.0, 0.0, truncated)
+        return 0.0, 0.0
     se_theta = np.sqrt(var) / (s * abs(np.log(s)))
-    ci_low = s ** np.exp(Z95 * se_theta)
-    ci_high = s ** np.exp(-Z95 * se_theta)
-    return KMEstimate(s, float(ci_low), float(ci_high), truncated)
+    return float(s ** np.exp(Z95 * se_theta)), float(s ** np.exp(-Z95 * se_theta))
 
 
 def reverse_km_median_followup(times, events) -> float:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from visage.biomarkers import (
+    _BINS,
     FAD_BAND_CUTS,
     SCHEMES,
     compute_fad,
@@ -16,6 +17,7 @@ from visage.biomarkers import (
     minmax_scale,
     stratify,
 )
+from visage.cox import Covariate, build_design
 from visage.errors import AnalysisError, ConstantInputError, DataError
 from tests.conftest import make_cohort
 
@@ -24,7 +26,6 @@ class TestFad:
     def test_definition(self):
         col = compute_fad([70.0], [65.0])
         np.testing.assert_allclose(col.values, [5.0])
-        assert col.unit == "years"
 
     def test_identity_zero(self):
         col = compute_fad([62.0, 71.0], [62.0, 71.0])
@@ -40,7 +41,6 @@ class TestFad:
 
     def test_missing_prediction_excluded(self):
         col = compute_fad([70.0, None, 66.0], [65.0, 60.0, 66.0])
-        assert col.excluded == (1,)
         assert np.isnan(col.values[1])
         np.testing.assert_allclose(col.values[[0, 2]], [5.0, 0.0])
 
@@ -55,6 +55,28 @@ class TestFad:
         )
         col = fad_for_cohort(cohort)
         assert abs(np.median(col.values) - 1.1) < 0.2
+
+    def test_cox_design_uses_the_same_definition(self):
+        """A Cox "fad" column is compute_fad's: a NaN chrono_age raises
+        fad_for_cohort's DataError, and a row without a prediction is
+        left out of the design."""
+        bad = make_cohort(
+            [5.0, 8.0, 12.0], [True, True, False],
+            chrono_age=[60.0, np.nan, 70.0], predicted_age=[62.0, 64.0, 71.0],
+        )
+        with pytest.raises(DataError) as expected:
+            fad_for_cohort(bad)
+        with pytest.raises(DataError) as got:
+            build_design(bad, [Covariate("fad")])
+        assert str(got.value) == str(expected.value)
+
+        cohort = make_cohort(
+            [5.0, 8.0, 12.0, 15.0], [True, True, False, True],
+            chrono_age=[60.0, 65.0, 70.0, 50.0], predicted_age=[62.0, np.nan, 71.0, 58.0],
+        )
+        design = build_design(cohort, [Covariate("fad")])
+        assert design.included.tolist() == [True, False, True, True]
+        np.testing.assert_array_equal(design.matrix[:, 0], [2.0, 0.0, 1.0, 8.0])
 
 
 class TestMinmax:
@@ -123,9 +145,10 @@ class TestStratify:
         labels, order, boundaries = looped_stratify(values, scheme)
         assignment = stratify(values, scheme)
         assert list(assignment.labels) == labels
+        assert not assignment.labels.flags.writeable
         assert assignment.order == order
-        assert assignment.boundaries == boundaries
-        assert [type(b) for b in assignment.boundaries] == [type(b) for b in boundaries]
+        assert _BINS[scheme].cuts == boundaries
+        assert [type(b) for b in _BINS[scheme].cuts] == [type(b) for b in boundaries]
 
     def test_fad_ge5_labels(self):
         assignment = stratify(np.array([7.0, 4.9, 5.0, -2.0]), "fad_ge5")
@@ -171,9 +194,7 @@ class TestStratify:
 
     def test_boundaries_strictly_increasing(self):
         for scheme in SCHEMES:
-            values = np.array([0.1, 0.6]) if scheme.startswith("risk") else np.array([-20.0, 12.0])
-            assignment = stratify(values, scheme)
-            b = np.asarray(assignment.boundaries)
+            b = np.asarray(_BINS[scheme].cuts)
             assert np.all(np.diff(b) > 0)
 
     def test_risk_range_enforced(self):

@@ -417,6 +417,12 @@ class TestTrain:
         header = (out / "trace.csv").read_text().splitlines()[0]
         assert header == "epoch,train_mae,val_mae"
 
+    def test_cohort_without_embeddings_exits_2(self, tmp_path, sim_cohort, capsys):
+        out = tmp_path / "tn"
+        assert run("train", "--cohort", sim_cohort, "--out", out) == 2
+        assert "cohort has no embeddings" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestBalance:
     def test_bin_counts_hit_target(self, tmp_path):

@@ -15,6 +15,7 @@ from scipy import stats
 
 from visage.errors import DataError, MedianNotReachedError
 from visage.survival import (
+    _loglog_band,
     kaplan_meier,
     km_estimate_at,
     log_rank,
@@ -131,6 +132,22 @@ class TestEstimateAt:
         hi = s ** np.exp(-z * se_theta)
         est = km_estimate_at(curve, 5.0)
         np.testing.assert_allclose([est.ci_low, est.ci_high], [lo, hi], rtol=1e-12)
+
+    def test_step_bands_match_estimate_at(self):
+        """The band of each step from its S and variance, as ``km`` writes
+        it, is ``km_estimate_at``'s at that step's time, bit for bit, on a
+        tied, censored sample whose curve reaches 0."""
+        rng = np.random.default_rng(31)
+        t = np.ceil(rng.exponential(40.0, 400))
+        e = rng.random(400) < 0.7
+        e[t == t.max()] = True
+        curve = kaplan_meier(t, e)
+        assert curve.events.max() > 1 and curve.survival[-1] == 0.0
+        steps = zip(curve.times.tolist(), curve.survival.tolist(), curve.variance.tolist())
+        for u, s, var in steps:
+            est = km_estimate_at(curve, u)
+            band = _loglog_band(s, var)
+            assert [x.hex() for x in band] == [est.ci_low.hex(), est.ci_high.hex()]
 
 
 class TestReverseKM:
