@@ -76,9 +76,11 @@ def _safe_label(label: str) -> str:
 
 def _table(header: tuple[str, ...], *columns) -> str:
     """CSV text, ``"\\n"``-ended rows: int and float columns as ``repr``
-    writes them, any other column quoted as csv.writer would."""
+    writes them, any other column quoted as csv.writer would. An ndarray
+    column is written as its ``tolist()``."""
+    columns = [col.tolist() if isinstance(col, np.ndarray) else col for col in columns]
     cells = [
-        map(repr, col) if not col or isinstance(col[0], (int, float))
+        map(repr, col) if not len(col) or isinstance(col[0], (int, float))
         else cohort_mod._csv_fields(col)
         for col in columns
     ]
@@ -240,10 +242,10 @@ def cmd_km(args, outputs: dict) -> dict:
         groups = biomarkers.group_indices(assignment)
         results["scheme"] = args.group_by
         results["excluded_missing_marker"] = int(np.sum(~mask))
-        ids = cohort.ids[mask].tolist()
-        header = ("id", "scheme", "label")
-        labels = assignment.labels.tolist()
-        outputs["strata.csv"] = _table(header, ids, [args.group_by] * len(ids), labels)
+        ids = cohort.ids[mask]
+        outputs["strata.csv"] = _table(
+            ("id", "scheme", "label"), ids, [args.group_by] * len(ids), assignment.labels
+        )
     else:
         groups = {"all": np.arange(times.size)}
         sub_times, sub_events = times, events
@@ -255,8 +257,8 @@ def cmd_km(args, outputs: dict) -> dict:
         bands = list(map(survival._loglog_band, steps, curve.variance.tolist()))
         outputs[f"km_{_safe_label(label)}.csv"] = _table(
             ("time", "survival", "ci_low", "ci_high", "at_risk", "events"),
-            curve.times.tolist(), steps, [b[0] for b in bands],
-            [b[1] for b in bands], curve.at_risk.tolist(), curve.events.tolist(),
+            curve.times, steps, [b[0] for b in bands],
+            [b[1] for b in bands], curve.at_risk, curve.events,
         )
         est = {}
         for h in args.horizons:
@@ -311,22 +313,29 @@ def cmd_cox(args, outputs: dict) -> dict:
         ]
         adjusters = list(screen.retained)
 
-    uni_fit = cox_mod.fit_adjusted(cohort, biomarker, ties=args.ties)
+    uni_design = cox_mod.build_design(cohort, [biomarker])
+    uni_fit = cox_mod.fit_cox(uni_design, cohort.time, cohort.event, args.ties)
     report["univariate"] = cox_mod.fit_to_dict(uni_fit)
 
-    adjusted = cox_mod.fit_adjusted(cohort, biomarker, adjusters, args.ties)
+    # The biomarker is the first design term, so the adjusted fit's first
+    # columns are the univariate fit's (categorical levels come from every
+    # row): the headline is those columns.
+    design = cox_mod.build_design(cohort, [biomarker, *adjusters])
+    adjusted = cox_mod.fit_cox(design, cohort.time, cohort.event, args.ties)
     report["adjusted"] = cox_mod.fit_to_dict(adjusted)
     report["headline"] = [
-        {"name": r.name, "hr": r.hr, "ci95": [r.ci_low, r.ci_high], "p": r.p}
-        for r in adjusted.rows()[: len(uni_fit.names)]
+        {key: entry[key] for key in ("name", "hr", "ci95", "p")}
+        for entry in report["adjusted"]["covariates"][: len(uni_fit.names)]
     ]
 
-    rows = uni_fit.rows() + adjusted.rows()
-    columns = ("hr", "ci_low", "ci_high", "p", "beta", "se")
+    values = np.vstack([
+        np.column_stack((f.hr, f.ci95, f.wald_p, f.beta, f.se)) for f in (uni_fit, adjusted)
+    ])
     outputs["table.csv"] = _table(
-        ("model", "covariate", *columns),
+        ("model", "covariate", "hr", "ci_low", "ci_high", "p", "beta", "se"),
         ["univariate"] * len(uni_fit.names) + ["adjusted"] * len(adjusted.names),
-        *([getattr(r, c) for r in rows] for c in ("name", *columns)),
+        uni_fit.names + adjusted.names,
+        *values.T,
     )
     outputs["fit.json"] = report
 
@@ -473,8 +482,7 @@ def cmd_balance(args, outputs: dict) -> dict:
             ages, bin_width=args.bin_width, target=args.target, seed=args.seed
         )
 
-    ids = cohort.ids[indices].tolist()
-    outputs["indices.csv"] = _table(("index", "id"), indices.tolist(), ids)
+    outputs["indices.csv"] = _table(("index", "id"), indices, cohort.ids[indices])
 
     bin_index = np.floor(ages[indices] / args.bin_width).astype(int)
     uniq, counts = np.unique(bin_index, return_counts=True)
@@ -511,8 +519,9 @@ def cmd_attention(args, outputs: dict) -> dict:
     projected = attention_mod.triangle_attention(mesh, attention_mod.mean_grids(maps))
 
     outputs["attention.obj"] = attention_mod.export_obj(mesh, projected)
-    scores = projected.tolist()
-    outputs["triangle_scores.csv"] = _table(("triangle", "score"), range(len(scores)), scores)
+    outputs["triangle_scores.csv"] = _table(
+        ("triangle", "score"), range(projected.size), projected
+    )
     return {
         "grids": args.grid,
         "subdivide": args.subdivide,

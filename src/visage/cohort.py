@@ -63,11 +63,13 @@ _ROW_BLOCK = 512
 # save_cohort writes through visage._floats.lines, the formatter that
 # mirrors repr cell for cell. Every match is a number float() accepts,
 # so a row of matching cells needs no float() to pass the drop rule;
-# any other row is checked cell by cell. The quantifiers are possessive:
-# no part of a cell can give up a character that the next part accepts,
-# so the language is that of the ? and + spelling, and re keeps no
-# backtracking state.
-_STRICT_CELL = r"-?+[0-9]++(?:\.[0-9]++)?+(?:e[-+][0-9]++)?+"
+# any other row is checked cell by cell. The digit runs are possessive
+# and each optional part is a branch or nothing, which re tries faster
+# than a possessive ?+. No part of a cell can give up a character that
+# the next part accepts, so the language is that of the ? and + spelling.
+# Each optional part keeps one backtracking point; the cell repeat of
+# _strict_row stays possessive, so a line is still matched in linear time.
+_STRICT_CELL = r"-?+[0-9]++(?:\.[0-9]++|)(?:e[-+][0-9]++|)"
 
 # A str holding none of these characters (the delimiter, the quote, CR
 # and LF) is one that csv.writer (excel dialect, "\n" line ends) writes

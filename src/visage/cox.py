@@ -4,8 +4,8 @@ Covers design construction from cohort columns (indicator expansion for
 categoricals, per-unit scaling for continuous terms, threshold splits),
 maximum partial likelihood fitting with Efron or Breslow tie handling,
 Wald inference, univariate screening with block likelihood-ratio tests
-for categoricals, biomarker fits adjusted for screened covariates, and
-AIC comparison across models on an identical row set.
+for categoricals, and AIC comparison across models on an identical row
+set.
 """
 
 from __future__ import annotations
@@ -80,17 +80,6 @@ class DesignMatrix:
 
 
 @dataclass(frozen=True)
-class CoxRow:
-    name: str
-    beta: float
-    se: float
-    hr: float
-    ci_low: float
-    ci_high: float
-    p: float
-
-
-@dataclass(frozen=True)
 class CoxFit:
     names: tuple[str, ...]
     beta: np.ndarray
@@ -108,24 +97,6 @@ class CoxFit:
     iterations: int
     flags: tuple[str, ...]
     row_fingerprint: str
-
-    def row(self, name: str) -> CoxRow:
-        try:
-            i = self.names.index(name)
-        except ValueError:
-            raise KeyError(f"no covariate named {name!r}; have {self.names}") from None
-        return CoxRow(
-            name,
-            float(self.beta[i]),
-            float(self.se[i]),
-            float(self.hr[i]),
-            float(self.ci95[i, 0]),
-            float(self.ci95[i, 1]),
-            float(self.wald_p[i]),
-        )
-
-    def rows(self) -> tuple[CoxRow, ...]:
-        return tuple(self.row(name) for name in self.names)
 
 
 @dataclass(frozen=True)
@@ -443,7 +414,7 @@ def univariate_screen(
     retained: list[Covariate] = []
     for cov in candidates:
         try:
-            fit = fit_adjusted(cohort, cov, ties=ties)
+            fit = fit_cox(build_design(cohort, [cov]), cohort.time, cohort.event, ties)
             if cov.kind == "categorical":
                 lr = 2.0 * (fit.log_pl - fit.log_pl_null)
                 p = chi2_sf(max(lr, 0.0), len(fit.names))
@@ -457,22 +428,6 @@ def univariate_screen(
         if keep:
             retained.append(cov)
     return ScreenResult(tuple(retained), tuple(entries))
-
-
-def fit_adjusted(
-    cohort: Cohort,
-    biomarker: Covariate,
-    adjustments: Sequence[Covariate] = (),
-    ties: str = "efron",
-) -> CoxFit:
-    """Fit the biomarker together with adjustment covariates.
-
-    The biomarker is the first design term, so the fit's first columns
-    are its univariate fit's columns (categorical levels come from every
-    row). With no adjustments this is the univariate biomarker fit.
-    """
-    design = build_design(cohort, [biomarker, *adjustments])
-    return fit_cox(design, cohort.time, cohort.event, ties)
 
 
 def compare_aic(fits: Sequence[CoxFit], labels: Sequence[str]) -> tuple[AicEntry, ...]:
@@ -499,17 +454,14 @@ def compare_aic(fits: Sequence[CoxFit], labels: Sequence[str]) -> tuple[AicEntry
 
 def fit_to_dict(fit: CoxFit) -> dict:
     """JSON-ready summary carrying everything a results table needs."""
+    columns = zip(
+        fit.names, fit.beta.tolist(), fit.se.tolist(), fit.hr.tolist(),
+        fit.ci95.tolist(), fit.wald_p.tolist(),
+    )
     return {
         "covariates": [
-            {
-                "name": row.name,
-                "beta": row.beta,
-                "se": row.se,
-                "hr": row.hr,
-                "ci95": [row.ci_low, row.ci_high],
-                "p": row.p,
-            }
-            for row in fit.rows()
+            {"name": name, "beta": beta, "se": se, "hr": hr, "ci95": ci95, "p": p}
+            for name, beta, se, hr, ci95, p in columns
         ],
         "log_pl": fit.log_pl,
         "log_pl_null": fit.log_pl_null,

@@ -222,8 +222,17 @@ def _logistic_series_total(
         for k in range(2 * n + 1):
             coefficients[k, 2 * n - k] += a * math.comb(2 * n, k)
     suffix = np.zeros((x.size + 1, degree + 1))  # row x.size: no later subject
-    np.cumsum(np.vander(x[::-1], degree + 1, increasing=True), axis=0, out=suffix[-2::-1])
-    moments = suffix[first_later].T @ np.vander(-x[rows], degree + 1, increasing=True)
+    # The powers of x, last subject first, are written into suffix as
+    # np.vander computes them and summed there in place, so that suffix is
+    # the only n-row matrix held until its event rows are taken.
+    powers = suffix[-2::-1]
+    powers[:, 0] = 1.0
+    powers[:, 1:] = x[::-1, None]
+    np.multiply.accumulate(powers[:, 1:], axis=1, out=powers[:, 1:])
+    np.cumsum(powers, axis=0, out=powers)
+    later = suffix[first_later]
+    del suffix, powers
+    moments = later.T @ np.vander(-x[rows], degree + 1, increasing=True)
     return float(np.sum(coefficients * moments))
 
 

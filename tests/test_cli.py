@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from visage.cli import _write_outputs, main
+from visage.cli import _table, _write_outputs, main
 from visage.metrics import harrell_c
 from tests.conftest import run_child
 
@@ -1097,3 +1097,23 @@ class TestWriteOutputs:
         written = (tmp_path / "manifest.json").read_bytes()
         assert written == (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode("utf-8")
         assert json.loads(written)["outputs"] == sorted(outputs)
+
+
+class TestTable:
+    def test_array_columns_written_as_their_lists(self):
+        """Float, int and object ndarray columns give the text of the same
+        lists, for empty, one-element and longer columns."""
+        header = ("f", "i", "s")
+        floats = [1.5, -0.0, 1e-300, float("inf")]
+        ints = [0, 7, -3, 12]
+        text = ["a", 'b,"c"', "d\ne", "plain"]
+        written = {}
+        for n in (0, 1, 4):
+            lists = (floats[:n], ints[:n], text[:n])
+            arrays = (
+                np.array(floats[:n]), np.array(ints[:n], dtype=np.int64),
+                np.array(text[:n], dtype=object),
+            )
+            written[n] = _table(header, *arrays)
+            assert written[n] == _table(header, *lists)
+        assert written[1] == "f,i,s\n1.5,0,a\n"

@@ -24,7 +24,6 @@ from visage.cox import (
     DesignMatrix,
     build_design,
     compare_aic,
-    fit_adjusted,
     fit_cox,
     fit_to_dict,
     _SortedFitData,
@@ -300,11 +299,12 @@ class TestFitBehavior:
     def test_wald_and_interval_shape(self):
         design = build_design(toy_cohort(), [Covariate("risk_scaled")])
         fit = fit_cox(design, TOY_T, TOY_E)
-        row = fit.row("risk_scaled")
-        assert row.ci_low < row.hr < row.ci_high
-        np.testing.assert_allclose(row.hr, np.exp(row.beta), rtol=1e-12)
-        np.testing.assert_allclose(row.ci_low, np.exp(row.beta - Z95 * row.se), rtol=1e-12)
-        assert 0.0 <= row.p <= 1.0
+        assert fit.names == ("risk_scaled",)
+        (ci_low, ci_high), hr, beta = fit.ci95[0], fit.hr[0], fit.beta[0]
+        assert ci_low < hr < ci_high
+        np.testing.assert_allclose(hr, np.exp(beta), rtol=1e-12)
+        np.testing.assert_allclose(ci_low, np.exp(beta - Z95 * fit.se[0]), rtol=1e-12)
+        assert 0.0 <= fit.wald_p[0] <= 1.0
 
     def test_aic_formula(self):
         design = build_design(toy_cohort(), [Covariate("risk_scaled")])
@@ -639,15 +639,12 @@ class TestAdjustedAndAic:
 
     def test_adjusted_keeps_both_effects(self):
         cohort, t, e = self._two_signal_cohort(29)
-        adjusted = fit_adjusted(
-            cohort, Covariate("risk_raw"), [Covariate("predicted_age")]
-        )
-        assert adjusted.names[0] == "risk_raw"
-        headline = adjusted.row("risk_raw")
-        assert headline.hr > 1.0
-        assert headline.p < 0.05
-        other = adjusted.row("predicted_age")
-        assert other.p < 0.05
+        design = build_design(cohort, [Covariate("risk_raw"), Covariate("predicted_age")])
+        adjusted = fit_cox(design, t, e)
+        assert adjusted.names == ("risk_raw", "predicted_age")
+        assert adjusted.hr[0] > 1.0
+        assert adjusted.wald_p[0] < 0.05
+        assert adjusted.wald_p[1] < 0.05
 
     def test_single_fit_rank_one(self):
         design = build_design(toy_cohort(), [Covariate("risk_scaled")])
@@ -700,12 +697,13 @@ import sys
 import numpy as np
 openssl_with_numpy = "_hashlib" in sys.modules
 from visage.cohort import Cohort
-from visage.cox import Covariate, fit_adjusted
+from visage.cox import Covariate, build_design, fit_cox
 t = np.array([5.0, 8, 3, 9, 12, 4, 7, 10])
 e = np.array([1, 0, 1, 1, 0, 1, 1, 0], bool)
 cohort = Cohort(ids=[f"p{i}" for i in range(8)], time=t, event=e,
                 chrono_age=np.linspace(50, 80, 8), risk_scaled=np.linspace(1, 0, 8))
-fit_adjusted(cohort, Covariate("risk_scaled"), [Covariate("chrono_age", per=10)])
+design = build_design(cohort, [Covariate("risk_scaled"), Covariate("chrono_age", per=10)])
+fit_cox(design, cohort.time, cohort.event)
 print(openssl_with_numpy, "_hashlib" in sys.modules)
 """
         proc = run_child("-c", code)

@@ -623,6 +623,21 @@ class TestRiskTraining:
         assert result.train_indices.dtype.kind == "i"
         assert peak < 0.6 * X.nbytes
 
+    def test_series_loss_holds_one_power_matrix(self):
+        """One epoch at n = 20k, d = 64 with every subject an event traces
+        below 0.6 embedding matrices: the series loss writes its powers
+        and their suffix sums in place, into one matrix (0.68 embedding
+        matrices when the powers were a second matrix)."""
+        X, t, e = linear_risk_data(5, n=20_000, d=64)
+        tracemalloc.start()
+        try:
+            result = train_risk_model(X, t, e, TrainConfig(seed=0, epochs=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(result.trace) == 1
+        assert peak < 0.6 * X.nbytes
+
 
 class TestAgeTraining:
     def test_constant_target_bias_converges(self):
