@@ -20,11 +20,11 @@ import json
 import re
 from dataclasses import dataclass, fields
 from functools import partial
-from itertools import chain, islice, repeat
+from itertools import chain, compress, islice
 from operator import itemgetter
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -62,11 +62,13 @@ _ROW_BLOCK = 512
 # One e* cell as repr(float) writes a finite value, which is what
 # save_cohort writes through visage._floats.lines, the formatter that
 # mirrors repr cell for cell. Every match is a number float() accepts,
-# so a row of matching cells needs no float() to pass the drop rule;
-# any other row is checked cell by cell. The digit runs are possessive
-# and each optional part is a branch or nothing, which re tries faster
-# than a possessive ?+. No part of a cell can give up a character that
-# the next part accepts, so the language is that of the ? and + spelling.
+# so a row of matching cells passes the drop rule unchecked, and a load
+# that converts reads it with np.loadtxt, whose C parser reads such text
+# with PyOS_string_to_double, the function float() uses; any other row
+# meets float() cell by cell. The digit runs are possessive and each
+# optional part is a branch or nothing, which re tries faster than a
+# possessive ?+. No part of a cell can give up a character that the
+# next part accepts, so the language is that of the ? and + spelling.
 # Each optional part keeps one backtracking point; the cell repeat of
 # _strict_row stays possessive, so a line is still matched in linear time.
 _STRICT_CELL = r"-?+[0-9]++(?:\.[0-9]++|)(?:e[-+][0-9]++|)"
@@ -299,47 +301,36 @@ def _strict_row(dim: int) -> re.Pattern:
     return re.compile(rf"{_STRICT_CELL}(?:,{_STRICT_CELL}){{{dim - 1}}}+", re.ASCII)
 
 
-def _embedding_cells(
-    rows: list[list[str]], e_positions: list[int], convert: bool
+def _screened_text(
+    rows: list[Sequence[str]], dim: int, convert: bool
 ) -> tuple[np.ndarray | None, np.ndarray]:
-    """The (n, D) e* values of csv rows (None unless ``convert``) and the
-    mask of rows with an unparseable e* cell."""
-    n, dim = len(rows), len(e_positions)
-    picked = map(itemgetter(*e_positions), rows)
-    values, bad = _parse_floats(list(chain.from_iterable(picked) if dim > 1 else picked))
-    return values.reshape(n, dim) if convert else None, bad.reshape(n, dim).any(axis=1)
-
-
-def _embedding_text(rows: list[list[str]], dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """As :func:`_embedding_cells` converting, for rows whose last cell is
-    the text of their ``dim`` e* cells."""
-    values, bad = _parse_floats(",".join(map(itemgetter(-1), rows)).split(","))
-    return values.reshape(len(rows), dim), bad.reshape(len(rows), dim).any(axis=1)
-
-
-def _screened_text(rows: list[tuple[str, ...]]) -> tuple[None, np.ndarray]:
-    """As :func:`_embedding_cells` without converting, for rows cut by
-    :func:`_screen_lines`: a row whose last cell is empty has strict e*
-    cells and passes; any other row's e* cells, that cell less its
-    leading comma, are checked with ``float()``."""
-    bad = np.fromiter(map(bool, map(itemgetter(-1), rows)), bool, len(rows))
-    for i in np.flatnonzero(bad).tolist():
-        bad[i] = _parse_floats(rows[i][-1][1:].split(","))[1].any()
-    return None, bad
+    """The (n, ``dim``) e* values of ``rows`` (None unless ``convert``)
+    and the mask of rows with an unparseable e* cell, for rows that end
+    as :func:`_line_pattern` cuts a line. One ``np.loadtxt`` call
+    converts the block's strict rows; ``float()`` reads the others."""
+    n = len(rows)
+    other = list(map(itemgetter(-1), rows))
+    bad = np.fromiter(map(bool, other), bool, n)
+    values = np.empty((n, dim)) if convert else None
+    if convert and not bad.all():
+        strict = list(compress(map(itemgetter(-2), rows), ~bad))
+        values[~bad] = np.loadtxt(strict, delimiter=",", comments=None, ndmin=2)
+    if bad.any():
+        cells, bad_cells = _parse_floats("".join(compress(other, bad))[1:].split(","))
+        if convert:
+            values[bad] = cells.reshape(-1, dim)
+        bad[bad] = bad_cells.reshape(-1, dim).any(axis=1)
+    return values, bad
 
 
 def _parse_block(
-    rows: list[list[str]],
-    start: int,
-    where: dict,
-    embedding_of: Callable[[list[list[str]]], tuple] | None,
-    years: bool,
+    rows: list[Sequence[str]], start: int, where: dict, years: bool, dim: int, convert: bool
 ) -> tuple[dict, list[tuple[int, str]]]:
     """The kept rows' columns of one block of data rows, and the dropped
     rows as (1-based data row number, reason); ``start`` data rows came
-    before the block. ``embedding_of`` reads the block's e* cells (see
-    :func:`_embedding_cells`); the kept rows' matrix is the
-    ``embedding`` column when it returns one."""
+    before the block. When ``dim`` is not 0 the rows end with their e*
+    text (see :func:`_screened_text`), and with ``convert`` the kept
+    rows' (rows, ``dim``) matrix is the ``embedding`` column."""
     n = len(rows)
 
     def cells(canonical: str) -> list[str]:
@@ -365,8 +356,8 @@ def _parse_block(
 
     optional = {canonical: missing_or_float(canonical) for canonical in _OPTIONAL_COLUMNS}
     embedding, bad_embedding = None, np.zeros(n, dtype=bool)
-    if embedding_of is not None:
-        embedding, bad_embedding = embedding_of(rows)
+    if dim:
+        embedding, bad_embedding = _screened_text(rows, dim, convert)
 
     # Each row is dropped for the first check it fails, in this order.
     checks = (
@@ -401,42 +392,42 @@ def _parse_block(
     return columns, dropped
 
 
-def _csv_blocks(lines, width: int) -> Iterator[list[list[str]]]:
+def _csv_blocks(lines, width: int, e_positions: list[int], convert: bool) -> Iterator[list]:
     """Blocks of at most ``_ROW_BLOCK`` rows that csv.reader reads from
-    ``lines``. As csv.DictReader: blank lines are skipped, short rows padded."""
-    rows = (
-        row if len(row) >= width else row + [""] * (width - len(row))
-        for row in csv.reader(lines)
-        if row
-    )
+    ``lines``. As csv.DictReader: blank lines are skipped, short rows
+    padded. When there are e* columns, each row then ends as
+    :func:`_line_pattern` cuts a line (see :func:`_screened_text`), its
+    e* cells joined in index order and screened as one text."""
+    dim = len(e_positions)
+    strict = _strict_row(dim).fullmatch if dim else None
+
+    def screened(row: list[str]) -> list[str]:
+        row += [""] * (width - len(row))
+        if dim:
+            cells = [row[i] for i in e_positions]
+            if strict(text := ",".join(cells)):
+                ends = [text, ""]
+            else:  # ";" for a quoted comma, which no number holds, keeps the cell count
+                ends = ["", "," + ",".join(cell.replace(",", ";") for cell in cells)]
+            row += ends if convert else ends[1:]
+        return row
+
+    rows = (screened(row) for row in csv.reader(lines) if row)
     return iter(lambda: list(islice(rows, _ROW_BLOCK)), [])
 
 
-def _split_lines(lines: list[str], width: int, lead: int) -> list[list[str]] | None:
-    """Each line cut at its first ``lead`` commas, or None when the lines
-    need csv.reader: a quote, a carriage return, or a line (a blank one
-    included) whose comma count is not ``width - 1``."""
-    text = "".join(lines)
-    if "\r" in text or '"' in text:
-        return None
-    parts = (text[:-1] if text.endswith("\n") else text).split("\n")
-    if set(map(str.count, parts, repeat(","))) != {width - 1}:
-        return None
-    return list(map(str.split, parts, repeat(","), repeat(lead)))
-
-
-def _line_pattern(lead: int, dim: int) -> re.Pattern:
-    """A line of ``lead`` cells and then ``dim`` >= 1 e* cells, capturing
-    the ``lead`` cells, then the e* text when a cell is not strict (see
-    ``_STRICT_CELL``; empty when all are). That text keeps its leading
-    comma, so that an empty cell of a one-column embedding is not read
-    as a strict row."""
+def _line_pattern(lead: int, dim: int, convert: bool) -> re.Pattern:
+    """A line of ``lead`` cells then ``dim`` e* cells, capturing the lead
+    cells and then what :func:`_screened_text` reads: with ``convert``,
+    the e* text if all its cells are strict (see ``_STRICT_CELL``), else
+    empty; then the e* text with a leading comma (so that an empty cell
+    of one e* column is not a strict row) if a cell is not, else empty."""
     cell = r"[^,\n]*+"
-    other = rf"(,{cell}(?:,{cell}){{{dim - 1}}}+)"
-    return re.compile(
-        rf"^{','.join([f'({cell})'] * lead)}(?:,{_strict_row(dim).pattern}|{other})$",
-        re.ASCII | re.MULTILINE,
-    )
+    line = ",".join([f"({cell})"] * lead)
+    if dim:
+        strict = _strict_row(dim).pattern
+        line += rf"(?:,{f'({strict})' if convert else strict}|(,{cell}(?:,{cell}){{{dim - 1}}}+))"
+    return re.compile(rf"^{line}$", re.ASCII | re.MULTILINE)
 
 
 def _screen_lines(lines: list[str], pattern: re.Pattern) -> list[tuple[str, ...]] | None:
@@ -472,27 +463,25 @@ def load_cohort(
     to days at 365.25 days per year. e* text columns give the cohort an
     embedding only when a row is kept.
 
-    With ``with_embedding`` False the cohort's embedding is None. The
-    drop rule is the same in both modes: every e* cell is still
-    checked, but a row of cells in the plain form that repr writes
-    (``-1.5e-07``) is cleared without converting them, and only other
-    rows meet ``float()``.
+    With ``with_embedding`` False the cohort's embedding is None; the
+    drop rule is the same. A row of e* cells in the plain form that repr
+    writes (``-1.5e-07``) passes without ``float()``, and a full load
+    converts a block's such rows with one ``np.loadtxt`` call; other rows
+    meet ``float()``. A UTF-8 byte order mark before the header is skipped.
 
     The file is parsed in blocks of ``_ROW_BLOCK`` rows, so memory holds
-    the parsed columns plus the cell strings of one block, never the
-    whole file as text. When the header holds no quote and the e*
-    columns are its last columns in index order, as :func:`save_cohort`
-    writes them, blocks of lines are cut rather than read by csv.reader:
-    at their commas in a full load, and without the embedding by one
-    pass of a line regex that captures the leading cells and screens
-    the e* cells (see :func:`_line_pattern`). The first block that
-    cannot be cut (one with a quote, a carriage return, a blank line or
-    a line with another number of commas than the header) is where
-    csv.reader takes over: it reads that block and the rest of the file.
+    the parsed columns plus the cell strings of one block. When the
+    header holds no quote and the e* columns come last in index order,
+    as :func:`save_cohort` writes them, one pass of a line regex cuts
+    each block and screens its e* cells (see :func:`_line_pattern`). The
+    first block it refuses (a quote, a carriage return, a blank line or
+    another number of commas than the header) and the rest of the file
+    are read by csv.reader, whose rows' e* cells are joined and screened
+    as the regex screens them, for the same e* reader.
     """
     schema = schema or {}
     rename = schema.get("columns", {})
-    with open(path, "r", encoding="utf-8", newline="") as fh, reading(path):
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh, reading(path):
         first = fh.readline()
         if not first:
             raise DataError(f"{path}: empty file")
@@ -510,21 +499,13 @@ def load_cohort(
 
         width, dim = len(header), len(e_positions)
         lead = width - dim
-        csv_embedding = (
-            partial(_embedding_cells, e_positions=e_positions, convert=with_embedding)
-            if dim else None
-        )
-        cut = None
+        pattern = None
         if (
             '"' not in first
             and e_positions == list(range(lead, width))
             and all(i is None or i < lead for i in where.values())
         ):
-            cut = partial(_split_lines, width=width, lead=lead)
-            cut_embedding = partial(_embedding_text, dim=dim) if dim else None
-            if dim and not with_embedding:
-                cut = partial(_screen_lines, pattern=_line_pattern(lead, dim))
-                cut_embedding = _screened_text
+            pattern = _line_pattern(lead, dim, with_embedding)
         parts: dict[str, list[np.ndarray]] = {}
         dropped: list[tuple[int, str]] = []
         # The kept embedding rows, grown in place block by block (realloc,
@@ -532,9 +513,9 @@ def load_cohort(
         embedding = np.empty((0, dim))
         n = 0
 
-        def add(rows: list, embedding_of) -> None:
+        def add(rows: list) -> None:
             nonlocal n
-            columns, block_dropped = _parse_block(rows, n, where, embedding_of, years)
+            columns, block_dropped = _parse_block(rows, n, where, years, dim, with_embedding)
             n += len(rows)
             dropped.extend(block_dropped)
             if "embedding" in columns:
@@ -545,18 +526,18 @@ def load_cohort(
             for name, values in columns.items():
                 parts.setdefault(name, []).append(values)
 
-        # Blocks of lines are cut until cut first refuses one; csv.reader
-        # reads that block and the rest of the file. A first, empty block
-        # gives a file without data rows its empty columns.
+        # Blocks of lines are cut until the pattern first refuses one;
+        # csv.reader reads that block and the rest of the file. A first,
+        # empty block gives a file without data rows its empty columns.
         lines: list[str] = []
-        while cut is not None and (lines := list(islice(fh, _ROW_BLOCK))):
-            if (rows := cut(lines)) is None:
+        while pattern is not None and (lines := list(islice(fh, _ROW_BLOCK))):
+            if (rows := _screen_lines(lines, pattern)) is None:
                 break
             lines = []  # the rows hold the block's cells; free its lines first
-            add(rows, cut_embedding)
+            add(rows)
             del rows  # free the block's cell strings before reading the next
-        for rows in chain([[]], _csv_blocks(chain(lines, fh), width)):
-            add(rows, csv_embedding)
+        for rows in chain([[]], _csv_blocks(chain(lines, fh), width, e_positions, with_embedding)):
+            add(rows)
             del rows
 
     # One column at a time, each block list freed once it is joined.

@@ -33,6 +33,7 @@ REL_LL_TOL = 1e-9
 # REL_LL_TOL, such a step also ends the iteration.
 LL_ROUNDING = 1e-12
 SEPARATION_BOUND = 50.0
+PIVOT_TOL = 2.0**-39  # eps ** 0.75, R coxph's toler.chol; see _identified_inverse
 
 
 @dataclass(frozen=True)
@@ -306,6 +307,23 @@ def _with_information(op, hess: np.ndarray, message: str, *args) -> np.ndarray:
         raise SingularDesignError(message, condition_number=float(np.linalg.cond(-hess))) from None
 
 
+def _identified_inverse(information: np.ndarray) -> np.ndarray:
+    """The inverse of ``information``; LinAlgError unless the pivots of
+    its Cholesky factor scaled to unit diagonal exceed ``PIVOT_TOL`` and
+    the inverse's diagonal is positive. A Cox model has no intercept, so
+    two indicators of one binary field leave the information singular,
+    and rounding can still let it factor and invert, with a huge, zero or
+    negative variance."""
+    diagonal = np.diag(information)
+    if (diagonal > 0).all():
+        unit = np.linalg.cholesky(information / np.sqrt(np.outer(diagonal, diagonal)))
+        if (np.diag(unit) ** 2 > PIVOT_TOL).all():
+            covariance = np.linalg.inv(information)
+            if (np.diag(covariance) > 0).all():
+                return covariance
+    raise np.linalg.LinAlgError
+
+
 def fit_cox(design: DesignMatrix, times, events, ties: str = "efron") -> CoxFit:
     """Maximize the partial likelihood by Newton-Raphson.
 
@@ -317,6 +335,8 @@ def fit_cox(design: DesignMatrix, times, events, ties: str = "efron") -> CoxFit:
     unbounded hazard ratio; a step whose derivatives overflow is
     reported as separation too, and the fit stops before it. Hitting
     the 100-iteration cap reports converged=False rather than raising.
+    A design that cannot be identified (two indicators summing to 1, say)
+    raises SingularDesignError.
     """
     times, events = vectors(times=times, events=events)
     if times.size != design.matrix.shape[0]:
@@ -360,16 +380,14 @@ def fit_cox(design: DesignMatrix, times, events, ties: str = "efron") -> CoxFit:
         ll_settled = abs(ll - prev_ll) <= REL_LL_TOL * max(1.0, abs(prev_ll))
 
     covariance = _with_information(
-        np.linalg.inv, hess, "information matrix not invertible at the solution"
+        _identified_inverse, hess, "information matrix not positive definite at the solution"
     )
-    se = np.sqrt(np.clip(np.diag(covariance), 0.0, None))
+    se = np.sqrt(np.diag(covariance))
 
     with np.errstate(over="ignore"):
         hr = np.exp(beta)
         ci95 = np.column_stack((np.exp(beta - Z95 * se), np.exp(beta + Z95 * se)))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        z = np.where(se > 0, beta / se, np.nan)
-    p = np.array([2.0 * norm_sf(v) for v in np.abs(z)])
+    p = np.array([2.0 * norm_sf(v) for v in np.abs(beta / se)])
     if "separation" in flags:
         runaway = np.abs(beta) >= SEPARATION_BOUND
         hr = np.where(runaway & (beta > 0), np.inf, hr)

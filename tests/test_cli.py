@@ -538,6 +538,21 @@ class TestErrorHandling:
         assert rc == 2
         assert not out.exists()
 
+    def test_unidentified_cox_exits_one(self, tmp_path, capsys):
+        """Adjusting sex=female for sex=male gives two columns that sum to
+        1 on every row; the fit cannot be identified, so cox exits 1 and
+        writes nothing rather than reporting its hazard ratios."""
+        sim = tmp_path / "sim"
+        assert run("simulate", "--out", sim, "--seed", 3, "--n", 60) == 0
+        out = tmp_path / "cox"
+        rc = run(
+            "cox", "--cohort", sim / "cohort.csv", "--out", out,
+            "--biomarker", "sex:cat:female", "--adjusters", "sex:cat:male",
+        )
+        assert rc == 1
+        assert not out.exists()
+        assert "not positive definite" in capsys.readouterr().err
+
     def test_non_object_schema_columns_exits_two(self, tmp_path, sim_cohort, capsys):
         schema = tmp_path / "schema.json"
         schema.write_text('{"columns": ["time"]}')

@@ -740,30 +740,26 @@ class TestRowwiseOracle:
     def test_save_layout(self, tmp_path, monkeypatch, text, cut, row_block):
         """The save_cohort layout reads as the row-by-row loader does,
         whether its blocks are cut or read by csv.reader. In each loading
-        mode (cut at commas when converting, by the line pattern when
-        only checking) the list of which blocks were cut is a run of cut
-        blocks and then at most one refused block, after which csv.reader
-        reads the rest, and ``cut`` holds for it. The quote of ``long``
-        lies in the last block cut is offered, which it refuses."""
+        mode the list of which blocks the line pattern cut (the converting
+        one captures one more group than the checking one) is a run of
+        cut blocks and then at most one refused block, after which
+        csv.reader reads the rest, and ``cut`` holds for it. The quote of
+        ``long`` lies in the last block cut is offered, which it refuses."""
         monkeypatch.setattr(cohort_mod, "_ROW_BLOCK", row_block)
-        cuts = {"_split_lines": [], "_screen_lines": []}
+        cuts = {}
+        screen_lines = cohort_mod._screen_lines
 
-        def recording(name):
-            cutter = getattr(cohort_mod, name)
+        def record(lines, pattern):
+            rows = screen_lines(lines, pattern)
+            cuts.setdefault(pattern.groups, []).append(rows is not None)
+            return rows
 
-            def record(*args, **kwargs):
-                rows = cutter(*args, **kwargs)
-                cuts[name].append(rows is not None)
-                return rows
-
-            monkeypatch.setattr(cohort_mod, name, record)
-
-        for name in cuts:
-            recording(name)
+        monkeypatch.setattr(cohort_mod, "_screen_lines", record)
         path = tmp_path / "c.csv"
         path.write_bytes(text.encode("utf-8"))
         result = self.check(path, tmp_path, schema=None)
         assert result.dropped and len(result.cohort)
+        assert len(cuts) == 2
         for mode in cuts.values():
             assert mode and cut(mode)
             assert all(mode[:-1]), mode
@@ -867,6 +863,127 @@ class TestStrictGrammar:
         assert converted.dropped == checked.dropped == expected
         assert checked.cohort.embedding is None
         assert checked.cohort == dataclasses.replace(converted.cohort, embedding=None)
+
+
+def strict_cells() -> list[str]:
+    """Cells of the strict e* form at the edges of float(): -0 and
+    leading zeros, exponent overflow to +-inf and underflow to +-0,
+    subnormals and halfway cases, 17-30 digit significands, and a seeded
+    sample of up to 30 digits with exponents up to 400."""
+    cells = [
+        "-0", "-0.0", "0", "0e+0", "-0e-5", "007", "-000.500", "00012.3400e+003",
+        "1e+308", "1.7976931348623157e+308", "1.7976931348623158e+308", "1.8e+308",
+        "1e+500", "-1e+500", "9e+99999", "1e-500", "-1e-500", "4.9e-324", "5e-324",
+        "2.4703282292062327e-324", "2.4703282292062328e-324", "2.2250738585072011e-308",
+        "2.2250738585072014e-308", "9007199254740993", "9007199254740992.5",
+        "0.1000000000000000055511151231257827", "123456789012345678901234567890",
+        "-1.23456789012345678901234567890e-7",
+    ]
+    rng = np.random.default_rng(31)
+    for _ in range(4000):
+        digits = "".join(rng.choice(list("0123456789"), rng.integers(1, 31)))
+        point = int(rng.integers(0, len(digits) + 1))
+        mantissa = digits if point == len(digits) else f"{digits[:point] or '0'}.{digits[point:]}"
+        exponent = "" if rng.random() < 0.3 else f"e{rng.choice(['-', '+'])}{rng.integers(0, 400)}"
+        cells.append(("-" if rng.random() < 0.5 else "") + mantissa + exponent)
+    return cells
+
+
+# Strict rows (a, g, h), rows of numbers outside the strict form (b, c),
+# unparseable e* cells (d, e) and a row dropped before its e* cells (f).
+TWIN_ROWS = [
+    "a,10,1,60,,,,,,,,,0.5,-1.25e-07,3",
+    "b,20,0,61,,,,,,,,,1E5, 2,inf",
+    "c,30,1,62,,,,,,,,,1_0,nan,+4",
+    "d,40,1,63,,,,,,,,,abc,1,2",
+    "e,50,0,64,,,,,,,,,,1,2",
+    "f,oops,1,65,,,,,,,,,1,2,3",
+    "g,60,1,66,,,,,,,,,12345678901234567890.5,-0,1e+500",
+    "h,70,1,67,,,,,,,,,1.5,2.5,3.5",
+]
+
+
+class TestOneReader:
+    """Cut blocks and csv.reader rows share one e* reader."""
+
+    @pytest.mark.parametrize("row_block", [3, cohort_mod._ROW_BLOCK])
+    @pytest.mark.parametrize("quoted", [False, True], ids=["cut", "csv"])
+    def test_strict_cells_convert_as_float(self, tmp_path, monkeypatch, quoted, row_block):
+        """Every strict cell reads bit for bit as float() reads it, in
+        cut blocks and, after a quoted first id, through csv.reader."""
+        monkeypatch.setattr(cohort_mod, "_ROW_BLOCK", row_block)
+        cells = strict_cells()
+        cells += ["0.5"] * (-len(cells) % 4)
+        assert all(_strict_row(1).fullmatch(cell) for cell in cells)
+        rows = [
+            f"s{i},10,1,60,,,,,,,,,{','.join(cells[k : k + 4])}"
+            for i, k in enumerate(range(0, len(cells), 4))
+        ]
+        if quoted:
+            rows[0] = '"s0"' + rows[0][2:]
+        path = tmp_path / "c.csv"
+        write_csv(path, rows, header=HEADER + ",e0,e1,e2,e3")
+        result = load_cohort(path)
+        expected = np.array([float(cell) for cell in cells]).reshape(-1, 4)
+        assert result.dropped == ()
+        assert result.cohort.ids[0] == "s0"
+        assert result.cohort.embedding.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("row_block", [2, cohort_mod._ROW_BLOCK])
+    @pytest.mark.parametrize("with_embedding", [True, False])
+    def test_refused_first_block_reads_as_its_twin(
+        self, tmp_path, monkeypatch, with_embedding, row_block
+    ):
+        """A quoted first id makes the cut refuse the first block, so
+        csv.reader reads the whole file; it loads as its quote-free twin,
+        whose every block is cut, does: the same cohort and dropped rows."""
+        monkeypatch.setattr(cohort_mod, "_ROW_BLOCK", row_block)
+        cuts = []
+        screen_lines = cohort_mod._screen_lines
+
+        def record(lines, pattern):
+            rows = screen_lines(lines, pattern)
+            cuts.append(rows is not None)
+            return rows
+
+        monkeypatch.setattr(cohort_mod, "_screen_lines", record)
+        header = HEADER + ",e0,e1,e2"
+        plain, quoted = tmp_path / "plain.csv", tmp_path / "quoted.csv"
+        write_csv(plain, TWIN_ROWS, header=header)
+        write_csv(quoted, ['"a"' + TWIN_ROWS[0][1:], *TWIN_ROWS[1:]], header=header)
+        cut = load_cohort(plain, with_embedding=with_embedding)
+        assert cuts and all(cuts)
+        cuts.clear()
+        read = load_cohort(quoted, with_embedding=with_embedding)
+        assert cuts == [False]
+        assert read.cohort == cut.cohort
+        assert read.dropped == cut.dropped == (
+            (4, "unparseable embedding value"), (5, "unparseable embedding value"),
+            (6, "unparseable time"),
+        )
+        assert list(cut.cohort.ids) == ["a", "b", "c", "g", "h"]
+        if with_embedding:
+            assert cut.cohort.embedding[3].tolist() == [12345678901234567890.5, -0.0, np.inf]
+        else:
+            assert cut.cohort.embedding is None
+
+
+class TestByteOrderMark:
+    @pytest.mark.parametrize("with_embedding", [True, False])
+    @pytest.mark.parametrize(
+        "header,rows",
+        [("id,time,event,chrono_age,e0,e1", ["p1,10,1,60,0.5,1.5", "p2,20,0,61,2.5,3.5"]),
+         ("time,id,event,chrono_age,e0,e1", ["10,p1,1,60,0.5,1.5", "20,p2,0,61,2.5,3.5"])],
+        ids=["id_first", "time_first"],
+    )
+    def test_bom_is_not_part_of_the_first_name(self, tmp_path, header, rows, with_embedding):
+        """The UTF-8 byte order mark that spreadsheet "CSV UTF-8" exports
+        write before the header does not rename its first column."""
+        path = tmp_path / "c.csv"
+        path.write_bytes(("\ufeff" + header + "\n" + "\n".join(rows) + "\n").encode("utf-8"))
+        cohort = load_cohort(path, with_embedding=with_embedding).cohort
+        assert cohort.ids.tolist() == ["p1", "p2"]
+        assert cohort.time.tolist() == [10.0, 20.0]
 
 
 class TestMissingValues:

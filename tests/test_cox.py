@@ -571,6 +571,26 @@ class TestDesignBuilder:
         with pytest.raises(SingularDesignError):
             fit_cox(design, t, e)
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_indicators_summing_to_one_not_identified(self, seed):
+        """Both indicators of sex sum to 1 on every row, and a Cox model
+        has no intercept, so the fit cannot be identified. Rounding may
+        let the information matrix factor and invert (with variances of
+        about 1e14); the fit raises instead of reporting that, or a
+        clipped zero, as a standard error."""
+        rng = np.random.default_rng(seed)
+        n = 60
+        sex = np.where(rng.random(n) < 0.5, "male", "female")
+        t = rng.integers(1, 1500, n).astype(float)
+        e = rng.random(n) < 0.7
+        design = build_design(make_cohort(t, e, sex=sex), [
+            Covariate("sex", "categorical", reference="female"),
+            Covariate("sex", "categorical", reference="male"),
+        ])
+        assert design.names == ("sex=male", "sex=female")
+        with pytest.raises(SingularDesignError):
+            fit_cox(design, t, e)
+
     def test_absent_reference_rejected(self):
         cohort = make_cohort([5, 6], [1, 1], sex=["male", "male"])
         with pytest.raises(DataError):
@@ -701,7 +721,8 @@ from visage.cox import Covariate, build_design, fit_cox
 t = np.array([5.0, 8, 3, 9, 12, 4, 7, 10])
 e = np.array([1, 0, 1, 1, 0, 1, 1, 0], bool)
 cohort = Cohort(ids=[f"p{i}" for i in range(8)], time=t, event=e,
-                chrono_age=np.linspace(50, 80, 8), risk_scaled=np.linspace(1, 0, 8))
+                chrono_age=np.linspace(50, 80, 8),
+                risk_scaled=[0.9, 0.2, 0.7, 0.4, 0.1, 0.8, 0.3, 0.6])
 design = build_design(cohort, [Covariate("risk_scaled"), Covariate("chrono_age", per=10)])
 fit_cox(design, cohort.time, cohort.event)
 print(openssl_with_numpy, "_hashlib" in sys.modules)
